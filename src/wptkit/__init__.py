@@ -56,7 +56,6 @@ from .imn import (
     ElementKind,
     ImnSolution,
     ImnSynthesis,
-    LinkNetwork,
     LSectionIMN,
     MatchingElement,
     assemble_link,
@@ -90,9 +89,7 @@ from .spiral import (
     ShapeCoefficients,
     SpiralGeometry,
     ac_resistance,
-    coil_area,
     estimate_k,
-    fill_ratio,
     inductance,
     modified_wheeler,
     mutual_inductance,

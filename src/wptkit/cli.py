@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import harvester, pipeline, spiral, tissue
-from .errors import InfeasibleDesignError, TouchstoneFormatError, UnmatchableError
+from .errors import InfeasibleDesignError, TouchstoneFormatError, UnmatchableError, WptError
 from .pipeline import si
 from .touchstone import read_touchstone, write_touchstone
 
@@ -89,16 +89,7 @@ def _cmd_coil_synth(args) -> int:
     fab = spiral.FabConstraints(
         min_trace_width=args.min_width, min_spacing=args.min_spacing,
         max_area=args.max_area)
-    result = spiral.synthesize(args.target_l, fab, shape)
-    if not result.candidates:
-        near = result.nearest
-        detail = ""
-        if near is not None:
-            detail = (f"; best miss L = {si(near.inductance, 'H')} "
-                      f"({near.rel_error * 100:.2f} % off)")
-        raise InfeasibleDesignError("coil synthesis",
-                                    f"no candidate within 1 % of {si(args.target_l, 'H')}{detail}",
-                                    nearest=near)
+    result = pipeline.synthesize_coil("coil synthesis", args.target_l, fab, shape)
     records = [spiral.candidate_record(g, args.f0) for g in result.candidates[: args.top]]
     if args.format == "csv":
         import io
@@ -281,6 +272,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except WptError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -18,9 +18,6 @@ from typing import Callable, Sequence
 
 # Thermal voltage at body temperature (310 K).
 BODY_THERMAL_VOLTAGE = 0.0267  # V
-# Behavioural boost-network values of the companion test chip.
-BOOST_INDUCTOR = 6.33e-6   # H, off-chip
-BOOST_CAPACITOR = 10e-12   # F, on-chip
 DEFAULT_STORE_CAPACITOR = 0.47e-6  # F, external storage
 
 
@@ -43,11 +40,23 @@ def bessel_i0(x: float) -> float:
             if term < total * 1e-17:
                 return total
             k += 1
+    return _i0_poly(x) * math.exp(x) / math.sqrt(x)
+
+
+def _i0_poly(x: float) -> float:
+    # Abramowitz & Stegun 9.8.2: sqrt(x) exp(-x) I0(x) for x >= 3.75.
     t = 3.75 / x
-    poly = (0.39894228 + t * (0.01328592 + t * (0.00225319 + t * (-0.00157565
+    return (0.39894228 + t * (0.01328592 + t * (0.00225319 + t * (-0.00157565
             + t * (0.00916281 + t * (-0.02057706 + t * (0.02635537
             + t * (-0.01647633 + t * 0.00392377))))))))
-    return poly * math.exp(x) / math.sqrt(x)
+
+
+def _log_i0(x: float) -> float:
+    """ln I0(x), in log space above 3.75 so that strong drive (x beyond
+    ~709, where exp(x) overflows) stays finite."""
+    if x < 3.75:
+        return math.log(bessel_i0(x))
+    return x - 0.5 * math.log(x) + math.log(_i0_poly(x))
 
 
 def v_out(n: int, v_rx: float, v_t: float = BODY_THERMAL_VOLTAGE) -> float:
@@ -58,7 +67,7 @@ def v_out(n: int, v_rx: float, v_t: float = BODY_THERMAL_VOLTAGE) -> float:
         raise ValueError("input amplitude must be >= 0")
     if not v_t > 0:
         raise ValueError("thermal voltage must be > 0")
-    return 2.0 * n * v_t * math.log(bessel_i0(v_rx / v_t))
+    return 2.0 * n * v_t * _log_i0(v_rx / v_t)
 
 
 @dataclass(frozen=True)
@@ -243,7 +252,7 @@ def minimum_stage_count(v_rx: float, target_v_out: float,
                         v_t: float = BODY_THERMAL_VOLTAGE) -> int:
     """Smallest n with 2 n V_T ln(I0(v_rx/V_T)) >= target (direct
     inversion of the output formula)."""
-    per_stage = 2.0 * v_t * math.log(bessel_i0(v_rx / v_t))
+    per_stage = 2.0 * v_t * _log_i0(v_rx / v_t)
     if per_stage <= 0:
         raise ValueError("no positive per-stage gain at this drive level")
     return max(1, math.ceil(target_v_out / per_stage - 1e-12))

@@ -128,20 +128,6 @@ class LSectionIMN:
         return sum(abs(e.reactance(f)) for e in self.elements)
 
 
-@dataclass(frozen=True)
-class LinkNetwork:
-    """Assembled IMN_TX * T_coil * IMN_RX chain at the design frequency."""
-
-    t_link: TwoPortMatrix
-    f0: float
-    ports: PortPair
-
-    def __post_init__(self):
-        self.t_link._expect(Representation.ABCD)
-        if not self.f0 > 0:
-            raise ValueError("design frequency must be > 0")
-
-
 def _tx_abcd(imn: LSectionIMN, f: float) -> TwoPortMatrix:
     series = element_abcd(imn.tx_series, f)
     shunt = element_abcd(imn.tx_shunt, f)
@@ -160,12 +146,10 @@ def _rx_abcd(imn: LSectionIMN, f: float) -> TwoPortMatrix:
     return netcore.cascade(series, shunt)
 
 
-def assemble_link(imn: LSectionIMN, t_coil: TwoPortMatrix, f: float,
-                  ports: PortPair = PortPair()) -> LinkNetwork:
+def assemble_link(imn: LSectionIMN, t_coil: TwoPortMatrix, f: float) -> TwoPortMatrix:
     """Full-link transmission matrix IMN_TX * T_coil * IMN_RX at f."""
     t_coil._expect(Representation.ABCD)
-    t_link = cascade_all(_tx_abcd(imn, f), t_coil, _rx_abcd(imn, f))
-    return LinkNetwork(t_link, f, ports)
+    return cascade_all(_tx_abcd(imn, f), t_coil, _rx_abcd(imn, f))
 
 
 @dataclass(frozen=True)
@@ -179,9 +163,9 @@ def _db(mag: float) -> float:
     return 20.0 * math.log10(max(mag, 1e-300))
 
 
-def verify_match(link: LinkNetwork) -> MatchReport:
-    """Return loss and transmission of the assembled link at f0, in dB."""
-    s = abcd_to_s(link.t_link, link.ports.zp1, link.ports.zp2)
+def verify_match(t_link: TwoPortMatrix, ports: PortPair) -> MatchReport:
+    """Return loss and transmission of an assembled link (ABCD), in dB."""
+    s = abcd_to_s(t_link, ports.zp1, ports.zp2)
     return MatchReport(_db(abs(s.m11)), _db(abs(s.m22)), _db(abs(s.m21)))
 
 
@@ -336,8 +320,7 @@ def simultaneous_match_targets(s: TwoPortMatrix) -> tuple[complex, complex]:
     return impedance_of(g_ms, s.zp1), impedance_of(g_ml, s.zp2)
 
 
-def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair, f0: float,
-                   *, return_loss_floor_db: float = RETURN_LOSS_FLOOR_DB) -> ImnSynthesis:
+def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair, f0: float) -> ImnSynthesis:
     """Solve all 64 L-section variants that match both link ports at f0.
 
     Every emitted solution has all-positive element values and has been
@@ -370,9 +353,8 @@ def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair, f0: float,
         for rx in rx_options:
             imn = LSectionIMN(_case_of(tx.series_at_port, rx.series_at_port),
                               tx.series, tx.shunt, rx.series, rx.shunt)
-            link = assemble_link(imn, t_coil, f0, ports)
-            report = verify_match(link)
-            if report.s11_db > return_loss_floor_db or report.s22_db > return_loss_floor_db:
+            report = verify_match(assemble_link(imn, t_coil, f0), ports)
+            if report.s11_db > RETURN_LOSS_FLOOR_DB or report.s22_db > RETURN_LOSS_FLOOR_DB:
                 continue
             sol = ImnSolution(imn, report.s11_db, report.s22_db, report.s21_db)
             # |S21| quantized so numerically identical optima actually tie

@@ -236,13 +236,6 @@ def terminated_input_impedance(abcd: TwoPortMatrix, z_load: complex) -> complex:
     return (abcd.m11 * z_load + abcd.m12) / den
 
 
-def terminated_output_impedance(abcd: TwoPortMatrix, z_source: complex) -> complex:
-    """Impedance looking back into port 2 with port 1 driven from z_source."""
-    abcd._expect(Representation.ABCD)
-    den = _guard_denominator(abcd.m21 * z_source + abcd.m11, "terminated_output_impedance")
-    return (abcd.m22 * z_source + abcd.m12) / den
-
-
 def reflection_of(z: complex, z0: float) -> complex:
     """Reflection coefficient of impedance z against real reference z0."""
     den = _guard_denominator(z + z0, "reflection_of")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -23,6 +22,7 @@ import numpy as np
 from . import coil, efficiency, harvester, imn, netcore, spiral, tissue
 from .coil import CoilPair, PortPair
 from .errors import InfeasibleDesignError, UnmatchableError
+from .imn import _db
 from .netcore import TwoPortMatrix
 from .tissue import NetworkTable, TissueStack
 
@@ -110,8 +110,8 @@ class DesignSpec:
     def __post_init__(self):
         if not self.f0 > 0:
             raise ValueError("design frequency must be > 0")
-        if self.k is not None and not (0.0 <= self.k < 1.0):
-            raise ValueError(f"coupling coefficient must be in [0, 1), got {self.k}")
+        if self.k is not None and not (0.0 < self.k < 1.0):
+            raise ValueError(f"coupling coefficient must be in (0, 1), got {self.k}")
         if self.k is None and (self.distance is None or not self.distance > 0):
             raise ValueError("estimating k requires a positive coil distance")
         if self.r1_init < 0 or self.r2_init < 0:
@@ -151,9 +151,6 @@ def spec_from_dict(data: dict) -> DesignSpec:
     fab = spiral.FabConstraints(
         min_trace_width=float(fab_d.get("min_trace_width_m", 100e-6)),
         min_spacing=float(fab_d.get("min_spacing_m", 100e-6)),
-        max_area=float(data.get("tx", {}).get("max_area_m2", (18e-3) ** 2)),
-        substrate_thickness=float(fab_d.get("substrate_thickness_m",
-                                            spiral.DEFAULT_SUBSTRATE_THICKNESS)),
     )
 
     t_d = data.get("tissue", {})
@@ -240,27 +237,34 @@ class LinkModel:
     def s_at(self, f: float, with_imn: bool = True) -> TwoPortMatrix:
         t = self.coil_abcd_at(f)
         if with_imn and self.matching is not None:
-            t = imn.assemble_link(self.matching, t, f, self.ports).t_link
+            t = imn.assemble_link(self.matching, t, f)
         return netcore.abcd_to_s(t, self.ports.zp1, self.ports.zp2)
 
 
 # -- pipeline stages -------------------------------------------------------
 
 
-def _synthesize_side(name: str, l_target: float, side: CoilSideSpec,
-                     fab: spiral.FabConstraints) -> tuple[spiral.SpiralGeometry, int]:
-    fab_side = replace(fab, max_area=side.max_area)
-    result = spiral.synthesize(l_target, fab_side, side.shape)
+def synthesize_coil(stage: str, l_target: float, fab: spiral.FabConstraints,
+                    shape: spiral.ShapeCoefficients) -> spiral.SynthesisResult:
+    """Spiral synthesis that halts with InfeasibleDesignError, naming
+    ``stage`` and the nearest miss, when no candidate meets the target."""
+    result = spiral.synthesize(l_target, fab, shape)
     if not result.candidates:
         near = result.nearest
         detail = "no grid point reached the target"
         if near is not None:
             detail = (f"best miss: L = {si(near.inductance, 'H')} "
                       f"({near.rel_error * 100:.2f} % off) at n={near.geometry.n}, "
-                      f"area {si(near.geometry.area * 1e6, '')} mm^2")
-        raise InfeasibleDesignError(f"{name} coil synthesis",
-                                    f"target {si(l_target, 'H')} infeasible; {detail}",
+                      f"area {near.geometry.area * 1e6:.4g} mm^2")
+        raise InfeasibleDesignError(stage, f"target {si(l_target, 'H')} infeasible; {detail}",
                                     nearest=near)
+    return result
+
+
+def _synthesize_side(name: str, l_target: float, side: CoilSideSpec,
+                     fab: spiral.FabConstraints) -> tuple[spiral.SpiralGeometry, int]:
+    result = synthesize_coil(f"{name} coil synthesis", l_target,
+                             replace(fab, max_area=side.max_area), side.shape)
     return result.candidates[0], len(result.candidates)
 
 
@@ -282,21 +286,20 @@ class DesignReport:
     tx_stage: CoilStage
     rx_stage: CoilStage
     coils: CoilPair
-    k_source: str = "given"
-    f_opt: float = 0.0
-    s_max_bare: float = 0.0
-    s21_bare_f0: float = 0.0
+    k_source: str
+    f_opt: float
+    s_max_bare: float
+    s21_bare_f0: float
+    extraction: coil.ExtractedParams
+    imn_synthesis: imn.ImnSynthesis
+    pte_report: efficiency.PteReport
+    link: LinkModel
     stack: TissueStack | None = None
-    extraction: coil.ExtractedParams | None = None
-    imn_synthesis: imn.ImnSynthesis | None = None
-    match_report: imn.MatchReport | None = None
-    pte_report: efficiency.PteReport | None = None
     sar: efficiency.SarBudget | None = None
     harvest_result: harvester.DesignSpaceResult | None = None
-    link: LinkModel | None = None
 
     def best_imn(self) -> imn.ImnSolution | None:
-        if self.imn_synthesis and self.imn_synthesis.solutions:
+        if self.imn_synthesis.solutions:
             return self.imn_synthesis.solutions[0]
         return None
 
@@ -321,13 +324,10 @@ class DesignReport:
             "rx_turns": self.rx_stage.geometry.n,
             "tx_area_m2": self.tx_stage.geometry.area,
             "rx_area_m2": self.rx_stage.geometry.area,
+            "l1_eff_h": self.extraction.l1, "l2_eff_h": self.extraction.l2,
+            "r1_eff_ohm": self.extraction.r1, "r2_eff_ohm": self.extraction.r2,
+            "k_eff": self.extraction.k,
         }
-        if self.extraction is not None:
-            out.update({
-                "l1_eff_h": self.extraction.l1, "l2_eff_h": self.extraction.l2,
-                "r1_eff_ohm": self.extraction.r1, "r2_eff_ohm": self.extraction.r2,
-                "k_eff": self.extraction.k,
-            })
         best = self.best_imn()
         if best is not None:
             for label, elem in zip(("tx_series", "tx_shunt", "rx_series", "rx_shunt"),
@@ -339,11 +339,10 @@ class DesignReport:
             out["s11_link_db"] = best.s11_db
             out["s22_link_db"] = best.s22_db
             out["s21_link_db"] = best.s21_db
-        if self.pte_report is not None:
-            out["pte"] = self.pte_report.pte
-            out["pte_max"] = self.pte_report.pte_max
-            out["k_r"] = self.pte_report.k_r
-            out["gamma"] = self.pte_report.gamma
+        out["pte"] = self.pte_report.pte
+        out["pte_max"] = self.pte_report.pte_max
+        out["k_r"] = self.pte_report.k_r
+        out["gamma"] = self.pte_report.gamma
         if self.sar is not None:
             out["p_tx_max_w"] = self.sar.p_tx_max
             out["pdl_max_w"] = self.sar.pdl_max
@@ -397,8 +396,8 @@ def run_design(spec: DesignSpec) -> DesignReport:
 
     model = LinkModel(ports, coils, stack, spec.tissue.override, None, spec.f0)
     t_eff = model.coil_abcd_at(spec.f0)
-    extraction = coil.extract_params(
-        netcore.abcd_to_s(t_eff, ports.zp1, ports.zp2), spec.f0)
+    s_eff = netcore.abcd_to_s(t_eff, ports.zp1, ports.zp2)
+    extraction = coil.extract_params(s_eff, spec.f0)
 
     try:
         synthesis = imn.synthesize_imn(t_eff, ports, spec.f0)
@@ -411,15 +410,12 @@ def run_design(spec: DesignSpec) -> DesignReport:
     if synthesis.solutions:
         best = synthesis.solutions[0]
         model = replace(model, matching=best.imn)
-        link = imn.assemble_link(best.imn, t_eff, spec.f0, ports)
-        match_rep = imn.verify_match(link)
-        s_link = netcore.abcd_to_s(link.t_link, ports.zp1, ports.zp2)
-        s21_link = s_link.m21
+        t_link = imn.assemble_link(best.imn, t_eff, spec.f0)
+        s21_link = netcore.abcd_to_s(t_link, ports.zp1, ports.zp2).m21
     else:  # already matched: the bare network is the link
-        match_rep = imn.verify_match(imn.LinkNetwork(t_eff, spec.f0, ports))
-        s21_link = netcore.abcd_to_s(t_eff, ports.zp1, ports.zp2).m21
+        s21_link = s_eff.m21
 
-    max_eff = efficiency.pte_max(netcore.abcd_to_s(t_eff, ports.zp1, ports.zp2))
+    max_eff = efficiency.pte_max(s_eff)
     pte_val = efficiency.pte_link(s21_link, ports)
     pte_rep = efficiency.PteReport(pte_val, max_eff.pte_max, max_eff.k_r,
                                    efficiency.gamma_factor(ports), spec.f0)
@@ -452,17 +448,12 @@ def run_design(spec: DesignSpec) -> DesignReport:
         spec=spec, l_opt=l_opt_val, l1_target=l1_target, l2_target=l2_target,
         tx_stage=tx_stage, rx_stage=rx_stage, coils=coils, k_source=k_source,
         f_opt=f_opt_val, s_max_bare=s_max_val, s21_bare_f0=s21_bare,
-        stack=stack, extraction=extraction, imn_synthesis=synthesis,
-        match_report=match_rep, pte_report=pte_rep, sar=sar,
-        harvest_result=harvest_result, link=model,
+        extraction=extraction, imn_synthesis=synthesis, pte_report=pte_rep,
+        link=model, stack=stack, sar=sar, harvest_result=harvest_result,
     )
 
 
 # -- report rendering ------------------------------------------------------
-
-
-def _db(mag: float) -> float:
-    return 20.0 * math.log10(max(mag, 1e-300))
 
 
 def render_report(report: DesignReport) -> str:
@@ -513,17 +504,16 @@ def render_report(report: DesignReport) -> str:
         add(f"  sections per layer   {report.stack.sections_per_layer}")
         add(f"  face area            {report.stack.face_area * 1e6:.4g} mm^2")
         add("")
-    if report.extraction is not None:
-        ex = report.extraction
-        add("[effective coil parameters (re-extracted)]")
-        add(f"  L1'                  {si(ex.l1, 'H')}")
-        add(f"  L2'                  {si(ex.l2, 'H')}")
-        add(f"  R1'                  {si(ex.r1, 'ohm')}")
-        add(f"  R2'                  {si(ex.r2, 'ohm')}")
-        add(f"  k'                   {ex.k:.6g}")
-        if not ex.valid:
-            add(f"  flagged non-physical: {', '.join(ex.issues)}")
-        add("")
+    ex = report.extraction
+    add("[effective coil parameters (re-extracted)]")
+    add(f"  L1'                  {si(ex.l1, 'H')}")
+    add(f"  L2'                  {si(ex.l2, 'H')}")
+    add(f"  R1'                  {si(ex.r1, 'ohm')}")
+    add(f"  R2'                  {si(ex.r2, 'ohm')}")
+    add(f"  k'                   {ex.k:.6g}")
+    if not ex.valid:
+        add(f"  flagged non-physical: {', '.join(ex.issues)}")
+    add("")
     best = report.best_imn()
     if best is not None:
         add("[matching network]")
@@ -537,18 +527,17 @@ def render_report(report: DesignReport) -> str:
         add(f"  |S22| at f0          {best.s22_db:.4g} dB")
         add(f"  |S21| at f0          {best.s21_db:.4g} dB")
         add("")
-    elif report.imn_synthesis is not None and report.imn_synthesis.already_matched:
+    elif report.imn_synthesis.already_matched:
         add("[matching network]")
         add("  ports already matched; no finite L-section required")
         add("")
-    if report.pte_report is not None:
-        p = report.pte_report
-        add("[efficiency]")
-        add(f"  PTE at f0            {p.pte * 100:.4g} %")
-        add(f"  PTE_max              {p.pte_max * 100:.4g} %")
-        add(f"  K_r                  {p.k_r:.6g}")
-        add(f"  gamma                {p.gamma:.6g}")
-        add("")
+    p = report.pte_report
+    add("[efficiency]")
+    add(f"  PTE at f0            {p.pte * 100:.4g} %")
+    add(f"  PTE_max              {p.pte_max * 100:.4g} %")
+    add(f"  K_r                  {p.k_r:.6g}")
+    add(f"  gamma                {p.gamma:.6g}")
+    add("")
     if report.sar is not None:
         add("[sar budget]")
         add(f"  SAR limit            {report.sar.sar_limit:.4g} W/kg")

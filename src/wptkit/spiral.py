@@ -3,7 +3,7 @@
 Maps a target self-inductance to physical spiral layouts under an
 implant area cap using the current-sheet approximation
 
-    L = (C1 mu0 mur n^2 d_avg / 2) [ln(C2/phi) + C3 phi + C4 phi^2]
+    L = (C1 mu0 n^2 d_avg / 2) [ln(C2/phi) + C3 phi + C4 phi^2]
 
 with the fill ratio phi = sqrt(A)/d_avg - 1, the average diameter
 d_avg = (2r + n dr) cos(pi/seg) and the footprint
@@ -21,8 +21,16 @@ import numpy as np
 
 MU_0 = 4e-7 * math.pi          # H/m
 COPPER_RESISTIVITY = 1.68e-8   # ohm*m
-DEFAULT_TRACE_THICKNESS = 35e-6      # m, 1 oz copper
-DEFAULT_SUBSTRATE_THICKNESS = 25e-6  # m, polyimide film
+DEFAULT_TRACE_THICKNESS = 35e-6  # m, 1 oz copper
+
+# Synthesis grid and acceptance tolerances (see synthesize).
+N_MAX = 40
+W_STEPS = 12
+DR_STEPS = 12
+TRACE_STEP = 50e-6   # m
+R_STEP = 100e-6      # m
+L_TOL = 0.01
+WHEELER_TOL = 0.05
 
 CIRCULAR_SEG = math.inf
 
@@ -139,29 +147,15 @@ class SpiralGeometry:
         return math.sqrt(self.area) / self.avg_diameter - 1.0
 
 
-def avg_diameter(g: SpiralGeometry) -> float:
-    return g.avg_diameter
-
-
-def coil_area(g: SpiralGeometry) -> float:
-    return g.area
-
-
-def fill_ratio(g: SpiralGeometry) -> float:
-    return g.fill_ratio
-
-
-def inductance(g: SpiralGeometry, mu_r: float = 1.0) -> float:
-    """Current-sheet self-inductance of the spiral.
-
-    mu_r stays 1 for implants: tissue and polyimide are non-magnetic.
-    """
+def inductance(g: SpiralGeometry) -> float:
+    """Current-sheet self-inductance of the spiral (mu_r = 1: tissue and
+    polyimide are non-magnetic)."""
     phi = g.fill_ratio
     if phi <= 0.0:
         raise ValueError(f"fill ratio must be > 0, got {phi}")
     c = g.shape
     bracket = math.log(c.c2 / phi) + c.c3 * phi + c.c4 * phi * phi
-    return 0.5 * c.c1 * MU_0 * mu_r * g.n * g.n * g.avg_diameter * bracket
+    return 0.5 * c.c1 * MU_0 * g.n * g.n * g.avg_diameter * bracket
 
 
 def modified_wheeler(g: SpiralGeometry) -> float:
@@ -197,10 +191,9 @@ class FabConstraints:
     min_trace_width: float = 100e-6
     min_spacing: float = 100e-6
     max_area: float = (18e-3) ** 2
-    substrate_thickness: float = DEFAULT_SUBSTRATE_THICKNESS
 
     def __post_init__(self):
-        for name in ("min_trace_width", "min_spacing", "max_area", "substrate_thickness"):
+        for name in ("min_trace_width", "min_spacing", "max_area"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -224,19 +217,17 @@ class SynthesisResult:
         return bool(self.candidates)
 
 
-def synthesize(l_target: float, fab: FabConstraints, shape: ShapeCoefficients,
-               *, n_max: int = 40, w_steps: int = 12, dr_steps: int = 12,
-               trace_step: float = 50e-6, r_step: float = 100e-6,
-               l_tol: float = 0.01, wheeler_tol: float = 0.05,
-               trace_thickness: float = DEFAULT_TRACE_THICKNESS) -> SynthesisResult:
+def synthesize(l_target: float, fab: FabConstraints,
+               shape: ShapeCoefficients) -> SynthesisResult:
     """Grid-search spiral layouts hitting ``l_target`` inside the area cap.
 
-    The grid is exhaustive and deterministic: n in [1, n_max], w and dr
-    stepped at the fabrication resolution, r stepped at ``r_step``.
-    Candidates must sit within ``l_tol`` of the target, fit the area cap
-    and agree with the modified-Wheeler estimate within ``wheeler_tol``
-    (cross-model sanity gate).  Results are ranked by descending area:
-    for the same inductance a larger coil couples better.
+    The grid is exhaustive and deterministic: n in [1, N_MAX], w and dr
+    in W_STEPS and DR_STEPS steps of TRACE_STEP from the fabrication
+    minima, r stepped at R_STEP.  Candidates must sit within L_TOL of
+    the target, fit the area cap and agree with the modified-Wheeler
+    estimate within WHEELER_TOL (cross-model sanity gate).  Results are
+    ranked by descending area: for the same inductance a larger coil
+    couples better.
     """
     if not l_target > 0:
         raise ValueError("target inductance must be > 0")
@@ -245,15 +236,15 @@ def synthesize(l_target: float, fab: FabConstraints, shape: ShapeCoefficients,
     candidates: list[tuple[float, int, float, float, float, SpiralGeometry]] = []
     nearest: NearMiss | None = None
 
-    for n in range(1, n_max + 1):
-        for iw in range(w_steps):
-            w = fab.min_trace_width + iw * trace_step
-            for idr in range(dr_steps):
-                dr = w + fab.min_spacing + idr * trace_step
+    for n in range(1, N_MAX + 1):
+        for iw in range(W_STEPS):
+            w = fab.min_trace_width + iw * TRACE_STEP
+            for idr in range(DR_STEPS):
+                dr = w + fab.min_spacing + idr * TRACE_STEP
                 r_hi = (edge_max - w) / (2.0 * cosf) - n * dr
-                if r_hi < r_step:
+                if r_hi < R_STEP:
                     continue
-                r = np.arange(r_step, r_hi + 0.5 * r_step, r_step)
+                r = np.arange(R_STEP, r_hi + 0.5 * R_STEP, R_STEP)
                 if r.size == 0:
                     continue
                 d_avg = (2.0 * r + n * dr) * cosf
@@ -268,18 +259,18 @@ def synthesize(l_target: float, fab: FabConstraints, shape: ShapeCoefficients,
                 usable = ok_area & ok_model
                 for i in np.nonzero(usable)[0]:
                     err = float(rel[i])
-                    if err <= l_tol:
-                        g = SpiralGeometry(shape, n, float(r[i]), dr, w, trace_thickness)
+                    if err <= L_TOL:
+                        g = SpiralGeometry(shape, n, float(r[i]), dr, w)
                         try:
                             l_mw = modified_wheeler(g)
                         except ValueError:
                             continue
                         l_cs = float(l_val[i])
-                        if abs(l_cs - l_mw) / l_cs > wheeler_tol:
+                        if abs(l_cs - l_mw) / l_cs > WHEELER_TOL:
                             continue
                         candidates.append((-g.area, n, w, dr, float(r[i]), g))
                     elif nearest is None or err < nearest.rel_error:
-                        g = SpiralGeometry(shape, n, float(r[i]), dr, w, trace_thickness)
+                        g = SpiralGeometry(shape, n, float(r[i]), dr, w)
                         nearest = NearMiss(g, float(l_val[i]), err)
 
     candidates.sort(key=lambda item: item[:5])
@@ -288,7 +279,7 @@ def synthesize(l_target: float, fab: FabConstraints, shape: ShapeCoefficients,
         # Area cap excludes even the smallest one-turn coil; report that
         # coil as the miss so the caller sees how far off the cap is.
         w = fab.min_trace_width
-        g = SpiralGeometry(shape, 1, r_step, w + fab.min_spacing, w, trace_thickness)
+        g = SpiralGeometry(shape, 1, R_STEP, w + fab.min_spacing, w)
         try:
             l_min = inductance(g)
             nearest = NearMiss(g, l_min, abs(l_min - l_target) / l_target)

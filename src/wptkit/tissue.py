@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import netcore
-from .errors import DegenerateNetworkError
 from .netcore import TwoPortMatrix, cascade, identity_abcd, s_matrix
 
 EPS_0 = 8.8541878128e-12  # F/m
+# Largest |S12 - S21|, relative to max(|S12|, |S21|), accepted in imported data.
+RECIPROCITY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,19 +108,11 @@ TISSUE_LIBRARY = {
 @dataclass(frozen=True)
 class TissueStack:
     """Ordered layer stack discretized into ``sections_per_layer``
-    symmetric sections over a field cross-section ``face_area``.
-
-    ``transverse_aspect`` scales the transverse (shunt) conduction path;
-    ``eddy_coupling`` scales the longitudinal eddy-reflected impedance.
-    Both default to the unit-aspect plate model and exist so measured
-    attenuation can be calibrated in.
-    """
+    symmetric sections over a field cross-section ``face_area``."""
 
     layers: tuple[ColeColeLayer, ...]
     sections_per_layer: int = 10
     face_area: float = (18e-3) ** 2
-    transverse_aspect: float = 1.0
-    eddy_coupling: float = 1.0
 
     def __post_init__(self):
         if not self.layers:
@@ -129,18 +122,13 @@ class TissueStack:
             raise ValueError("sections_per_layer must be >= 1")
         if not self.face_area > 0:
             raise ValueError("face_area must be > 0")
-        if not self.transverse_aspect > 0:
-            raise ValueError("transverse_aspect must be > 0")
-        if not self.eddy_coupling > 0:
-            raise ValueError("eddy_coupling must be > 0")
 
     @property
     def total_thickness(self) -> float:
         return sum(layer.thickness for layer in self.layers)
 
     def with_sections(self, sections: int) -> "TissueStack":
-        return TissueStack(self.layers, sections, self.face_area,
-                           self.transverse_aspect, self.eddy_coupling)
+        return TissueStack(self.layers, sections, self.face_area)
 
 
 def default_implant_stack(face_area: float = (18e-3) ** 2,
@@ -202,13 +190,13 @@ def ladder_two_port(stack: TissueStack, f: float) -> TwoPortMatrix:
         raise ValueError("frequency must be > 0")
     w = 2.0 * math.pi * f
     mu0 = 4e-7 * math.pi
-    coupling = stack.eddy_coupling * mu0 * math.sqrt(stack.face_area)
+    coupling = mu0 * math.sqrt(stack.face_area)
     out = identity_abcd()
     for layer in stack.layers:
         sigma_eff = 1j * w * EPS_0 * complex_permittivity(layer, f)
         t_s = layer.thickness / stack.sections_per_layer
         z = (w * coupling) ** 2 * sigma_eff * t_s
-        y = sigma_eff * t_s * stack.transverse_aspect
+        y = sigma_eff * t_s
         section = _section_abcd(z, y)
         for _ in range(stack.sections_per_layer):
             out = cascade(out, section)
@@ -256,7 +244,7 @@ class NetworkTable:
         return netcore.s_to_abcd(self.at(f))
 
 
-def import_override(record, reciprocity_tol: float = 1e-3) -> NetworkTable:
+def import_override(record) -> NetworkTable:
     """Build an interpolable network table from a parsed Touchstone
     record, rejecting non-monotone or non-reciprocal rows (the row index
     is named in the error)."""
@@ -269,10 +257,10 @@ def import_override(record, reciprocity_tol: float = 1e-3) -> NetworkTable:
             raise ValueError(f"row {i}: frequency axis not strictly increasing")
         a, b, c, d = record.s[i]
         scale = max(abs(b), abs(c), 1e-300)
-        if abs(b - c) > reciprocity_tol * scale:
+        if abs(b - c) > RECIPROCITY_TOL * scale:
             raise ValueError(
                 f"row {i}: |S12 - S21| = {abs(b - c):.3g} exceeds reciprocity "
-                f"tolerance {reciprocity_tol:g}")
+                f"tolerance {RECIPROCITY_TOL:g}")
         s11.append(a)
         s12.append(b)
         s21.append(c)

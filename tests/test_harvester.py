@@ -10,6 +10,7 @@ minimal feasible stage count.
 import math
 
 import pytest
+from scipy.special import i0e
 
 from wptkit.harvester import (
     HarvesterConstraints,
@@ -49,6 +50,15 @@ class TestBessel:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bessel_i0(-1.0)
+
+    @pytest.mark.parametrize("x", [0.5, 3.74, 3.76, 10.0, 100.0, 700.0, 750.0, 1e3, 1e4])
+    def test_log_space_output_against_i0e(self, x):
+        # v_out = 2 n V_T ln I0(x) must stay finite past x ~ 709, where
+        # exp(x) overflows; ln I0(x) = x + ln i0e(x).
+        want = x + math.log(i0e(x))
+        got = v_out(1, x * 0.0267, 0.0267) / (2.0 * 0.0267)
+        assert abs(got - want) <= 1e-7 * max(1.0, want)
+        assert minimum_stage_count(x * 0.0267, 2.0 * 0.0267 * want * 3.5) == 4
 
 
 class TestVOut:

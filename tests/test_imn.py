@@ -46,10 +46,10 @@ def tiny_imn():
 class TestAssemble:
     def test_degenerate_limit_recovers_coil(self):
         t = ref_abcd()
-        link = assemble_link(tiny_imn(), t, F0, P50)
+        t_link = assemble_link(tiny_imn(), t, F0)
         scale = max(abs(t.m11), abs(t.m12), abs(t.m21), abs(t.m22))
         for name in ("m11", "m12", "m21", "m22"):
-            assert abs(getattr(t, name) - getattr(link.t_link, name)) <= 1e-12 * scale
+            assert abs(getattr(t, name) - getattr(t_link, name)) <= 1e-12 * scale
 
     def test_unit_determinant(self):
         imn = LSectionIMN(
@@ -59,8 +59,7 @@ class TestAssemble:
             MatchingElement(ElementKind.SERIES_INDUCTOR, 200e-9),
             MatchingElement(ElementKind.SHUNT_CAPACITOR, 80e-12),
         )
-        link = assemble_link(imn, ref_abcd(), F0, P50)
-        t = link.t_link
+        t = assemble_link(imn, ref_abcd(), F0)
         scale = max(1.0, abs(t.m11 * t.m22), abs(t.m12 * t.m21))
         assert abs(t.det - 1.0) < 1e-9 * scale
 
@@ -149,8 +148,8 @@ class TestSynthesize:
         # plane must equal zp1 (conjugate match collapsed to the ports).
         result = synthesize_imn(ref_abcd(), P50, F0)
         for sol in result.solutions[:6]:
-            link = assemble_link(sol.imn, ref_abcd(), F0, P50)
-            z_in = netcore.terminated_input_impedance(link.t_link, P50.zp2)
+            t_link = assemble_link(sol.imn, ref_abcd(), F0)
+            z_in = netcore.terminated_input_impedance(t_link, P50.zp2)
             assert abs(z_in - P50.zp1) / P50.zp1 < 1e-6
 
     def test_already_matched_network_flagged(self):
@@ -195,8 +194,7 @@ class TestVerifyMatch:
         # Ideal synthesized networks beat the fabricated prototypes'
         # measured bars (20 dB symmetric, 15 dB asymmetric) with margin.
         sol = synthesize_imn(ref_abcd(), P50, F0).solutions[0]
-        link = assemble_link(sol.imn, ref_abcd(), F0, P50)
-        report = verify_match(link)
+        report = verify_match(assemble_link(sol.imn, ref_abcd(), F0), P50)
         assert -report.s11_db > 20.0
         assert -report.s22_db > 20.0
 
@@ -204,8 +202,7 @@ class TestVerifyMatch:
         coils = CoilPair(525.7e-9, 80e-9, 0.5, 0.5, 0.2)
         t = coil_abcd(coils, 40e6)
         sol = synthesize_imn(t, P50, 40e6).solutions[0]
-        link = assemble_link(sol.imn, t, 40e6, P50)
-        report = verify_match(link)
+        report = verify_match(assemble_link(sol.imn, t, 40e6), P50)
         assert -report.s11_db > 15.0
         assert -report.s22_db > 15.0
 

@@ -8,6 +8,7 @@ CLI must honor its exit-code contract.
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -258,6 +259,38 @@ class TestCli:
         spec.write_text(json.dumps(bad))
         assert run_cli("design", str(spec)).returncode == 3
 
+    def test_zero_coupling_is_a_validation_error(self, tmp_path):
+        spec = tmp_path / "k0.json"
+        spec.write_text(json.dumps({"f0_hz": 20e6, "k": 0}))
+        proc = run_cli("design", str(spec))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    def test_degenerate_network_is_a_validation_error(self, tmp_path):
+        # An override with no transmission has no ABCD form; the error
+        # ends in an exit code and one line, not a traceback.
+        s2p = tmp_path / "open.s2p"
+        s2p.write_text("# MHZ S RI R 50\n10 0.5 0 0 0 0 0 0.5 0\n30 0.5 0 0 0 0 0 0.5 0\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"f0_hz": 20e6, "tissue": {"override_s2p": str(s2p)}}))
+        proc = run_cli("design", str(spec))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("design", "{spec}"),
+        ("coil", "synth", "--target-l", "80e-9", "--max-area", "1e-6"),
+    ])
+    def test_near_miss_area_in_mm2(self, tmp_path, argv):
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps({"f0_hz": 20e6, "rx": {"max_area_m2": 1e-6}}))
+        proc = run_cli(*(arg.format(spec=spec) for arg in argv))
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        area = re.search(r"area (\S+) mm\^2", proc.stderr)
+        assert area is not None, proc.stderr
+        assert 0.0 < float(area.group(1)) <= 1.0  # under the 1 mm^2 cap
+
     def test_s2p_convert(self, tmp_path):
         src = tmp_path / "in.s2p"
         src.write_text("# MHZ S MA R 50\n1 0.5 0 1 0 1 0 0.5 0\n2 0.5 0 1 0 1 0 0.5 0\n")
@@ -282,6 +315,12 @@ class TestCli:
                        "--target-v", "1.0", "--n-max", "40")
         assert proc.returncode == 0, proc.stderr
         assert "# chosen:" in proc.stdout
+
+    def test_harvester_explore_strong_drive(self):
+        # v_rx / V_T ~ 750: I0 itself overflows a float, ln I0 does not.
+        proc = run_cli("harvester", "explore", "--v-rx", "20", "--target-v", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "# chosen: n=1" in proc.stdout
 
     def test_tissue_table_command(self):
         proc = run_cli("tissue", "table", "--f", "2e7")

@@ -23,6 +23,8 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
+DEFAULT_F0 = 20e6  # Hz, for commands that read no design spec
+
 
 def _write_out(text: str, out: str | None) -> None:
     if out:
@@ -42,8 +44,8 @@ def _cmd_sweep(args) -> int:
     if args.s2p:
         table = tissue.import_override(read_touchstone(args.s2p))
         if args.points is not None:
-            start = args.start or table.frequencies[0]
-            stop = args.stop or table.frequencies[-1]
+            start = table.frequencies[0] if args.start is None else args.start
+            stop = table.frequencies[-1] if args.stop is None else args.stop
             freqs = pipeline.frequency_grid(start, stop, args.points, args.scale)
         else:
             freqs = None
@@ -51,8 +53,8 @@ def _cmd_sweep(args) -> int:
     else:
         spec = pipeline.load_design_spec(args.spec)
         report = pipeline.run_design(spec)
-        start = args.start or spec.f0 / 10.0
-        stop = args.stop or spec.f0 * 10.0
+        start = spec.f0 / 10.0 if args.start is None else args.start
+        stop = spec.f0 * 10.0 if args.stop is None else args.stop
         points = args.points if args.points is not None else pipeline.DEFAULT_SWEEP_POINTS
         freqs = pipeline.frequency_grid(start, stop, points, args.scale)
         rows = pipeline.sweep_link(report.link, freqs, with_imn=not args.bare)
@@ -61,7 +63,13 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _require_top(args) -> None:
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
+
+
 def _cmd_match(args) -> int:
+    _require_top(args)
     spec = pipeline.load_design_spec(args.spec)
     report = pipeline.run_design(spec)
     synthesis = report.imn_synthesis
@@ -83,6 +91,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_coil_synth(args) -> int:
+    _require_top(args)
     shape = spiral.SHAPES.get(args.shape)
     if shape is None:
         raise ValueError(f"unknown shape {args.shape!r}; choose from {sorted(spiral.SHAPES)}")
@@ -211,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-l", type=float, required=True, help="target inductance, H")
     p.add_argument("--max-area", type=float, required=True, help="area cap, m^2")
     p.add_argument("--shape", default="square")
-    p.add_argument("--min-width", type=float, default=100e-6)
-    p.add_argument("--min-spacing", type=float, default=100e-6)
-    p.add_argument("--f0", type=float, default=20e6, help="frequency for R_ac, Hz")
+    p.add_argument("--min-width", type=float, default=spiral.FabConstraints.min_trace_width)
+    p.add_argument("--min-spacing", type=float, default=spiral.FabConstraints.min_spacing)
+    p.add_argument("--f0", type=float, default=DEFAULT_F0, help="frequency for R_ac, Hz")
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--out")
@@ -231,18 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = harv_sub.add_parser("explore", help="sweep the (n, q) rectifier design space")
     p.add_argument("--v-rx", type=float, required=True, help="received amplitude, V")
     p.add_argument("--target-v", type=float, required=True, help="target DC output, V")
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=60)
-    p.add_argument("--q", type=float, nargs="+", default=[1.0])
-    p.add_argument("--max-charge-time", type=float, default=10.0)
-    p.add_argument("--f0", type=float, default=20e6)
+    p.add_argument("--n-min", type=int, default=harvester.DEFAULT_N_MIN)
+    p.add_argument("--n-max", type=int, default=harvester.DEFAULT_N_MAX)
+    box = harvester.HarvesterConstraints  # its field defaults are the flag defaults
+    p.add_argument("--q", type=float, nargs="+", default=list(box.q_range))
+    p.add_argument("--max-charge-time", type=float, default=box.max_charge_time)
+    p.add_argument("--f0", type=float, default=DEFAULT_F0)
     p.add_argument("--tissue-r", type=float, default=50.0)
     p.add_argument("--tissue-x", type=float, default=0.0)
     p.add_argument("--c-store", type=float, default=harvester.DEFAULT_STORE_CAPACITOR)
-    p.add_argument("--i-load", type=float, default=1e-6)
+    p.add_argument("--i-load", type=float, default=box.i_load_avg)
     p.add_argument("--v-t", type=float, default=harvester.BODY_THERMAL_VOLTAGE)
-    p.add_argument("--r-stage", type=float, default=1e3)
-    p.add_argument("--c-stage", type=float, default=1e-12)
+    p.add_argument("--r-stage", type=float, default=harvester.DEFAULT_STAGE_R)
+    p.add_argument("--c-stage", type=float, default=harvester.DEFAULT_STAGE_C)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_harvester_explore)
 
@@ -256,26 +266,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Report on one stderr line: control characters, which a spec key or
+    a path may carry, are escaped."""
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+    print(f"{kind}: {text}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (InfeasibleDesignError, UnmatchableError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _fail("infeasible", exc, EXIT_INFEASIBLE)
     except TouchstoneFormatError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail("file error", exc, EXIT_IO)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail("i/o error", exc, EXIT_IO)
     except (ValueError, KeyError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail("validation error", exc, EXIT_VALIDATION)
     except WptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail("error", exc, EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

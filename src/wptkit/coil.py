@@ -103,11 +103,11 @@ def coil_abcd(coils: CoilPair, f: float) -> TwoPortMatrix:
     C = 1/(jwM), D = (R2+jwL2)/(jwM)."""
     if not f > 0:
         raise ValueError("frequency must be > 0")
-    if coils.k == 0.0:
-        raise DegenerateNetworkError("uncoupled coils (k = 0) have no ABCD form")
     w = 2.0 * math.pi * f
     m = coils.mutual
     jwm = 1j * w * m
+    if jwm == 0.0:
+        raise DegenerateNetworkError("uncoupled coils (M = 0) have no ABCD form")
     za = coils.r1 + 1j * w * coils.l1
     zb = coils.r2 + 1j * w * coils.l2
     return abcd_matrix(za / jwm, (w * w * m * m + za * zb) / jwm, 1.0 / jwm, zb / jwm)
@@ -151,8 +151,13 @@ def l_opt(f_target: float, r1: float, r2: float, ports: PortPair, k: float) -> f
     if r1 < 0 or r2 < 0:
         raise ValueError("coil resistances must be >= 0")
     num = (r1 + ports.zp1) * (r2 + ports.zp2)
-    den = (2.0 * math.pi * f_target) ** 2 * (1.0 - k * k)
-    return math.sqrt(num / den)
+    try:
+        value = math.sqrt(num / ((2.0 * math.pi * f_target) ** 2 * (1.0 - k * k)))
+    except (OverflowError, ZeroDivisionError):  # f_target near the ends of the float range
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"L_opt at {f_target:g} Hz lies outside the float range")
+    return value
 
 
 def asymmetric_partner(l_opt_value: float, l1: float) -> float:

@@ -15,6 +15,8 @@ from typing import NamedTuple
 from .coil import PortPair
 from .netcore import Representation, TwoPortMatrix, input_reflection
 
+SAR_LIMIT = 1.6  # W/kg, default SAR limit of the power budget
+
 
 def pte_two_port(s: TwoPortMatrix, gamma_load: complex) -> float:
     """Operating power efficiency of a two-port terminated by gamma_load:
@@ -123,7 +125,8 @@ class SarBudget:
         return self.p_tx_max * self.pte
 
 
-def sar_constrained_pdl(p_tx_max: float, pte: float, sar_limit: float = 1.6) -> SarBudget:
+def sar_constrained_pdl(p_tx_max: float, pte: float,
+                        sar_limit: float = SAR_LIMIT) -> SarBudget:
     """Budget arithmetic only: pdl_max = p_tx_max * pte.  The SAR-capped
     transmit power itself comes from field simulation, outside this tool."""
     return SarBudget(sar_limit, p_tx_max, pte)

@@ -19,13 +19,20 @@ from typing import Callable, Sequence
 # Thermal voltage at body temperature (310 K).
 BODY_THERMAL_VOLTAGE = 0.0267  # V
 DEFAULT_STORE_CAPACITOR = 0.47e-6  # F, external storage
+# Default stage-count range of the design-space sweep, and the calibration
+# point of stage_scaling_model when no measured model is given.
+DEFAULT_N_MIN = 1
+DEFAULT_N_MAX = 60
+DEFAULT_STAGE_R = 1e3  # ohm
+DEFAULT_STAGE_C = 1e-12  # F
 
 
 def bessel_i0(x: float) -> float:
     """Modified Bessel function of the first kind, order zero.
 
     Convergent power series below 3.75, asymptotic-regime polynomial
-    expansion above; relative error < 1e-7 everywhere.
+    expansion above; relative error < 5e-7 everywhere.  Past the float
+    range (x > ~713) the result is math.inf.
     """
     if x < 0:
         raise ValueError("argument must be >= 0")
@@ -40,7 +47,14 @@ def bessel_i0(x: float) -> float:
             if term < total * 1e-17:
                 return total
             k += 1
-    return _i0_poly(x) * math.exp(x) / math.sqrt(x)
+    try:
+        return _i0_poly(x) * math.exp(x) / math.sqrt(x)
+    except OverflowError:
+        # exp(x) leaves the float range a little before I0(x) does.
+        try:
+            return math.exp(_log_i0(x))
+        except OverflowError:
+            return math.inf
 
 
 def _i0_poly(x: float) -> float:
@@ -145,17 +159,17 @@ class HarvesterSpec:
             raise ValueError("storage capacitance must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class HarvesterConstraints:
     """Search box for the design-space sweep."""
 
     n_range: Sequence[int]
-    q_range: Sequence[float]
-    max_charge_time: float
+    q_range: Sequence[float] = (1.0,)
+    max_charge_time: float = 10.0  # s
     tissue_z: complex
     f0: float
     c_store: float = DEFAULT_STORE_CAPACITOR
-    i_load_avg: float = 1e-6
+    i_load_avg: float = 1e-6  # A
     v_t: float = BODY_THERMAL_VOLTAGE
 
     def __post_init__(self):
@@ -217,7 +231,7 @@ def design_space(v_rx: float, target_v_out: float,
         raise ValueError("received amplitude must be >= 0")
     if not target_v_out > 0:
         raise ValueError("target output voltage must be > 0")
-    model = z_in_model or stage_scaling_model(1e3, 1e-12)
+    model = z_in_model or stage_scaling_model(DEFAULT_STAGE_R, DEFAULT_STAGE_C)
 
     rows: list[DesignPoint] = []
     for n in constraints.n_range:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import coil, efficiency, harvester, imn, netcore, spiral, tissue
+from . import coil, efficiency, harvester, imn, netcore, spiral, tissue, touchstone
 from .coil import CoilPair, PortPair
 from .errors import InfeasibleDesignError, UnmatchableError
 from .imn import _db
@@ -56,8 +57,8 @@ def si(value: float, unit: str, digits: int = 4) -> str:
 
 @dataclass(frozen=True)
 class CoilSideSpec:
-    shape: spiral.ShapeCoefficients
-    max_area: float
+    shape: spiral.ShapeCoefficients = spiral.SQUARE
+    max_area: float = spiral.DEFAULT_MAX_AREA
 
     def __post_init__(self):
         if not self.max_area > 0:
@@ -67,7 +68,7 @@ class CoilSideSpec:
 @dataclass(frozen=True)
 class TissueSettings:
     enabled: bool = True
-    sections_per_layer: int = 10
+    sections_per_layer: int = tissue.DEFAULT_SECTIONS
     face_area: float | None = None      # None -> RX area cap
     layers: tuple[tissue.ColeColeLayer, ...] | None = None  # None -> default stack
     override: NetworkTable | None = None
@@ -77,15 +78,9 @@ class TissueSettings:
 class HarvesterSettings:
     v_rx: float
     target_v_out: float
-    n_range: tuple[int, ...]
-    q_values: tuple[float, ...]
-    max_charge_time: float
-    tissue_z: complex
-    i_load_avg: float = 1e-6
-    c_store: float = harvester.DEFAULT_STORE_CAPACITOR
-    v_t: float = harvester.BODY_THERMAL_VOLTAGE
-    r_stage: float = 1e3
-    c_stage: float = 1e-12
+    constraints: harvester.HarvesterConstraints
+    r_stage: float = harvester.DEFAULT_STAGE_R
+    c_stage: float = harvester.DEFAULT_STAGE_C
 
 
 @dataclass(frozen=True)
@@ -99,12 +94,12 @@ class DesignSpec:
     r1_init: float = 0.5
     r2_init: float = 0.5
     l1_pinned: float | None = None
-    tx: CoilSideSpec = field(default_factory=lambda: CoilSideSpec(spiral.SQUARE, (18e-3) ** 2))
-    rx: CoilSideSpec = field(default_factory=lambda: CoilSideSpec(spiral.SQUARE, (18e-3) ** 2))
-    fab: spiral.FabConstraints = field(default_factory=spiral.FabConstraints)
-    tissue: TissueSettings = field(default_factory=TissueSettings)
+    tx: CoilSideSpec = CoilSideSpec()
+    rx: CoilSideSpec = CoilSideSpec()
+    fab: spiral.FabConstraints = spiral.FabConstraints()
+    tissue: TissueSettings = TissueSettings()
     sar_p_tx_max: float | None = None
-    sar_limit: float = 1.6
+    sar_limit: float = efficiency.SAR_LIMIT
     harvest: HarvesterSettings | None = None
 
     def __post_init__(self):
@@ -120,91 +115,179 @@ class DesignSpec:
             raise ValueError("pinned L1 must be > 0")
 
 
-def _shape_from_name(name: str) -> spiral.ShapeCoefficients:
+# -- spec reader -----------------------------------------------------------
+#
+# Each JSON object of the spec has a key table: key -> (field, converter), or
+# key -> a nested table when a JSON section sets fields of the enclosing
+# object.  A converter takes (value, dotted path) and returns the field value
+# or raises ValueError naming the path.  Only keys present reach the
+# constructors, so each default lives on the dataclass field that owns it and
+# a field without a default is a required key.
+
+_JSON_TYPES = {type(None): "null", bool: "boolean", str: "string", list: "array", dict: "object"}
+
+
+def _reject(value, path: str, expected: str):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    got = repr(value) if number else _JSON_TYPES.get(type(value), type(value).__name__)
+    raise ValueError(f"{path}: expected {expected}, got {got}")
+
+
+def _number(value, path: str) -> float:
+    # abs() compares integers exactly, so a long integer literal cannot overflow here.
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    _reject(value, path, "a finite number")
+
+
+def _count(value, path: str) -> int:
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    _reject(value, path, "an integer")
+
+
+def _exactly(kind: type, expected: str):
+    return lambda value, path: value if type(value) is kind else _reject(value, path, expected)
+
+
+_flag = _exactly(bool, "true or false")
+_text = _exactly(str, "a string")
+
+
+def _optional(convert):
+    """Converter that also takes null, meaning 'not given'."""
+    return lambda value, path: None if value is None else convert(value, path)
+
+
+def _array(convert, length: int | None = None):
+    def read(value, path: str) -> tuple:
+        if type(value) is not list or length not in (None, len(value)):
+            _reject(value, path, "an array" if length is None else f"an array of {length}")
+        return tuple(convert(item, f"{path}[{i}]") for i, item in enumerate(value))
+    return read
+
+
+def _shape(value, path: str) -> spiral.ShapeCoefficients:
+    if _text(value, path) not in spiral.SHAPES:
+        raise ValueError(f"{path}: unknown coil shape {value!r}; "
+                         f"choose from {sorted(spiral.SHAPES)}")
+    return spiral.SHAPES[value]
+
+
+def _read(data, table: dict, path: str, cls) -> dict:
+    """Convert the keys present in one JSON object by ``table`` into
+    {field: value}; a key setting a field of ``cls`` without a default is
+    required."""
+    if type(data) is not dict:
+        _reject(data, path or "design spec", "an object")
+    out = {}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        if key not in table:
+            raise ValueError(f"{where}: unknown key")
+        if type(table[key]) is dict:
+            out.update(_read(value, table[key], where, cls))
+        else:
+            out[table[key][0]] = table[key][1](value, where)
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    for key, entry in table.items():
+        if type(entry) is tuple and entry[0] in required and entry[0] not in out:
+            raise ValueError(f"{path + '.' if path else ''}{key}: required key missing")
+    return out
+
+
+def _build(cls, values: dict, path: str):
     try:
-        return spiral.SHAPES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown coil shape {name!r}; choose from {sorted(spiral.SHAPES)}")
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}" if path else str(exc)) from None
 
 
-def spec_from_dict(data: dict) -> DesignSpec:
-    """Build a DesignSpec from a parsed JSON document (schema in README)."""
-    try:
-        f0 = float(data["f0_hz"])
-    except KeyError:
-        raise ValueError("design spec needs f0_hz")
-    ports_d = data.get("ports", {})
-    ports = PortPair(float(ports_d.get("zp1_ohm", 50.0)), float(ports_d.get("zp2_ohm", 50.0)))
+def _section(table: dict, cls):
+    """Converter for a JSON object whose keys set fields of ``cls``."""
+    return lambda value, path: _build(cls, _read(value, table, path, cls), path)
 
-    k_raw = data.get("k", 0.1)
-    k = None if k_raw == "estimate" else float(k_raw)
-    distance = data.get("distance_m")
-    distance = float(distance) if distance is not None else None
 
-    def side(key: str, default_area: float) -> CoilSideSpec:
-        d = data.get(key, {})
-        return CoilSideSpec(_shape_from_name(d.get("shape", "square")),
-                            float(d.get("max_area_m2", default_area)))
+_SIDE_KEYS = {"shape": ("shape", _shape), "max_area_m2": ("max_area", _number)}
 
-    fab_d = data.get("fab", {})
-    fab = spiral.FabConstraints(
-        min_trace_width=float(fab_d.get("min_trace_width_m", 100e-6)),
-        min_spacing=float(fab_d.get("min_spacing_m", 100e-6)),
-    )
+_LAYER_KEYS = {
+    "name": ("name", _text),
+    "eps_inf": ("eps_inf", _number),
+    "dispersions": ("dispersions", _array(_array(_number, 3))),
+    "sigma_s_per_m": ("sigma_static", _number),
+    "thickness_m": ("thickness", _number),
+}
 
-    t_d = data.get("tissue", {})
-    layers = None
-    if t_d.get("layers") is not None:
-        layers = tuple(tissue.layer_from_dict(item) for item in t_d["layers"])
-    override = None
-    if t_d.get("override_s2p"):
-        from .touchstone import read_touchstone
-        override = tissue.import_override(read_touchstone(t_d["override_s2p"]))
-    t_settings = TissueSettings(
-        enabled=bool(t_d.get("enabled", True)),
-        sections_per_layer=int(t_d.get("sections_per_layer", 10)),
-        face_area=(float(t_d["face_area_m2"]) if t_d.get("face_area_m2") is not None else None),
-        layers=layers,
-        override=override,
-    )
+_TISSUE_KEYS = {
+    "enabled": ("enabled", _flag),
+    "sections_per_layer": ("sections_per_layer", _count),
+    "face_area_m2": ("face_area", _optional(_number)),
+    "layers": ("layers", _optional(_array(_section(_LAYER_KEYS, tissue.ColeColeLayer)))),
+    "override_s2p": ("override", _optional(lambda value, path: tissue.import_override(
+        touchstone.read_touchstone(_text(value, path))))),
+}
 
-    sar_d = data.get("sar", {})
-    p_tx = sar_d.get("p_tx_max_w")
+# Sets the fields of HarvesterSettings and of its HarvesterConstraints.
+_HARVESTER_KEYS = {
+    "v_rx_v": ("v_rx", _number),
+    "target_v_out_v": ("target_v_out", _number),
+    "r_stage_ohm": ("r_stage", _number),
+    "c_stage_f": ("c_stage", _number),
+    "n_min": ("n_min", _count),
+    "n_max": ("n_max", _count),
+    "q_values": ("q_range", _array(_number)),
+    "max_charge_time_s": ("max_charge_time", _number),
+    "tissue_z_ohm": ("tissue_z", lambda value, path: complex(*_array(_number, 2)(value, path))),
+    "i_load_avg_a": ("i_load_avg", _number),
+    "c_store_f": ("c_store", _number),
+    "v_t_v": ("v_t", _number),
+}
 
-    harvest = None
-    h_d = data.get("harvester")
-    if h_d:
-        n_min, n_max = int(h_d.get("n_min", 1)), int(h_d.get("n_max", 60))
-        tz = h_d.get("tissue_z_ohm")
-        tissue_z = complex(tz[0], tz[1]) if tz is not None else complex(ports.zp2, 0.0)
-        harvest = HarvesterSettings(
-            v_rx=float(h_d["v_rx_v"]),
-            target_v_out=float(h_d["target_v_out_v"]),
-            n_range=tuple(range(n_min, n_max + 1)),
-            q_values=tuple(float(q) for q in h_d.get("q_values", [1.0])),
-            max_charge_time=float(h_d.get("max_charge_time_s", 10.0)),
-            tissue_z=tissue_z,
-            i_load_avg=float(h_d.get("i_load_avg_a", 1e-6)),
-            c_store=float(h_d.get("c_store_f", harvester.DEFAULT_STORE_CAPACITOR)),
-            v_t=float(h_d.get("v_t_v", harvester.BODY_THERMAL_VOLTAGE)),
-            r_stage=float(h_d.get("r_stage_ohm", 1e3)),
-            c_stage=float(h_d.get("c_stage_f", 1e-12)),
-        )
+_SPEC_KEYS = {
+    "f0_hz": ("f0", _number),
+    "ports": ("ports", _section({"zp1_ohm": ("zp1", _number),
+                                 "zp2_ohm": ("zp2", _number)}, PortPair)),
+    "k": ("k", lambda value, path: None if value == "estimate" else _number(value, path)),
+    "distance_m": ("distance", _optional(_number)),
+    "r1_init_ohm": ("r1_init", _number),
+    "r2_init_ohm": ("r2_init", _number),
+    "l1_pinned_h": ("l1_pinned", _optional(_number)),
+    "tx": ("tx", _section(_SIDE_KEYS, CoilSideSpec)),
+    "rx": ("rx", _section(_SIDE_KEYS, CoilSideSpec)),
+    "fab": ("fab", _section({"min_trace_width_m": ("min_trace_width", _number),
+                             "min_spacing_m": ("min_spacing", _number)},
+                            spiral.FabConstraints)),
+    "tissue": ("tissue", _section(_TISSUE_KEYS, TissueSettings)),
+    "sar": {"p_tx_max_w": ("sar_p_tx_max", _optional(_number)),
+            "sar_limit_w_per_kg": ("sar_limit", _number)},
+    "harvester": ("harvest", _optional(
+        lambda value, path: _read(value, _HARVESTER_KEYS, path, HarvesterSettings))),
+}
 
-    return DesignSpec(
-        f0=f0, ports=ports, k=k, distance=distance,
-        r1_init=float(data.get("r1_init_ohm", 0.5)),
-        r2_init=float(data.get("r2_init_ohm", 0.5)),
-        l1_pinned=(float(data["l1_pinned_h"]) if data.get("l1_pinned_h") is not None else None),
-        tx=side("tx", (18e-3) ** 2),
-        rx=side("rx", (18e-3) ** 2),
-        fab=fab,
-        tissue=t_settings,
-        sar_p_tx_max=(float(p_tx) if p_tx is not None else None),
-        sar_limit=float(sar_d.get("sar_limit_w_per_kg", 1.6)),
-        harvest=harvest,
-    )
+
+def spec_from_dict(data) -> DesignSpec:
+    """Build a DesignSpec from a parsed JSON document (schema in README).
+
+    An unknown key, a wrong JSON type, a non-integral count, a non-boolean
+    flag or a non-finite number raises ValueError naming its dotted path.
+    """
+    values = _read(data, _SPEC_KEYS, "", DesignSpec)
+    harvest = values.pop("harvest", None)
+    spec = _build(DesignSpec, values, "")
+    if harvest is None:
+        return spec
+    # The sweep runs at f0 and, unless tissue_z_ohm says otherwise, matches
+    # against the RX port.
+    own = {f.name: harvest.pop(f.name) for f in fields(HarvesterSettings) if f.name in harvest}
+    n_range = range(harvest.pop("n_min", harvester.DEFAULT_N_MIN),
+                    harvest.pop("n_max", harvester.DEFAULT_N_MAX) + 1)
+    constraints = _build(harvester.HarvesterConstraints,
+                         {"tissue_z": complex(spec.ports.zp2, 0.0), **harvest,
+                          "n_range": tuple(n_range), "f0": spec.f0}, "harvester")
+    return replace(spec, harvest=_build(HarvesterSettings, dict(own, constraints=constraints),
+                                        "harvester"))
 
 
 def load_design_spec(path: str | Path) -> DesignSpec:
@@ -428,12 +511,8 @@ def run_design(spec: DesignSpec) -> DesignReport:
     harvest_result = None
     if spec.harvest is not None:
         h = spec.harvest
-        constraints = harvester.HarvesterConstraints(
-            n_range=h.n_range, q_range=h.q_values,
-            max_charge_time=h.max_charge_time, tissue_z=h.tissue_z,
-            f0=spec.f0, c_store=h.c_store, i_load_avg=h.i_load_avg, v_t=h.v_t)
         harvest_result = harvester.design_space(
-            h.v_rx, h.target_v_out, constraints,
+            h.v_rx, h.target_v_out, h.constraints,
             harvester.stage_scaling_model(h.r_stage, h.c_stage))
         if harvest_result.chosen is None:
             misses = "; ".join(
@@ -617,23 +696,12 @@ def sweep_table(table: NetworkTable, frequencies: Sequence[float] | None = None)
     return [_row_from_s(f, table.at(f), ports) for f in freqs]
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], target) -> None:
-    """Write sweep rows as CSV with a header, '.' decimals, no locale."""
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([f"{row.f:.12g}", f"{row.s11_db:.12g}", f"{row.s21_db:.12g}",
-                             f"{row.s22_db:.12g}", f"{row.pte_pct:.12g}",
-                             f"{row.pte_max_pct:.12g}"])
-    finally:
-        if own:
-            fh.close()
-
-
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
+    """Sweep rows as CSV with a header, '.' decimals, no locale."""
     buf = io.StringIO()
-    write_sweep_csv(rows, buf)
+    writer = csv.writer(buf)
+    writer.writerow(SWEEP_HEADER)
+    for row in rows:
+        writer.writerow([f"{row.f:.12g}", f"{row.s11_db:.12g}", f"{row.s21_db:.12g}",
+                         f"{row.s22_db:.12g}", f"{row.pte_pct:.12g}", f"{row.pte_max_pct:.12g}"])
     return buf.getvalue()

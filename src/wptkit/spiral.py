@@ -22,6 +22,7 @@ import numpy as np
 MU_0 = 4e-7 * math.pi          # H/m
 COPPER_RESISTIVITY = 1.68e-8   # ohm*m
 DEFAULT_TRACE_THICKNESS = 35e-6  # m, 1 oz copper
+DEFAULT_MAX_AREA = (18e-3) ** 2  # m^2, an 18 mm x 18 mm footprint
 
 # Synthesis grid and acceptance tolerances (see synthesize).
 N_MAX = 40
@@ -37,7 +38,8 @@ CIRCULAR_SEG = math.inf
 
 @dataclass(frozen=True)
 class ShapeCoefficients:
-    """Current-sheet coefficients for one polygon order.
+    """Current-sheet coefficients C1..C4 and modified-Wheeler coefficients
+    K1, K2 for one polygon order.
 
     ``seg`` is the polygon order (>= 3); math.inf marks a circle.
     """
@@ -48,6 +50,8 @@ class ShapeCoefficients:
     c2: float
     c3: float
     c4: float
+    k1: float
+    k2: float
 
     def __post_init__(self):
         if not (self.c1 > 0 and self.c2 > 0):
@@ -60,53 +64,13 @@ class ShapeCoefficients:
         return 1.0 if self.seg == CIRCULAR_SEG else math.cos(math.pi / self.seg)
 
 
-SQUARE = ShapeCoefficients("square", 4, 1.27, 2.07, 0.18, 0.13)
-HEXAGONAL = ShapeCoefficients("hexagonal", 6, 1.09, 2.23, 0.00, 0.17)
-OCTAGONAL = ShapeCoefficients("octagonal", 8, 1.07, 2.29, 0.00, 0.19)
-CIRCULAR = ShapeCoefficients("circular", CIRCULAR_SEG, 1.00, 2.46, 0.00, 0.20)
+# Circles borrow the octagon's Wheeler K1, K2 (nearest tabulated polygon).
+SQUARE = ShapeCoefficients("square", 4, 1.27, 2.07, 0.18, 0.13, 2.34, 2.75)
+HEXAGONAL = ShapeCoefficients("hexagonal", 6, 1.09, 2.23, 0.00, 0.17, 2.33, 3.82)
+OCTAGONAL = ShapeCoefficients("octagonal", 8, 1.07, 2.29, 0.00, 0.19, 2.25, 3.55)
+CIRCULAR = ShapeCoefficients("circular", CIRCULAR_SEG, 1.00, 2.46, 0.00, 0.20, 2.25, 3.55)
 
 SHAPES = {s.name: s for s in (SQUARE, HEXAGONAL, OCTAGONAL, CIRCULAR)}
-
-# Modified-Wheeler coefficients (K1, K2), used as the cross-model
-# consistency gate on synthesized candidates.  Circles borrow the
-# octagon values (nearest tabulated polygon).
-_WHEELER_K = (
-    (SQUARE.cos_factor, 2.34, 2.75),
-    (HEXAGONAL.cos_factor, 2.33, 3.82),
-    (OCTAGONAL.cos_factor, 2.25, 3.55),
-    (1.0, 2.25, 3.55),
-)
-
-
-def shape_for(seg: float) -> ShapeCoefficients:
-    """Coefficients for an arbitrary polygon order.
-
-    Known orders return the tabulated entry; anything else is linearly
-    interpolated in cos(pi/seg) between the tabulated shapes (FEM-grade
-    coefficients are out of scope, this is a documented approximation).
-    """
-    if seg == CIRCULAR_SEG:
-        return CIRCULAR
-    if seg < 3:
-        raise ValueError(f"polygon order must be >= 3, got {seg}")
-    for known in (SQUARE, HEXAGONAL, OCTAGONAL):
-        if seg == known.seg:
-            return known
-    anchors = [SQUARE, HEXAGONAL, OCTAGONAL, CIRCULAR]
-    x = math.cos(math.pi / seg)
-    xs = [a.cos_factor for a in anchors]
-    x = min(max(x, xs[0]), xs[-1])
-    for lo, hi in zip(anchors, anchors[1:]):
-        if x <= hi.cos_factor:
-            t = (x - lo.cos_factor) / (hi.cos_factor - lo.cos_factor)
-            return ShapeCoefficients(
-                f"polygon-{seg:g}", seg,
-                lo.c1 + t * (hi.c1 - lo.c1),
-                lo.c2 + t * (hi.c2 - lo.c2),
-                lo.c3 + t * (hi.c3 - lo.c3),
-                lo.c4 + t * (hi.c4 - lo.c4),
-            )
-    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -171,17 +135,7 @@ def modified_wheeler(g: SpiralGeometry) -> float:
     if d_in <= 0.0:
         raise ValueError("winding fills past the center; Wheeler estimate invalid")
     rho = (d_out - d_in) / (d_out + d_in)
-    x = g.shape.cos_factor
-    ks = _WHEELER_K
-    x = min(max(x, ks[0][0]), ks[-1][0])
-    k1, k2 = ks[-1][1], ks[-1][2]
-    for (x0, k1a, k2a), (x1, k1b, k2b) in zip(ks, ks[1:]):
-        if x <= x1:
-            t = 0.0 if x1 == x0 else (x - x0) / (x1 - x0)
-            k1 = k1a + t * (k1b - k1a)
-            k2 = k2a + t * (k2b - k2a)
-            break
-    return k1 * MU_0 * g.n * g.n * d_avg / (1.0 + k2 * rho)
+    return g.shape.k1 * MU_0 * g.n * g.n * d_avg / (1.0 + g.shape.k2 * rho)
 
 
 @dataclass(frozen=True)
@@ -190,7 +144,7 @@ class FabConstraints:
 
     min_trace_width: float = 100e-6
     min_spacing: float = 100e-6
-    max_area: float = (18e-3) ** 2
+    max_area: float = DEFAULT_MAX_AREA
 
     def __post_init__(self):
         for name in ("min_trace_width", "min_spacing", "max_area"):

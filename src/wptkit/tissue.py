@@ -30,6 +30,7 @@ from . import netcore
 from .netcore import TwoPortMatrix, cascade, identity_abcd, s_matrix
 
 EPS_0 = 8.8541878128e-12  # F/m
+DEFAULT_SECTIONS = 10  # slab sections per tissue layer
 # Largest |S12 - S21|, relative to max(|S12|, |S21|), accepted in imported data.
 RECIPROCITY_TOL = 1e-3
 
@@ -111,8 +112,8 @@ class TissueStack:
     symmetric sections over a field cross-section ``face_area``."""
 
     layers: tuple[ColeColeLayer, ...]
-    sections_per_layer: int = 10
-    face_area: float = (18e-3) ** 2
+    sections_per_layer: int
+    face_area: float
 
     def __post_init__(self):
         if not self.layers:
@@ -132,7 +133,7 @@ class TissueStack:
 
 
 def default_implant_stack(face_area: float = (18e-3) ** 2,
-                          sections_per_layer: int = 10) -> TissueStack:
+                          sections_per_layer: int = DEFAULT_SECTIONS) -> TissueStack:
     """2 mm skin / 2 mm fat / 10 mm muscle evaluation stack."""
     return TissueStack((skin_dry(2e-3), fat(2e-3), muscle(10e-3)),
                        sections_per_layer, face_area)
@@ -216,15 +217,17 @@ class NetworkTable:
     ladder wherever a tissue-modified network is expected."""
 
     frequencies: tuple[float, ...]
-    s11: tuple[complex, ...]
-    s12: tuple[complex, ...]
-    s21: tuple[complex, ...]
-    s22: tuple[complex, ...]
-    zp: float = 50.0
+    s: tuple[tuple[complex, complex, complex, complex], ...]  # (S11, S12, S21, S22) rows
+    zp: float
     _f: np.ndarray = field(init=False, repr=False, compare=False)
+    _re: np.ndarray = field(init=False, repr=False, compare=False)
+    _im: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        columns = np.asarray(self.s, dtype=complex).T
         object.__setattr__(self, "_f", np.asarray(self.frequencies, dtype=float))
+        object.__setattr__(self, "_re", columns.real.copy())
+        object.__setattr__(self, "_im", columns.imag.copy())
 
     def at(self, f: float) -> TwoPortMatrix:
         grid = self._f
@@ -232,12 +235,8 @@ class NetworkTable:
             raise ValueError(
                 f"frequency {f:g} Hz outside tabulated range "
                 f"[{grid[0]:g}, {grid[-1]:g}] Hz")
-        entries = []
-        for column in (self.s11, self.s12, self.s21, self.s22):
-            col = np.asarray(column, dtype=complex)
-            re = float(np.interp(f, grid, col.real))
-            im = float(np.interp(f, grid, col.imag))
-            entries.append(complex(re, im))
+        entries = [complex(float(np.interp(f, grid, re)), float(np.interp(f, grid, im)))
+                   for re, im in zip(self._re, self._im)]
         return s_matrix(*entries, self.zp, self.zp)
 
     def abcd_at(self, f: float) -> TwoPortMatrix:
@@ -246,41 +245,15 @@ class NetworkTable:
 
 def import_override(record) -> NetworkTable:
     """Build an interpolable network table from a parsed Touchstone
-    record, rejecting non-monotone or non-reciprocal rows (the row index
-    is named in the error)."""
-    freqs = list(record.frequencies)
-    if len(freqs) < 2:
-        raise ValueError("need at least two frequency rows to interpolate")
-    s11, s12, s21, s22 = [], [], [], []
-    for i, f in enumerate(freqs):
-        if i > 0 and f <= freqs[i - 1]:
-            raise ValueError(f"row {i}: frequency axis not strictly increasing")
-        a, b, c, d = record.s[i]
+    record (at least two rows on a strictly increasing axis), rejecting
+    non-reciprocal rows (the row index is named in the error)."""
+    for i, (_, b, c, _) in enumerate(record.s):
         scale = max(abs(b), abs(c), 1e-300)
         if abs(b - c) > RECIPROCITY_TOL * scale:
             raise ValueError(
                 f"row {i}: |S12 - S21| = {abs(b - c):.3g} exceeds reciprocity "
                 f"tolerance {RECIPROCITY_TOL:g}")
-        s11.append(a)
-        s12.append(b)
-        s21.append(c)
-        s22.append(d)
-    return NetworkTable(tuple(freqs), tuple(s11), tuple(s12), tuple(s21), tuple(s22),
-                        zp=record.resistance)
-
-
-def layer_from_dict(data: dict) -> ColeColeLayer:
-    """Layer override record: name, eps_inf, dispersions, sigma, thickness."""
-    try:
-        return ColeColeLayer(
-            str(data["name"]),
-            float(data["eps_inf"]),
-            tuple((float(d), float(t), float(a)) for d, t, a in data["dispersions"]),
-            float(data["sigma_s_per_m"]),
-            float(data["thickness_m"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"tissue layer record missing field {exc}") from exc
+    return NetworkTable(record.frequencies, record.s, record.resistance)
 
 
 def layer_to_dict(layer: ColeColeLayer) -> dict:

@@ -90,8 +90,8 @@ def parse_touchstone(text: str) -> TouchstoneRecord:
                 resistance = float(r_value)
             except ValueError:
                 raise TouchstoneFormatError(line_no, f"bad reference resistance {tokens[4]!r}")
-            if not resistance > 0:
-                raise TouchstoneFormatError(line_no, "reference resistance must be > 0")
+            if not 0 < resistance < math.inf:
+                raise TouchstoneFormatError(line_no, "reference resistance must be finite and > 0")
             unit_scale = _FREQ_UNITS[unit]
             fmt = TouchstoneFormat[fmt_token]
             continue
@@ -108,11 +108,15 @@ def parse_touchstone(text: str) -> TouchstoneRecord:
         f = values[0] * unit_scale
         if freqs and f <= freqs[-1]:
             raise TouchstoneFormatError(line_no, "frequency axis not strictly increasing")
-        # v1 two-port column order: S11, S21, S12, S22.
-        s11 = _complex_from(fmt, values[1], values[2])
-        s21 = _complex_from(fmt, values[3], values[4])
-        s12 = _complex_from(fmt, values[5], values[6])
-        s22 = _complex_from(fmt, values[7], values[8])
+        try:
+            # v1 two-port column order: S11, S21, S12, S22.
+            s11, s21, s12, s22 = (_complex_from(fmt, values[i], values[i + 1])
+                                  for i in (1, 3, 5, 7))
+            finite = all(map(cmath.isfinite, (f, s11, s12, s21, s22)))
+        except (OverflowError, ValueError):  # a magnitude or angle past the float range
+            finite = False
+        if not finite:
+            raise TouchstoneFormatError(line_no, f"non-finite value in {line!r}")
         freqs.append(f)
         rows.append((s11, s12, s21, s22))
 

@@ -51,6 +51,14 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_i0(-1.0)
 
+    def test_past_exp_overflow(self):
+        # exp(x) overflows from x ~ 709.8, I0(x) only from x ~ 713.  The
+        # A&S 9.8.2 polynomial is good to 5e-7 relative.
+        want = math.exp(712.0 + math.log(i0e(712.0)))
+        assert math.isfinite(bessel_i0(712.0))
+        assert abs(bessel_i0(712.0) - want) <= 5e-7 * want
+        assert bessel_i0(800.0) == math.inf
+
     @pytest.mark.parametrize("x", [0.5, 3.74, 3.76, 10.0, 100.0, 700.0, 750.0, 1e3, 1e4])
     def test_log_space_output_against_i0e(self, x):
         # v_out = 2 n V_T ln I0(x) must stay finite past x ~ 709, where

@@ -11,10 +11,11 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from wptkit import imn, pipeline, tissue
+from wptkit import cli, harvester, imn, pipeline, tissue
 from wptkit.coil import PortPair
 from wptkit.errors import InfeasibleDesignError
 from wptkit.pipeline import (
@@ -84,6 +85,60 @@ class TestSpecParsing:
         spec = load_design_spec(path)
         assert spec.f0 == 20e6
         assert spec.sar_p_tx_max == pytest.approx(0.0846)
+
+    def test_readme_schema_is_accepted(self):
+        # The README's schema block and layer record, with // comments
+        # stripped, are specs the reader takes as they stand.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Design spec schema", 1)[1]
+        schema, layer = (json.loads(re.sub(r"//.*", "", block))
+                         for block in re.findall(r"```jsonc\n(.*?)```", section, re.S))
+        spec = spec_from_dict(schema)
+        assert spec.harvest.constraints.q_range == (1.0, 2.0)
+        assert spec.harvest.constraints.tissue_z == complex(50.0, 0.0)
+        spec = spec_from_dict({"f0_hz": 20e6, "tissue": {"layers": [layer]}})
+        assert spec.tissue.layers[0].name == "muscle"
+
+    def test_harvester_defaults_come_from_the_harvester_module(self):
+        spec = spec_from_dict({"f0_hz": 20e6, "ports": {"zp2_ohm": 75.0},
+                               "harvester": {"v_rx_v": 0.05, "target_v_out_v": 1.0}})
+        c = spec.harvest.constraints
+        assert c.n_range == tuple(range(harvester.DEFAULT_N_MIN, harvester.DEFAULT_N_MAX + 1))
+        assert c.tissue_z == complex(75.0, 0.0) and c.f0 == 20e6
+        assert (spec.harvest.r_stage, spec.harvest.c_stage) == (
+            harvester.DEFAULT_STAGE_R, harvester.DEFAULT_STAGE_C)
+
+
+LAYER = {"name": "muscle", "eps_inf": 4.0, "dispersions": [[50.0, 7.23e-12, 0.1]],
+         "sigma_s_per_m": 0.2, "thickness_m": 0.01}
+
+# (spec file text, dotted path the one-line error must name)
+BAD_SPECS = [
+    ("[1]", "design spec"),
+    ('{"f0_hz": null}', "f0_hz"),
+    ('{"k": [1]}', "k"),
+    ('{"tx": "square"}', "tx"),
+    ('{"kk": 0.3, "tisue": {}}', "kk"),
+    ('{"f0_hz": 2e7, "r1_init_ohm": Infinity}', "r1_init_ohm"),
+    ('{"f0_hz": 2e7, "ports": {"zp1_ohm": NaN}}', "ports.zp1_ohm"),
+    ('{"f0_hz": 2e7, "tissue": {"sections_per_layer": 2.7}}', "tissue.sections_per_layer"),
+    ('{"f0_hz": 2e7, "tissue": {"enabled": "no"}}', "tissue.enabled"),
+    ('{"f0_hz": 2e7, "fab": {"substrate_thickness_m": 1e-4}}', "fab.substrate_thickness_m"),
+    (json.dumps({"f0_hz": 2e7, "tissue": {"layers": [LAYER, dict(LAYER, thickness_m="1 cm")]}}),
+     "tissue.layers[1].thickness_m"),
+    (json.dumps({"f0_hz": 2e7, "harvester": {"v_rx_v": 0.05}}), "harvester.target_v_out_v"),
+]
+
+
+@pytest.mark.parametrize("text, path", BAD_SPECS)
+def test_bad_spec_exits_2_naming_its_key(tmp_path, capsys, text, path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert cli.main(["design", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"validation error: {path}: "), err
 
 
 class TestSymmetricDesign:
@@ -290,6 +345,41 @@ class TestCli:
         area = re.search(r"area (\S+) mm\^2", proc.stderr)
         assert area is not None, proc.stderr
         assert 0.0 < float(area.group(1)) <= 1.0  # under the 1 mm^2 cap
+
+    @pytest.mark.parametrize("argv", [
+        ("coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6", "--top", "0",
+         "--format", "csv"),
+        ("match", "{spec}", "--top", "0"),
+        ("sweep", "--spec", "{spec}", "--points", "11", "--start", "0"),
+        ("sweep", "--spec", "{spec}", "--points", "11", "--stop", "0"),
+        ("sweep", "--s2p", "{s2p}", "--points", "11", "--start", "0"),
+    ])
+    def test_bad_flag_is_a_validation_error(self, tmp_path, capsys, argv):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(SYMMETRIC, tissue={"enabled": False})))
+        s2p = tmp_path / "link.s2p"
+        s2p.write_text("# MHZ S RI R 50\n10 0.5 0 0.5 0 0.5 0 0.5 0\n30 0.5 0 0.5 0 0.5 0 0.5 0\n")
+        assert cli.main([arg.format(spec=spec, s2p=s2p) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("validation error: "), err
+
+    @pytest.mark.parametrize("spec", [
+        {"f0_hz": 5e-324},                   # L_opt overflows
+        {"f0_hz": 1e300},                    # omega^2 overflows
+        {"f0_hz": 20e6, "k": 5e-324},        # M underflows to 0
+    ])
+    def test_float_range_edges_are_validation_errors(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["design", str(path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_non_finite_s2p_value_is_a_file_error(self, tmp_path, capsys):
+        s2p = tmp_path / "nan.s2p"
+        s2p.write_text("# MHZ S RI R 50\n10 0.5 0 0.5 0 0.5 0 0.5 0\n30 0.5 0 nan 0 0.5 0 0.5 0\n")
+        assert cli.main(["sweep", "--s2p", str(s2p)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("file error: line 3: "), err
 
     def test_s2p_convert(self, tmp_path):
         src = tmp_path / "in.s2p"

@@ -25,7 +25,6 @@ from wptkit.spiral import (
     estimate_k,
     inductance,
     mutual_inductance,
-    shape_for,
     skin_depth,
     synthesize,
     trace_length,
@@ -110,14 +109,6 @@ class TestInductance:
         values = [inductance(SpiralGeometry(SQUARE, n, 2e-3, 0.4e-3, 0.2e-3))
                   for n in range(1, 12)]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_shape_interpolation(self):
-        s5 = shape_for(5)
-        assert SQUARE.c1 > s5.c1 > HEXAGONAL.c1
-        assert shape_for(4) is SQUARE
-        assert shape_for(math.inf) is CIRCULAR
-        with pytest.raises(ValueError):
-            shape_for(2)
 
 
 class TestSynthesize:
@@ -226,4 +217,4 @@ class TestShapeCoefficients:
 
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(ValueError):
-            ShapeCoefficients("bad", 4, -1.0, 2.0, 0.0, 0.0)
+            ShapeCoefficients("bad", 4, -1.0, 2.0, 0.0, 0.0, 2.34, 2.75)

@@ -14,6 +14,7 @@ import pytest
 from wptkit import netcore
 from wptkit.coil import CoilPair, coil_abcd
 from wptkit.efficiency import pte_max
+from wptkit.pipeline import spec_from_dict
 from wptkit.tissue import (
     EPS_0,
     ColeColeLayer,
@@ -24,7 +25,6 @@ from wptkit.tissue import (
     fat,
     import_override,
     ladder_two_port,
-    layer_from_dict,
     layer_to_dict,
     loss_scaling,
     modified_coil_abcd,
@@ -83,7 +83,8 @@ class TestColeCole:
 
     def test_layer_dict_round_trip(self):
         layer = fat(3e-3)
-        again = layer_from_dict(layer_to_dict(layer))
+        spec = spec_from_dict({"f0_hz": 20e6, "tissue": {"layers": [layer_to_dict(layer)]}})
+        again, = spec.tissue.layers
         assert again == layer
 
 

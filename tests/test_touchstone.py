@@ -152,6 +152,24 @@ class TestRejection:
         with pytest.raises(TouchstoneFormatError):
             parse_touchstone("# HZ S RI R 0\n1e6 0 0 1 0 1 0 0 0\n2e6 0 0 1 0 1 0 0 0\n")
 
+    @pytest.mark.parametrize("option, row", [
+        ("RI R 50", "2e6 nan 0 1 0 1 0 0 0"),
+        ("RI R 50", "2e6 0 0 1 0 -inf 0 0 0"),
+        ("RI R 50", "inf 0 0 1 0 1 0 0 0"),
+        ("MA R 50", "2e6 1 inf 1 0 1 0 0 0"),
+        ("DB R 50", "2e6 0 0 7000 0 0 0 0 0"),  # 10^350 overflows
+    ])
+    def test_non_finite_value(self, option, row):
+        text = f"# HZ S {option}\n1e6 0 0 0 0 0 0 0 0\n{row}\n"
+        with pytest.raises(TouchstoneFormatError, match="non-finite") as err:
+            parse_touchstone(text)
+        assert err.value.line == 3
+
+    def test_non_finite_resistance(self):
+        with pytest.raises(TouchstoneFormatError) as err:
+            parse_touchstone("# HZ S RI R inf\n1e6 0 0 1 0 1 0 0 0\n2e6 0 0 1 0 1 0 0 0\n")
+        assert err.value.line == 1
+
     def test_duplicate_option_line(self):
         text = "# HZ S RI R 50\n# HZ S RI R 50\n"
         with pytest.raises(TouchstoneFormatError) as err:

@@ -43,12 +43,13 @@ def _cmd_design(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.s2p:
         table = tissue.import_override(read_touchstone(args.s2p))
-        if args.points is not None:
+        if (args.start, args.stop, args.points) == (None, None, None):
+            freqs = None
+        else:
             start = table.frequencies[0] if args.start is None else args.start
             stop = table.frequencies[-1] if args.stop is None else args.stop
-            freqs = pipeline.frequency_grid(start, stop, args.points, args.scale)
-        else:
-            freqs = None
+            points = len(table.frequencies) if args.points is None else args.points
+            freqs = pipeline.frequency_grid(start, stop, points, args.scale)
         rows = pipeline.sweep_table(table, freqs)
     else:
         spec = pipeline.load_design_spec(args.spec)

@@ -77,7 +77,7 @@ def v_out(n: int, v_rx: float, v_t: float = BODY_THERMAL_VOLTAGE) -> float:
     """Rectified DC output of an n-stage chain fed v_rx peak amplitude."""
     if n < 1 or n != int(n):
         raise ValueError(f"stage count must be a positive integer, got {n}")
-    if v_rx < 0:
+    if not v_rx >= 0:
         raise ValueError("input amplitude must be >= 0")
     if not v_t > 0:
         raise ValueError("thermal voltage must be > 0")
@@ -177,7 +177,7 @@ class HarvesterConstraints:
             raise ValueError("n_range and q_range must be non-empty")
         if any(n < 1 for n in self.n_range):
             raise ValueError("stage counts must be >= 1")
-        if any(q < 1.0 for q in self.q_range):
+        if any(not q >= 1.0 for q in self.q_range):
             raise ValueError("boost Q values must be >= 1")
         if not self.max_charge_time > 0:
             raise ValueError("max_charge_time must be > 0")
@@ -227,7 +227,7 @@ def design_space(v_rx: float, target_v_out: float,
     against the tissue impedance.  When nothing is feasible the result
     carries the nearest miss on each constraint instead of a choice.
     """
-    if v_rx < 0:
+    if not v_rx >= 0:
         raise ValueError("received amplitude must be >= 0")
     if not target_v_out > 0:
         raise ValueError("target output voltage must be > 0")

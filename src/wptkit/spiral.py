@@ -32,6 +32,8 @@ TRACE_STEP = 50e-6   # m
 R_STEP = 100e-6      # m
 L_TOL = 0.01
 WHEELER_TOL = 0.05
+# Grid points per array block in synthesize: bounds its working set.
+SYNTH_BLOCK = 4096
 
 CIRCULAR_SEG = math.inf
 
@@ -177,69 +179,122 @@ def synthesize(l_target: float, fab: FabConstraints,
 
     The grid is exhaustive and deterministic: n in [1, N_MAX], w and dr
     in W_STEPS and DR_STEPS steps of TRACE_STEP from the fabrication
-    minima, r stepped at R_STEP.  Candidates must sit within L_TOL of
-    the target, fit the area cap and agree with the modified-Wheeler
+    minima, r stepped at R_STEP up to the largest radius the cap leaves
+    for that (n, w, dr) row.  Candidates must sit within L_TOL of the
+    target, fit the area cap and agree with the modified-Wheeler
     estimate within WHEELER_TOL (cross-model sanity gate).  Results are
     ranked by descending area: for the same inductance a larger coil
-    couples better.
+    couples better.  Without candidates the result carries the nearest
+    miss: the first grid point, in (n, w, dr, r) order, with the smallest
+    relative error outside L_TOL.
+
+    The (n, w, dr) rows form one table; their r runs, concatenated in
+    row order, are evaluated as numpy arrays in blocks of SYNTH_BLOCK
+    points, so the working memory does not grow with the grid.  Every
+    quantity is the same float expression, evaluated in the same order,
+    as for one SpiralGeometry (``inductance``, ``modified_wheeler``,
+    ``area``), so the result does not depend on the block size.
     """
     if not l_target > 0:
         raise ValueError("target inductance must be > 0")
     cosf = shape.cos_factor
     edge_max = math.sqrt(fab.max_area)
-    candidates: list[tuple[float, int, float, float, float, SpiralGeometry]] = []
-    nearest: NearMiss | None = None
+    area_cap = fab.max_area * (1.0 + 1e-12)
 
-    for n in range(1, N_MAX + 1):
-        for iw in range(W_STEPS):
-            w = fab.min_trace_width + iw * TRACE_STEP
-            for idr in range(DR_STEPS):
-                dr = w + fab.min_spacing + idr * TRACE_STEP
-                r_hi = (edge_max - w) / (2.0 * cosf) - n * dr
-                if r_hi < R_STEP:
-                    continue
-                r = np.arange(R_STEP, r_hi + 0.5 * R_STEP, R_STEP)
-                if r.size == 0:
-                    continue
-                d_avg = (2.0 * r + n * dr) * cosf
-                edge = w + 2.0 * (r + n * dr) * cosf
-                phi = edge / d_avg - 1.0
-                with np.errstate(invalid="ignore"):
-                    bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
-                l_val = 0.5 * shape.c1 * MU_0 * n * n * d_avg * bracket
-                ok_area = edge * edge <= fab.max_area * (1.0 + 1e-12)
-                ok_model = l_val > 0.0
-                rel = np.abs(l_val - l_target) / l_target
-                usable = ok_area & ok_model
-                for i in np.nonzero(usable)[0]:
-                    err = float(rel[i])
-                    if err <= L_TOL:
-                        g = SpiralGeometry(shape, n, float(r[i]), dr, w)
-                        try:
-                            l_mw = modified_wheeler(g)
-                        except ValueError:
-                            continue
-                        l_cs = float(l_val[i])
-                        if abs(l_cs - l_mw) / l_cs > WHEELER_TOL:
-                            continue
-                        candidates.append((-g.area, n, w, dr, float(r[i]), g))
-                    elif nearest is None or err < nearest.rel_error:
-                        g = SpiralGeometry(shape, n, float(r[i]), dr, w)
-                        nearest = NearMiss(g, float(l_val[i]), err)
+    # (n, w, dr) rows in n-major, then w, then dr order: row i has
+    # n = i // (W_STEPS * DR_STEPS) + 1, w = w_step[iw], dr = dr_step[iw, idr].
+    n = np.arange(1, N_MAX + 1, dtype=float)
+    w_step = fab.min_trace_width + np.arange(W_STEPS) * TRACE_STEP
+    dr_step = w_step[:, None] + fab.min_spacing + np.arange(DR_STEPS) * TRACE_STEP
+    row_w = np.broadcast_to(w_step[:, None], (N_MAX, W_STEPS, DR_STEPS)).ravel()
+    row_ndr = (n[:, None, None] * dr_step).ravel()
+    row_coef = np.repeat(0.5 * shape.c1 * MU_0 * n * n, W_STEPS * DR_STEPS)
+    # Each row's r run is np.arange(R_STEP, r_hi + R_STEP/2, R_STEP); all
+    # runs are prefixes of the longest one.
+    r_hi = (edge_max - row_w) / (2.0 * cosf) - row_ndr
+    counts = np.ceil((r_hi + 0.5 * R_STEP - R_STEP) / R_STEP).astype(np.intp)
+    counts[r_hi < R_STEP] = 0
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    r_run = np.arange(R_STEP, r_hi.max() + 0.5 * R_STEP, R_STEP)
+    del r_hi, counts
 
-    candidates.sort(key=lambda item: item[:5])
-    ranked = tuple(item[5] for item in candidates)
-    if not ranked and nearest is None:
-        # Area cap excludes even the smallest one-turn coil; report that
-        # coil as the miss so the caller sees how far off the cap is.
-        w = fab.min_trace_width
-        g = SpiralGeometry(shape, 1, R_STEP, w + fab.min_spacing, w)
-        try:
-            l_min = inductance(g)
-            nearest = NearMiss(g, l_min, abs(l_min - l_target) / l_target)
-        except ValueError:
-            nearest = None
-    return SynthesisResult(l_target, ranked, nearest if not ranked else None)
+    def evaluate_block(lo: int, hi: int):
+        """Kept rows and radii of points [lo, hi), and the first point
+        with the smallest error among the misses as (row, r, L, error)."""
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+        span = np.minimum(ends[first:last + 1], hi) - np.maximum(starts[first:last + 1], lo)
+        row = np.repeat(np.arange(first, last + 1), span)
+        r = r_run[np.arange(lo, hi) - starts[row]]
+        ndr = row_ndr[row]
+        # Current-sheet L, as SpiralGeometry and inductance evaluate it.
+        # Arrays are dropped once used: the block's working set is what
+        # synthesis adds to peak memory.
+        d_avg = (2.0 * r + ndr) * cosf
+        edge = row_w[row] + 2.0 * (r + ndr) * cosf
+        del ndr
+        phi = edge / d_avg - 1.0
+        with np.errstate(invalid="ignore"):
+            bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
+        del phi
+        l_val = row_coef[row] * d_avg * bracket
+        del bracket
+        usable = (edge * edge <= area_cap) & (l_val > 0.0)
+        rel = np.abs(l_val - l_target) / l_target
+        within = rel <= L_TOL
+
+        # Modified-Wheeler gate, as modified_wheeler evaluates it.
+        hit = np.flatnonzero(usable & within)
+        d_out = np.sqrt(edge[hit] * edge[hit])
+        d_in = 2.0 * d_avg[hit] - d_out
+        valid = d_in > 0.0
+        hit, d_out, d_in = hit[valid], d_out[valid], d_in[valid]
+        rho = (d_out - d_in) / (d_out + d_in)
+        n_hit = n[row[hit] // (W_STEPS * DR_STEPS)]
+        l_mw = shape.k1 * MU_0 * n_hit * n_hit * d_avg[hit] / (1.0 + shape.k2 * rho)
+        l_cs = l_val[hit]
+        hit = hit[~(np.abs(l_cs - l_mw) / l_cs > WHEELER_TOL)]
+
+        miss = np.flatnonzero(usable & ~within)
+        if miss.size == 0:
+            return row[hit], r[hit], None
+        i = miss[np.argmin(rel[miss])]
+        return row[hit], r[hit], (int(row[i]), float(r[i]), float(l_val[i]), float(rel[i]))
+
+    kept_rows = [np.empty(0, np.intp)]
+    kept_r = [np.empty(0)]
+    nearest_at: tuple[int, float, float, float] | None = None  # row, r, L, error
+    total = int(ends[-1])
+    for lo in range(0, total, SYNTH_BLOCK):
+        rows, r, miss = evaluate_block(lo, min(lo + SYNTH_BLOCK, total))
+        kept_rows.append(rows)
+        kept_r.append(r)
+        if miss is not None and (nearest_at is None or miss[3] < nearest_at[3]):
+            nearest_at = miss
+
+    def geometry(i: int, r: float) -> SpiralGeometry:
+        n_i, iwdr = divmod(i, W_STEPS * DR_STEPS)
+        iw, idr = divmod(iwdr, DR_STEPS)
+        return SpiralGeometry(shape, n_i + 1, r, float(dr_step[iw, idr]), float(w_step[iw]))
+
+    kept = zip(np.concatenate(kept_rows).tolist(), np.concatenate(kept_r).tolist())
+    ranked = tuple(sorted((geometry(i, r) for i, r in kept),
+                          key=lambda g: (-g.area, g.n, g.w, g.dr, g.r)))
+    if ranked:
+        return SynthesisResult(l_target, ranked, None)
+    if nearest_at is not None:
+        i, r, l_val, err = nearest_at
+        return SynthesisResult(l_target, (), NearMiss(geometry(i, r), l_val, err))
+    # Area cap excludes even the smallest one-turn coil; report that
+    # coil as the miss so the caller sees how far off the cap is.
+    w_min = fab.min_trace_width
+    g = SpiralGeometry(shape, 1, R_STEP, w_min + fab.min_spacing, w_min)
+    try:
+        l_min = inductance(g)
+        nearest = NearMiss(g, l_min, abs(l_min - l_target) / l_target)
+    except ValueError:
+        nearest = None
+    return SynthesisResult(l_target, (), nearest)
 
 
 def trace_length(g: SpiralGeometry) -> float:

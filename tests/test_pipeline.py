@@ -353,6 +353,9 @@ class TestCli:
         ("sweep", "--spec", "{spec}", "--points", "11", "--start", "0"),
         ("sweep", "--spec", "{spec}", "--points", "11", "--stop", "0"),
         ("sweep", "--s2p", "{s2p}", "--points", "11", "--start", "0"),
+        ("sweep", "--s2p", "{s2p}", "--start", "0"),
+        ("harvester", "explore", "--v-rx", "nan", "--target-v", "1"),
+        ("harvester", "explore", "--v-rx", "0.05", "--target-v", "1", "--q", "nan"),
     ])
     def test_bad_flag_is_a_validation_error(self, tmp_path, capsys, argv):
         spec = tmp_path / "spec.json"
@@ -362,6 +365,20 @@ class TestCli:
         assert cli.main([arg.format(spec=spec, s2p=s2p) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("validation error: "), err
+
+    @pytest.mark.parametrize("argv, want", [
+        ((), [10e6, 30e6]),
+        (("--start", "15e6", "--stop", "20e6"), [15e6, 20e6]),
+        (("--stop", "20e6", "--points", "3", "--scale", "linear"), [10e6, 15e6, 20e6]),
+    ])
+    def test_s2p_sweep_span(self, tmp_path, capsys, argv, want):
+        # Without --start/--stop/--points the file's rows are swept; with
+        # any of them, a grid whose missing ends and size come from the file.
+        s2p = tmp_path / "link.s2p"
+        s2p.write_text("# MHZ S RI R 50\n10 0.5 0 0.5 0 0.5 0 0.5 0\n30 0.5 0 0.5 0 0.5 0 0.5 0\n")
+        assert cli.main(["sweep", "--s2p", str(s2p), *argv]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("spec", [
         {"f0_hz": 5e-324},                   # L_opt overflows

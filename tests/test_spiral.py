@@ -9,6 +9,7 @@ closed-form coaxial-loop elliptic-integral solution.
 
 import math
 
+import numpy as np
 import pytest
 from scipy.special import ellipe, ellipk
 
@@ -19,11 +20,14 @@ from wptkit.spiral import (
     OCTAGONAL,
     SQUARE,
     FabConstraints,
+    NearMiss,
     ShapeCoefficients,
     SpiralGeometry,
+    SynthesisResult,
     ac_resistance,
     estimate_k,
     inductance,
+    modified_wheeler,
     mutual_inductance,
     skin_depth,
     synthesize,
@@ -152,6 +156,96 @@ class TestSynthesize:
         a = synthesize(80e-9, fab, SQUARE)
         b = synthesize(80e-9, fab, SQUARE)
         assert a.candidates == b.candidates
+
+
+def _reference_synthesize(l_target, fab, shape):
+    """Point-by-point grid search: one numpy r run per (n, w, dr) row and
+    one SpiralGeometry per point inside L_TOL.  The oracle for the
+    blocked array evaluation in spiral.synthesize."""
+    cosf = shape.cos_factor
+    edge_max = math.sqrt(fab.max_area)
+    candidates = []
+    nearest = None
+
+    for n in range(1, spiral.N_MAX + 1):
+        for iw in range(spiral.W_STEPS):
+            w = fab.min_trace_width + iw * spiral.TRACE_STEP
+            for idr in range(spiral.DR_STEPS):
+                dr = w + fab.min_spacing + idr * spiral.TRACE_STEP
+                r_hi = (edge_max - w) / (2.0 * cosf) - n * dr
+                if r_hi < spiral.R_STEP:
+                    continue
+                r = np.arange(spiral.R_STEP, r_hi + 0.5 * spiral.R_STEP, spiral.R_STEP)
+                if r.size == 0:
+                    continue
+                d_avg = (2.0 * r + n * dr) * cosf
+                edge = w + 2.0 * (r + n * dr) * cosf
+                phi = edge / d_avg - 1.0
+                with np.errstate(invalid="ignore"):
+                    bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
+                l_val = 0.5 * shape.c1 * spiral.MU_0 * n * n * d_avg * bracket
+                ok_area = edge * edge <= fab.max_area * (1.0 + 1e-12)
+                ok_model = l_val > 0.0
+                rel = np.abs(l_val - l_target) / l_target
+                usable = ok_area & ok_model
+                for i in np.nonzero(usable)[0]:
+                    err = float(rel[i])
+                    if err <= spiral.L_TOL:
+                        g = SpiralGeometry(shape, n, float(r[i]), dr, w)
+                        try:
+                            l_mw = modified_wheeler(g)
+                        except ValueError:
+                            continue
+                        l_cs = float(l_val[i])
+                        if abs(l_cs - l_mw) / l_cs > spiral.WHEELER_TOL:
+                            continue
+                        candidates.append((-g.area, n, w, dr, float(r[i]), g))
+                    elif nearest is None or err < nearest.rel_error:
+                        g = SpiralGeometry(shape, n, float(r[i]), dr, w)
+                        nearest = NearMiss(g, float(l_val[i]), err)
+
+    candidates.sort(key=lambda item: item[:5])
+    ranked = tuple(item[5] for item in candidates)
+    if not ranked and nearest is None:
+        w = fab.min_trace_width
+        g = SpiralGeometry(shape, 1, spiral.R_STEP, w + fab.min_spacing, w)
+        try:
+            l_min = inductance(g)
+            nearest = NearMiss(g, l_min, abs(l_min - l_target) / l_target)
+        except ValueError:
+            nearest = None
+    return SynthesisResult(l_target, ranked, nearest if not ranked else None)
+
+
+# Caps: the two reference implants, a large 1e-2 m^2 board, a 1 mm^2 cap
+# whose few grid points miss both reachable targets (near miss from the
+# grid) and a cap below the smallest one-turn coil (fallback near miss).
+EQUIVALENCE_CAPS = ((5e-3) ** 2, (18e-3) ** 2, 1e-2, (1e-3) ** 2, (0.5e-3) ** 2)
+EQUIVALENCE_TARGETS = (80e-9, 400.4e-9, 1e-3)  # 1 mH is out of reach
+
+
+class TestSynthesizeEquivalence:
+    @pytest.mark.parametrize("cap", EQUIVALENCE_CAPS, ids="cap={:.3g}".format)
+    @pytest.mark.parametrize("shape", (SQUARE, HEXAGONAL, OCTAGONAL, CIRCULAR),
+                             ids=lambda shape: shape.name)
+    def test_identical_to_reference_loop(self, shape, cap):
+        fab = FabConstraints(max_area=cap)
+        for target in EQUIVALENCE_TARGETS:
+            got = synthesize(target, fab, shape)
+            want = _reference_synthesize(target, fab, shape)
+            assert got == want
+            # repr also pins the types: Python ints and floats, no numpy scalars.
+            assert repr(got) == repr(want)
+
+    def test_cases_reach_every_outcome(self):
+        # Candidates, a near miss from the grid and the one-turn fallback.
+        assert synthesize(80e-9, FabConstraints(max_area=(5e-3) ** 2), SQUARE).candidates
+        miss = synthesize(400.4e-9, FabConstraints(max_area=(1e-3) ** 2), SQUARE).nearest
+        assert miss is not None and miss.geometry.n > 1
+        fallback = synthesize(80e-9, FabConstraints(max_area=(0.5e-3) ** 2), SQUARE).nearest
+        assert fallback is not None
+        assert (fallback.geometry.n, fallback.geometry.r) == (1, spiral.R_STEP)
+        assert fallback.geometry.area > (0.5e-3) ** 2
 
 
 class TestAcResistance:

@@ -41,6 +41,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.points is not None and args.points > pipeline.MAX_SWEEP_POINTS:
+        raise ValueError(f"--points must be <= {pipeline.MAX_SWEEP_POINTS}, got {args.points}")
     if args.s2p:
         table = tissue.import_override(read_touchstone(args.s2p))
         if (args.start, args.stop, args.points) == (None, None, None):
@@ -93,6 +95,8 @@ def _cmd_match(args) -> int:
 
 def _cmd_coil_synth(args) -> int:
     _require_top(args)
+    if args.max_area > pipeline.MAX_AREA:
+        raise ValueError(f"--max-area must be <= {pipeline.MAX_AREA!r} m^2, got {args.max_area!r}")
     shape = spiral.SHAPES.get(args.shape)
     if shape is None:
         raise ValueError(f"unknown shape {args.shape!r}; choose from {sorted(spiral.SHAPES)}")
@@ -141,8 +145,10 @@ def _cmd_tissue_table(args) -> int:
 
 
 def _cmd_harvester_explore(args) -> int:
+    if args.n_max > pipeline.MAX_STAGES:
+        raise ValueError(f"--n-max must be <= {pipeline.MAX_STAGES}, got {args.n_max}")
     constraints = harvester.HarvesterConstraints(
-        n_range=tuple(range(args.n_min, args.n_max + 1)),
+        n_range=range(args.n_min, args.n_max + 1),
         q_range=tuple(args.q),
         max_charge_time=args.max_charge_time,
         tissue_z=complex(args.tissue_r, args.tissue_x),

@@ -12,6 +12,7 @@ conjugate match against the tissue-side impedance.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -77,8 +78,8 @@ def v_out(n: int, v_rx: float, v_t: float = BODY_THERMAL_VOLTAGE) -> float:
     """Rectified DC output of an n-stage chain fed v_rx peak amplitude."""
     if n < 1 or n != int(n):
         raise ValueError(f"stage count must be a positive integer, got {n}")
-    if not v_rx >= 0:
-        raise ValueError("input amplitude must be >= 0")
+    if not 0 <= v_rx < math.inf:
+        raise ValueError("input amplitude must be finite and >= 0")
     if not v_t > 0:
         raise ValueError("thermal voltage must be > 0")
     return 2.0 * n * v_t * _log_i0(v_rx / v_t)
@@ -177,12 +178,18 @@ class HarvesterConstraints:
             raise ValueError("n_range and q_range must be non-empty")
         if any(n < 1 for n in self.n_range):
             raise ValueError("stage counts must be >= 1")
-        if any(not q >= 1.0 for q in self.q_range):
-            raise ValueError("boost Q values must be >= 1")
+        if any(not 1.0 <= q < math.inf for q in self.q_range):
+            raise ValueError("boost Q values must be finite and >= 1")
         if not self.max_charge_time > 0:
             raise ValueError("max_charge_time must be > 0")
-        if not self.f0 > 0:
-            raise ValueError("f0 must be > 0")
+        for name in ("f0", "c_store", "i_load_avg", "v_t"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not cmath.isfinite(self.tissue_z):
+            raise ValueError(f"tissue_z must be finite, got {self.tissue_z!r}")
+        # Callers pass a range: a bad n_min fails the checks above before a
+        # tuple of the range's length is built.
+        object.__setattr__(self, "n_range", tuple(self.n_range))
 
 
 @dataclass(frozen=True)
@@ -227,8 +234,8 @@ def design_space(v_rx: float, target_v_out: float,
     against the tissue impedance.  When nothing is feasible the result
     carries the nearest miss on each constraint instead of a choice.
     """
-    if not v_rx >= 0:
-        raise ValueError("received amplitude must be >= 0")
+    if not 0 <= v_rx < math.inf:
+        raise ValueError("received amplitude must be finite and >= 0")
     if not target_v_out > 0:
         raise ValueError("target output voltage must be > 0")
     model = z_in_model or stage_scaling_model(DEFAULT_STAGE_R, DEFAULT_STAGE_C)

@@ -17,15 +17,8 @@ from enum import Enum
 from . import netcore
 from .coil import PortPair
 from .errors import UnmatchableError
-from .netcore import (
-    Representation,
-    TwoPortMatrix,
-    abcd_to_s,
-    cascade_all,
-    impedance_of,
-    series_impedance_abcd,
-    shunt_admittance_abcd,
-)
+from .netcore import (IDENTITY, Entries, Representation, TwoPortMatrix, abcd_chain, abcd_to_s,
+                      impedance_of)
 
 # A synthesized ideal match must push both reflections at least this low.
 RETURN_LOSS_FLOOR_DB = -40.0
@@ -70,15 +63,17 @@ class MatchingElement:
         return w * self.value
 
 
-def element_abcd(elem: MatchingElement, f: float) -> TwoPortMatrix:
+def _element_entries(elem: MatchingElement, f: float) -> Entries:
     w = 2.0 * math.pi * f
-    if elem.kind is ElementKind.SERIES_INDUCTOR:
-        return series_impedance_abcd(1j * w * elem.value)
-    if elem.kind is ElementKind.SERIES_CAPACITOR:
-        return series_impedance_abcd(-1j / (w * elem.value))
-    if elem.kind is ElementKind.SHUNT_CAPACITOR:
-        return shunt_admittance_abcd(1j * w * elem.value)
-    return shunt_admittance_abcd(-1j / (w * elem.value))
+    if elem.kind in (ElementKind.SERIES_INDUCTOR, ElementKind.SHUNT_CAPACITOR):
+        x = 1j * w * elem.value  # series impedance jwL or shunt admittance jwC
+    else:
+        x = -1j / (w * elem.value)  # series impedance 1/(jwC) or shunt admittance 1/(jwL)
+    return (1 + 0j, x, 0j, 1 + 0j) if elem.kind.is_series else (1 + 0j, 0j, x, 1 + 0j)
+
+
+def element_abcd(elem: MatchingElement, f: float) -> TwoPortMatrix:
+    return netcore.abcd_matrix(*_element_entries(elem, f))
 
 
 @dataclass(frozen=True)
@@ -128,28 +123,15 @@ class LSectionIMN:
         return sum(abs(e.reactance(f)) for e in self.elements)
 
 
-def _tx_abcd(imn: LSectionIMN, f: float) -> TwoPortMatrix:
-    series = element_abcd(imn.tx_series, f)
-    shunt = element_abcd(imn.tx_shunt, f)
-    # Chain runs from the external port toward the coil.
-    if imn.tx_series_at_port:
-        return netcore.cascade(series, shunt)
-    return netcore.cascade(shunt, series)
-
-
-def _rx_abcd(imn: LSectionIMN, f: float) -> TwoPortMatrix:
-    series = element_abcd(imn.rx_series, f)
-    shunt = element_abcd(imn.rx_shunt, f)
-    # Chain runs from the coil toward the external port.
-    if imn.rx_series_at_port:
-        return netcore.cascade(shunt, series)
-    return netcore.cascade(series, shunt)
-
-
 def assemble_link(imn: LSectionIMN, t_coil: TwoPortMatrix, f: float) -> TwoPortMatrix:
     """Full-link transmission matrix IMN_TX * T_coil * IMN_RX at f."""
     t_coil._expect(Representation.ABCD)
-    return cascade_all(_tx_abcd(imn, f), t_coil, _rx_abcd(imn, f))
+    # The TX section runs from its external port toward the coil, the RX
+    # section from the coil toward its external port.
+    tx = (imn.tx_series, imn.tx_shunt) if imn.tx_series_at_port else (imn.tx_shunt, imn.tx_series)
+    rx = (imn.rx_shunt, imn.rx_series) if imn.rx_series_at_port else (imn.rx_series, imn.rx_shunt)
+    tx_abcd, rx_abcd = (abcd_chain(*(_element_entries(e, f) for e in side)) for side in (tx, rx))
+    return netcore.abcd_matrix(*abcd_chain(IDENTITY, tx_abcd, t_coil.entries, rx_abcd))
 
 
 @dataclass(frozen=True)

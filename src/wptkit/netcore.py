@@ -4,6 +4,13 @@ Representation conversions (S, Z, ABCD with real, possibly unequal
 reference impedances), cascading, and reflection coefficients.  All
 operations are pure functions on immutable value objects; ABCD is the
 canonical form for cascading and S the canonical form for reporting.
+
+A matrix is validated in one place, ``TwoPortMatrix.__post_init__``, so
+every stage result is checked once.  Chains of ABCD factors (``cascade``,
+``cascade_all``, the tissue ladder, the matching-network link) multiply
+plain ``(A, B, C, D)`` entry tuples with :func:`abcd_chain` and build a
+matrix from the product only; a non-finite intermediate stays non-finite
+through the products, so it still raises at the stage result.
 """
 
 from __future__ import annotations
@@ -17,6 +24,13 @@ from .errors import DegenerateNetworkError
 # Denominators below this magnitude are treated as singular instead of
 # silently overflowing into Inf.
 _DENOM_FLOOR = 1e-300
+
+
+Entries = tuple[complex, complex, complex, complex]
+
+# (A, B, C, D) of the identity two-port as abcd_matrix stores it: complex
+# entries, so a chain multiplies complex by complex throughout.
+IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
 
 
 class Representation(Enum):
@@ -61,6 +75,10 @@ class TwoPortMatrix:
                 object.__setattr__(self, name, zp)
         if self.representation is Representation.S and (self.zp1 is None or self.zp2 is None):
             raise ValueError("S-parameter matrices require zp1 and zp2")
+
+    @property
+    def entries(self) -> Entries:
+        return (self.m11, self.m12, self.m21, self.m22)
 
     @property
     def det(self) -> complex:
@@ -196,23 +214,27 @@ def abcd_to_z(net: TwoPortMatrix) -> TwoPortMatrix:
     return z_matrix(a / c, (a * d - b * c) / c, 1.0 / c, d / c)
 
 
+def abcd_chain(*factors: Entries) -> Entries:
+    """Product of ABCD entry tuples, one factor at a time from the left:
+    port 2 of each factor feeds port 1 of the next.  Nothing is validated
+    here; wrap the result in :func:`abcd_matrix`."""
+    a, b, c, d = factors[0]
+    for e, f, g, h in factors[1:]:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a, b, c, d
+
+
 def cascade(a: TwoPortMatrix, b: TwoPortMatrix) -> TwoPortMatrix:
     """Chain two ABCD matrices: port 2 of ``a`` feeds port 1 of ``b``."""
     a._expect(Representation.ABCD)
     b._expect(Representation.ABCD)
-    return abcd_matrix(
-        a.m11 * b.m11 + a.m12 * b.m21,
-        a.m11 * b.m12 + a.m12 * b.m22,
-        a.m21 * b.m11 + a.m22 * b.m21,
-        a.m21 * b.m12 + a.m22 * b.m22,
-    )
+    return abcd_matrix(*abcd_chain(a.entries, b.entries))
 
 
 def cascade_all(*nets: TwoPortMatrix) -> TwoPortMatrix:
-    out = identity_abcd()
     for net in nets:
-        out = cascade(out, net)
-    return out
+        net._expect(Representation.ABCD)
+    return abcd_matrix(*abcd_chain(IDENTITY, *(net.entries for net in nets)))
 
 
 def input_reflection(s: TwoPortMatrix, gamma_load: complex) -> complex:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -28,6 +29,15 @@ from .netcore import TwoPortMatrix
 from .tissue import NetworkTable, TissueStack
 
 DEFAULT_SWEEP_POINTS = 1001
+
+# Upper limits on the sizes a run's work grows with: ladder sections per
+# tissue layer, the harvester's largest stage count, a coil's area cap (m^2;
+# synthesis at 1e-2 m^2 takes about 0.2 s) and sweep points.  The spec
+# reader and the CLI reject larger values, naming the key or the flag.
+MAX_SECTIONS = 1_000
+MAX_STAGES = 10_000
+MAX_AREA = 1e-2
+MAX_SWEEP_POINTS = 100_001
 
 
 # -- SI-prefixed formatting: every human-readable number carries a unit --
@@ -147,6 +157,15 @@ def _count(value, path: str) -> int:
     _reject(value, path, "an integer")
 
 
+def _at_most(limit, convert):
+    def read(value, path: str):
+        out = convert(value, path)
+        if out > limit:
+            raise ValueError(f"{path}: must be <= {limit!r}, got {out!r}")
+        return out
+    return read
+
+
 def _exactly(kind: type, expected: str):
     return lambda value, path: value if type(value) is kind else _reject(value, path, expected)
 
@@ -210,7 +229,8 @@ def _section(table: dict, cls):
     return lambda value, path: _build(cls, _read(value, table, path, cls), path)
 
 
-_SIDE_KEYS = {"shape": ("shape", _shape), "max_area_m2": ("max_area", _number)}
+_SIDE_KEYS = {"shape": ("shape", _shape),
+              "max_area_m2": ("max_area", _at_most(MAX_AREA, _number))}
 
 _LAYER_KEYS = {
     "name": ("name", _text),
@@ -222,7 +242,7 @@ _LAYER_KEYS = {
 
 _TISSUE_KEYS = {
     "enabled": ("enabled", _flag),
-    "sections_per_layer": ("sections_per_layer", _count),
+    "sections_per_layer": ("sections_per_layer", _at_most(MAX_SECTIONS, _count)),
     "face_area_m2": ("face_area", _optional(_number)),
     "layers": ("layers", _optional(_array(_section(_LAYER_KEYS, tissue.ColeColeLayer)))),
     "override_s2p": ("override", _optional(lambda value, path: tissue.import_override(
@@ -236,7 +256,7 @@ _HARVESTER_KEYS = {
     "r_stage_ohm": ("r_stage", _number),
     "c_stage_f": ("c_stage", _number),
     "n_min": ("n_min", _count),
-    "n_max": ("n_max", _count),
+    "n_max": ("n_max", _at_most(MAX_STAGES, _count)),
     "q_values": ("q_range", _array(_number)),
     "max_charge_time_s": ("max_charge_time", _number),
     "tissue_z_ohm": ("tissue_z", lambda value, path: complex(*_array(_number, 2)(value, path))),
@@ -285,7 +305,7 @@ def spec_from_dict(data) -> DesignSpec:
                     harvest.pop("n_max", harvester.DEFAULT_N_MAX) + 1)
     constraints = _build(harvester.HarvesterConstraints,
                          {"tissue_z": complex(spec.ports.zp2, 0.0), **harvest,
-                          "n_range": tuple(n_range), "f0": spec.f0}, "harvester")
+                          "n_range": n_range, "f0": spec.f0}, "harvester")
     return replace(spec, harvest=_build(HarvesterSettings, dict(own, constraints=constraints),
                                         "harvester"))
 
@@ -662,8 +682,8 @@ SWEEP_HEADER = ("f_hz", "s11_db", "s21_db", "s22_db", "pte_pct", "pte_max_pct")
 
 
 def frequency_grid(f_start: float, f_stop: float, points: int, scale: str = "log") -> list[float]:
-    if not (f_start > 0 and f_stop > f_start):
-        raise ValueError("need 0 < f_start < f_stop")
+    if not 0 < f_start < f_stop < math.inf:
+        raise ValueError("need 0 < f_start < f_stop < inf")
     if points < 2:
         raise ValueError("need at least 2 sweep points")
     if scale == "log":

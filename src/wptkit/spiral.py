@@ -117,7 +117,7 @@ def inductance(g: SpiralGeometry) -> float:
     """Current-sheet self-inductance of the spiral (mu_r = 1: tissue and
     polyimide are non-magnetic)."""
     phi = g.fill_ratio
-    if phi <= 0.0:
+    if not phi > 0.0:
         raise ValueError(f"fill ratio must be > 0, got {phi}")
     c = g.shape
     bracket = math.log(c.c2 / phi) + c.c3 * phi + c.c4 * phi * phi
@@ -150,8 +150,8 @@ class FabConstraints:
 
     def __post_init__(self):
         for name in ("min_trace_width", "min_spacing", "max_area"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,8 @@ def synthesize(l_target: float, fab: FabConstraints,
     as for one SpiralGeometry (``inductance``, ``modified_wheeler``,
     ``area``), so the result does not depend on the block size.
     """
-    if not l_target > 0:
-        raise ValueError("target inductance must be > 0")
+    if not 0 < l_target < math.inf:
+        raise ValueError("target inductance must be finite and > 0")
     cosf = shape.cos_factor
     edge_max = math.sqrt(fab.max_area)
     area_cap = fab.max_area * (1.0 + 1e-12)
@@ -204,14 +204,18 @@ def synthesize(l_target: float, fab: FabConstraints,
     # (n, w, dr) rows in n-major, then w, then dr order: row i has
     # n = i // (W_STEPS * DR_STEPS) + 1, w = w_step[iw], dr = dr_step[iw, idr].
     n = np.arange(1, N_MAX + 1, dtype=float)
-    w_step = fab.min_trace_width + np.arange(W_STEPS) * TRACE_STEP
-    dr_step = w_step[:, None] + fab.min_spacing + np.arange(DR_STEPS) * TRACE_STEP
-    row_w = np.broadcast_to(w_step[:, None], (N_MAX, W_STEPS, DR_STEPS)).ravel()
-    row_ndr = (n[:, None, None] * dr_step).ravel()
+    # Huge fabrication minima overflow to inf here.  Such rows lie outside
+    # the cap, and r_hi is clipped at 0, which changes no run (runs below
+    # R_STEP are empty), so their counts stay integers.
+    with np.errstate(over="ignore"):
+        w_step = fab.min_trace_width + np.arange(W_STEPS) * TRACE_STEP
+        dr_step = w_step[:, None] + fab.min_spacing + np.arange(DR_STEPS) * TRACE_STEP
+        row_w = np.broadcast_to(w_step[:, None], (N_MAX, W_STEPS, DR_STEPS)).ravel()
+        row_ndr = (n[:, None, None] * dr_step).ravel()
+        # Each row's r run is np.arange(R_STEP, r_hi + R_STEP/2, R_STEP);
+        # all runs are prefixes of the longest one.
+        r_hi = np.maximum((edge_max - row_w) / (2.0 * cosf) - row_ndr, 0.0)
     row_coef = np.repeat(0.5 * shape.c1 * MU_0 * n * n, W_STEPS * DR_STEPS)
-    # Each row's r run is np.arange(R_STEP, r_hi + R_STEP/2, R_STEP); all
-    # runs are prefixes of the longest one.
-    r_hi = (edge_max - row_w) / (2.0 * cosf) - row_ndr
     counts = np.ceil((r_hi + 0.5 * R_STEP - R_STEP) / R_STEP).astype(np.intp)
     counts[r_hi < R_STEP] = 0
     ends = np.cumsum(counts)
@@ -310,8 +314,8 @@ def trace_length(g: SpiralGeometry) -> float:
 
 
 def skin_depth(f: float, resistivity: float = COPPER_RESISTIVITY) -> float:
-    if not f > 0:
-        raise ValueError("frequency must be > 0")
+    if not 0 < f < math.inf:
+        raise ValueError("frequency must be finite and > 0")
     return math.sqrt(resistivity / (math.pi * f * MU_0))
 
 

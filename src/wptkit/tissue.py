@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import netcore
-from .netcore import TwoPortMatrix, cascade, identity_abcd, s_matrix
+from .netcore import TwoPortMatrix, cascade, s_matrix
 
 EPS_0 = 8.8541878128e-12  # F/m
 DEFAULT_SECTIONS = 10  # slab sections per tissue layer
@@ -141,8 +141,8 @@ def default_implant_stack(face_area: float = (18e-3) ** 2,
 
 def complex_permittivity(layer: ColeColeLayer, f: float) -> complex:
     """Relative complex permittivity of the layer at frequency f."""
-    if not f > 0:
-        raise ValueError("frequency must be > 0")
+    if not 0 < f < math.inf:
+        raise ValueError("frequency must be finite and > 0")
     w = 2.0 * math.pi * f
     eps = complex(layer.eps_inf, 0.0)
     for d_eps, tau, alpha in layer.dispersions:
@@ -167,15 +167,6 @@ def loss_scaling(sigma: float, omega: float) -> float:
     return sigma * omega * omega
 
 
-def _section_abcd(z_through: complex, y_shunt: complex) -> TwoPortMatrix:
-    # Symmetric T-section: Z/2 - Y - Z/2 (unit determinant, second-order
-    # accurate discretization of the distributed slab).
-    half = 0.5 * z_through
-    a = 1.0 + half * y_shunt
-    b = z_through + half * half * y_shunt
-    return netcore.abcd_matrix(a, b, y_shunt, a)
-
-
 def ladder_two_port(stack: TissueStack, f: float) -> TwoPortMatrix:
     """ABCD of the discretized tissue slab at frequency f.
 
@@ -192,16 +183,18 @@ def ladder_two_port(stack: TissueStack, f: float) -> TwoPortMatrix:
     w = 2.0 * math.pi * f
     mu0 = 4e-7 * math.pi
     coupling = mu0 * math.sqrt(stack.face_area)
-    out = identity_abcd()
+    sections = []
     for layer in stack.layers:
         sigma_eff = 1j * w * EPS_0 * complex_permittivity(layer, f)
         t_s = layer.thickness / stack.sections_per_layer
         z = (w * coupling) ** 2 * sigma_eff * t_s
         y = sigma_eff * t_s
-        section = _section_abcd(z, y)
-        for _ in range(stack.sections_per_layer):
-            out = cascade(out, section)
-    return out
+        # Symmetric T-section: Z/2 - Y - Z/2 (unit determinant, second-order
+        # accurate discretization of the distributed slab).
+        half = 0.5 * z
+        a = 1.0 + half * y
+        sections += [(a, z + half * half * y, y, a)] * stack.sections_per_layer
+    return netcore.abcd_matrix(*netcore.abcd_chain(netcore.IDENTITY, *sections))
 
 
 def modified_coil_abcd(t_coil: TwoPortMatrix, stack: TissueStack, f: float) -> TwoPortMatrix:

@@ -1,0 +1,120 @@
+"""Fuzz of the CLI's numeric flags.
+
+``harvester explore``, ``coil synth`` and ``sweep --s2p`` run with each
+numeric flag either left at its default or drawn from plausible finite
+values, signed zeros, negatives, NaN, the infinities and huge values.
+Every run must end in a documented exit code (0, 2, 3 or 4) with at most
+one stderr line, never in a traceback or a numpy warning (the suite turns
+RuntimeWarning into an error).  A run that succeeds or reports an
+infeasible design must print no NaN.  Counts (stage counts, sweep points,
+--top) stay small, because the work of a run grows with them; the CLI's
+upper limits on them are tested in test_pipeline.py.  Examples are
+derandomized so every run checks the same argument lists.
+"""
+
+import contextlib
+import io
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wptkit import cli
+
+S2P = "# MHZ S RI R 50\n1 0.1 0 0.5 0.1 0.5 0.1 0.1 0\n100 0.2 0 0.4 -0.1 0.4 -0.1 0.2 0\n"
+EDGES = [0.0, -0.0, -1.0, -1e300, math.nan, math.inf, -math.inf, 1e300, 1.7e308]
+
+
+def reals(lo: float, hi: float):
+    """Log-uniform in [lo, hi], one time in four an edge value."""
+    usual = st.floats(math.log(lo), math.log(hi)).map(math.exp)
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(EDGES) if i == 0 else usual)
+
+
+def argv(command: tuple, flags: dict, required: tuple = ()):
+    """``command`` with the ``required`` flags and a subset of the others,
+    each written ``--flag=value`` so a negative value is not read as a flag."""
+    optional = st.lists(st.sampled_from(sorted(set(flags) - set(required))), unique=True)
+
+    @st.composite
+    def draw(draw):
+        names = list(required) + draw(optional)
+        return [*command, *(f"{name}={draw(flags[name])}" for name in names)]
+    return draw()
+
+
+HARVESTER = argv(("harvester", "explore"), {
+    "--v-rx": reals(1e-3, 30.0),
+    "--target-v": reals(0.1, 5.0),
+    "--n-min": st.integers(-2, 5),
+    "--n-max": st.integers(-2, 30),
+    "--q": reals(1.0, 10.0),
+    "--max-charge-time": reals(1e-6, 100.0),
+    "--f0": reals(1e5, 1e9),
+    "--tissue-r": reals(1.0, 100.0),
+    "--tissue-x": reals(1.0, 100.0),
+    "--c-store": reals(1e-9, 1e-5),
+    "--i-load": reals(1e-9, 1e-3),
+    "--v-t": reals(1e-3, 0.1),
+    "--r-stage": reals(1.0, 1e6),
+    "--c-stage": reals(1e-15, 1e-9),
+}, ("--v-rx", "--target-v"))
+
+COIL = argv(("coil", "synth"), {
+    "--target-l": reals(1e-9, 1e-6),
+    "--max-area": reals(1e-6, 6e-4),
+    "--min-width": reals(2e-5, 3e-4),
+    "--min-spacing": reals(2e-5, 3e-4),
+    "--f0": reals(1e5, 1e9),
+    "--top": st.integers(-1, 3),
+}, ("--target-l", "--max-area"))
+
+
+def sweep(s2p: str):
+    return argv(("sweep", "--s2p", s2p), {
+        "--start": reals(1e6, 1e8),
+        "--stop": reals(1e6, 1e8),
+        "--points": st.integers(-1, 40),
+        "--scale": st.sampled_from(["log", "linear"]),
+    })
+
+
+def run(args: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check(args: list[str], nan_free: bool) -> None:
+    code, out, err = run(args)
+    assert code in (0, 2, 3, 4), (args, code)
+    assert len(err.splitlines()) <= 1, (args, err)
+    assert "Traceback" not in err
+    if nan_free and code in (0, 3):
+        assert "nan" not in (out + err).lower(), (args, out, err)
+
+
+@pytest.mark.parametrize("command", ["harvester", "coil"])
+def test_flags_end_in_an_exit_code(command):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given({"harvester": HARVESTER, "coil": COIL}[command])
+    def fuzz(args):
+        check(args, nan_free=True)
+
+    fuzz()
+
+
+def test_s2p_sweep_flags_end_in_an_exit_code(tmp_path):
+    # pte_max is NaN where the data is not passive enough for it, so the
+    # CSV may carry NaN.
+    path = tmp_path / "link.s2p"
+    path.write_text(S2P)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sweep(str(path)))
+    def fuzz(args):
+        check(args, nan_free=False)
+
+    fuzz()

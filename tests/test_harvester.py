@@ -183,6 +183,28 @@ class TestDesignSpace:
         with pytest.raises(ValueError):
             constraints(n_range=())
 
+    @pytest.mark.parametrize("field, value", [
+        ("f0", math.inf), ("q_range", (1.0, math.inf)), ("tissue_z", complex(math.nan, 0.0)),
+        ("tissue_z", complex(50.0, math.inf)), ("c_store", math.nan), ("c_store", math.inf),
+        ("i_load_avg", 0.0), ("v_t", math.inf), ("v_t", -0.0),
+    ])
+    def test_non_finite_or_non_positive_box_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            constraints(**{field: value})
+
+    def test_non_finite_amplitude_rejected(self):
+        for v_rx in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                design_space(v_rx, 1.0, constraints())
+            with pytest.raises(ValueError):
+                v_out(3, v_rx)
+
+    def test_stage_range_checked_before_it_is_expanded(self):
+        # A range starting below 1 fails at once; it would not fit in memory as a tuple.
+        with pytest.raises(ValueError, match="stage counts"):
+            constraints(n_range=range(-10**18, 61))
+        assert constraints(n_range=range(1, 4)).n_range == (1, 2, 3)
+
     def test_infeasible_reports_nearest_misses(self):
         # Ceiling too high for the allowed stages: no feasible point.
         result = design_space(0.05, 50.0, constraints(n_range=tuple(range(1, 10))))

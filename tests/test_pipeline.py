@@ -99,6 +99,14 @@ class TestSpecParsing:
         spec = spec_from_dict({"f0_hz": 20e6, "tissue": {"layers": [layer]}})
         assert spec.tissue.layers[0].name == "muscle"
 
+    def test_size_limits_admit_their_bound(self):
+        spec = spec_from_dict({
+            "f0_hz": 20e6, "tx": {"max_area_m2": pipeline.MAX_AREA},
+            "tissue": {"sections_per_layer": pipeline.MAX_SECTIONS},
+            "harvester": {"v_rx_v": 0.05, "target_v_out_v": 1.0, "n_max": pipeline.MAX_STAGES}})
+        assert spec.tx.max_area == 1e-2 and spec.tissue.sections_per_layer == 1000
+        assert spec.harvest.constraints.n_range[-1] == 10_000
+
     def test_harvester_defaults_come_from_the_harvester_module(self):
         spec = spec_from_dict({"f0_hz": 20e6, "ports": {"zp2_ohm": 75.0},
                                "harvester": {"v_rx_v": 0.05, "target_v_out_v": 1.0}})
@@ -127,6 +135,11 @@ BAD_SPECS = [
     (json.dumps({"f0_hz": 2e7, "tissue": {"layers": [LAYER, dict(LAYER, thickness_m="1 cm")]}}),
      "tissue.layers[1].thickness_m"),
     (json.dumps({"f0_hz": 2e7, "harvester": {"v_rx_v": 0.05}}), "harvester.target_v_out_v"),
+    # Size limits: the work of a run grows with these.
+    ('{"f0_hz": 2e7, "tissue": {"sections_per_layer": 1001}}', "tissue.sections_per_layer"),
+    ('{"f0_hz": 2e7, "rx": {"max_area_m2": 0.0101}}', "rx.max_area_m2"),
+    (json.dumps({"f0_hz": 2e7, "harvester": {"v_rx_v": 0.05, "target_v_out_v": 1.0,
+                                             "n_max": 10001}}), "harvester.n_max"),
 ]
 
 
@@ -273,6 +286,8 @@ class TestSweep:
             frequency_grid(1e6, 1e7, 1, "log")
         with pytest.raises(ValueError):
             frequency_grid(1e6, 1e7, 10, "cubic")
+        with pytest.raises(ValueError):
+            frequency_grid(1e6, math.inf, 10, "log")
 
 
 def run_cli(*args, cwd=None):
@@ -356,8 +371,33 @@ class TestCli:
         ("sweep", "--s2p", "{s2p}", "--start", "0"),
         ("harvester", "explore", "--v-rx", "nan", "--target-v", "1"),
         ("harvester", "explore", "--v-rx", "0.05", "--target-v", "1", "--q", "nan"),
+        ("harvester", "explore", "--v-rx", "inf", "--target-v", "1"),
+        ("harvester", "explore", "--v-rx", "0.05", "--target-v", "1", "--q", "inf"),
+        ("harvester", "explore", "--v-rx", "0.05", "--target-v", "1", "--c-store", "nan"),
+        ("harvester", "explore", "--v-rx", "0.05", "--target-v", "1", "--tissue-r", "nan"),
+        ("harvester", "explore", "--v-rx", "0.05", "--target-v", "1", "--v-t", "inf"),
+        ("harvester", "explore", "--v-rx", "0.05", "--target-v", "1", "--f0", "inf"),
+        ("sweep", "--s2p", "{s2p}", "--stop", "inf"),
+        ("coil", "synth", "--target-l", "inf", "--max-area", "25e-6"),
+        ("coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6", "--f0", "inf"),
+        ("coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6", "--min-width", "inf"),
+        ("tissue", "table", "--f", "inf"),
     ])
     def test_bad_flag_is_a_validation_error(self, tmp_path, capsys, argv):
+        self.assert_validation_error(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--spec", "{spec}", "--points", "100002"),
+        ("sweep", "--s2p", "{s2p}", "--points", "100002"),
+        ("harvester", "explore", "--v-rx", "0.05", "--target-v", "1", "--n-max", "10001"),
+        ("coil", "synth", "--target-l", "80e-9", "--max-area", "0.0101"),
+    ])
+    def test_size_limit_names_its_flag(self, tmp_path, capsys, argv):
+        err = self.assert_validation_error(tmp_path, capsys, argv)
+        assert argv[-2] in err, err
+
+    @staticmethod
+    def assert_validation_error(tmp_path, capsys, argv) -> str:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict(SYMMETRIC, tissue={"enabled": False})))
         s2p = tmp_path / "link.s2p"
@@ -365,6 +405,7 @@ class TestCli:
         assert cli.main([arg.format(spec=spec, s2p=s2p) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("validation error: "), err
+        return err
 
     @pytest.mark.parametrize("argv, want", [
         ((), [10e6, 30e6]),

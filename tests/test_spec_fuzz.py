@@ -5,9 +5,9 @@ Every document, well formed or not, must end in a documented exit code
 key of the schema gets either a plausible value or junk: a wrong JSON
 type, NaN, an infinity, a non-integral count or an unknown key.  Area
 caps, section counts and stage counts stay small where they are numbers
-of the right type, because the work of a run grows linearly with them
-and the reader does not bound them.  Examples are derandomized so every
-run checks the same documents.
+of the right type, because the work of a run grows linearly with them;
+the reader's upper limits on them are tested in test_pipeline.py.
+Examples are derandomized so every run checks the same documents.
 """
 
 import contextlib

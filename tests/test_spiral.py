@@ -157,6 +157,22 @@ class TestSynthesize:
         b = synthesize(80e-9, fab, SQUARE)
         assert a.candidates == b.candidates
 
+    @pytest.mark.parametrize("minimum", [1e300, 1.7e308])
+    def test_huge_fabrication_minima_leave_no_grid_point(self, minimum):
+        # The row table overflows; no numpy warning escapes and the result
+        # has neither candidates nor a finite near miss.
+        result = synthesize(80e-9, FabConstraints(minimum, minimum, 1e-4), SQUARE)
+        assert result == SynthesisResult(80e-9, (), None)
+
+    def test_non_finite_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            synthesize(math.inf, FabConstraints(), SQUARE)
+        for field in ("min_trace_width", "min_spacing", "max_area"):
+            with pytest.raises(ValueError):
+                FabConstraints(**{field: math.inf})
+        with pytest.raises(ValueError):
+            skin_depth(math.inf)
+
 
 def _reference_synthesize(l_target, fab, shape):
     """Point-by-point grid search: one numpy r run per (n, w, dr) row and

@@ -97,19 +97,20 @@ def coil_z(coils: CoilPair, f: float) -> TwoPortMatrix:
     )
 
 
-def coil_abcd(coils: CoilPair, f: float) -> TwoPortMatrix:
-    """Transmission matrix of the coupled pair:
+@netcore.quiet
+def coil_abcd(coils: CoilPair, f) -> TwoPortMatrix:
+    """Transmission matrix of the coupled pair, at a frequency or along an
+    array of them (see :mod:`netcore`):
     A = (R1+jwL1)/(jwM), B = (w^2 M^2 + (R1+jwL1)(R2+jwL2))/(jwM),
     C = 1/(jwM), D = (R2+jwL2)/(jwM)."""
-    if not f > 0:
-        raise ValueError("frequency must be > 0")
-    w = 2.0 * math.pi * f
+    w = 2.0 * math.pi * netcore.check_frequency(f)
     m = coils.mutual
-    jwm = 1j * w * m
-    if jwm == 0.0:
+    jw = 1j * netcore.promote(w)
+    jwm = jw * m
+    if netcore.first_point(jwm == 0.0) is not None:
         raise DegenerateNetworkError("uncoupled coils (M = 0) have no ABCD form")
-    za = coils.r1 + 1j * w * coils.l1
-    zb = coils.r2 + 1j * w * coils.l2
+    za = coils.r1 + jw * coils.l1
+    zb = coils.r2 + jw * coils.l2
     return abcd_matrix(za / jwm, (w * w * m * m + za * zb) / jwm, 1.0 / jwm, zb / jwm)
 
 

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import netcore
 from .coil import PortPair
-from .netcore import Representation, TwoPortMatrix, input_reflection
+from .netcore import Representation, TwoPortMatrix, input_reflection, lift, square, where
 
 SAR_LIMIT = 1.6  # W/kg, default SAR limit of the power budget
 
@@ -40,34 +41,42 @@ def pte_two_port(s: TwoPortMatrix, gamma_load: complex) -> float:
 class MaxEfficiency(NamedTuple):
     """PTE under ideal conjugate matching plus the K_r factor it came
     from.  ``physical`` is False when K_r < 1 (active or noisy data);
-    the raw K_r is still reported, pte_max is NaN, nothing is clamped."""
+    the raw K_r is still reported, pte_max is NaN, nothing is clamped.
+    Along a frequency axis each field is an array, and a point without
+    transmission has NaN pte_max and K_r and is not physical."""
 
     pte_max: float
     k_r: float
     physical: bool = True
 
 
+@netcore.quiet
 def pte_max(s: TwoPortMatrix) -> MaxEfficiency:
-    """Maximum achievable PTE of a reciprocal two-port:
+    """Maximum achievable PTE of a reciprocal two-port, at one frequency or
+    along an axis (see :mod:`netcore`):
 
         K_r = (1 + a + b + c) / (2 |S21^2|),
         a = |S11 S22 - S21^2|^2, b = -|S11|^2, c = -|S22|^2,
         PTE_max = K_r - sqrt(K_r^2 - 1).
+
+    At one frequency a network without transmission raises ValueError.
     """
     s._expect(Representation.S)
-    s21_sq = s.m21 * s.m21
+    s11, _, s21, s22 = s.operands
+    s21_sq = s21 * s21
     mag = abs(s21_sq)
-    if mag < 1e-300:
+    blocked = mag < 1e-300
+    if not netcore.on_axis(blocked) and blocked:
         raise ValueError("pte_max needs |S21| > 0")
-    a = abs(s.m11 * s.m22 - s21_sq) ** 2
-    b = -abs(s.m11) ** 2
-    c = -abs(s.m22) ** 2
-    k_r = (1.0 + a + b + c) / (2.0 * mag)
-    if k_r < 1.0:
-        return MaxEfficiency(float("nan"), k_r, physical=False)
+    a = square(abs(s11 * s22 - s21_sq))
+    b = -square(abs(s11))
+    c = -square(abs(s22))
+    k_r = where(blocked, math.nan, (1.0 + a + b + c) / (2.0 * mag))
+    physical = where(blocked | (k_r < 1.0), False, True)
     # 1/(K + sqrt(K^2-1)) equals K - sqrt(K^2-1) without the cancellation
     # that wrecks precision for weakly coupled links (large K_r).
-    return MaxEfficiency(1.0 / (k_r + math.sqrt(k_r * k_r - 1.0)), k_r)
+    pte = 1.0 / (k_r + netcore.sqrt(where(physical, k_r * k_r - 1.0, math.nan)))
+    return MaxEfficiency(pte, k_r, physical)
 
 
 def gamma_factor(ports: PortPair) -> float:
@@ -90,9 +99,10 @@ def gamma_factor(ports: PortPair) -> float:
     return (50.0 / zp2) * (50.0 / zp1)
 
 
-def pte_link(s21_link: complex, ports: PortPair) -> float:
-    """Link PTE from the matched-link transmission: gamma |S21,link|^2."""
-    return gamma_factor(ports) * abs(complex(s21_link)) ** 2
+def pte_link(s21_link, ports: PortPair):
+    """Link PTE from the matched-link transmission, gamma |S21,link|^2, at
+    one frequency or along an axis of S21 values."""
+    return gamma_factor(ports) * square(abs(lift(s21_link)))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,16 @@ def _i0_poly(x: float) -> float:
             + t * (-0.01647633 + t * 0.00392377))))))))
 
 
+def _drive(v_rx: float, v_t: float) -> float:
+    """The normalised drive v_rx / V_T, rejected where it overflows (ln I0
+    of inf would be inf - inf)."""
+    x = v_rx / v_t
+    if x == math.inf:
+        raise ValueError(f"thermal voltage {v_t!r} V is too small for {v_rx!r} V of drive: "
+                         "v_rx / V_T overflows")
+    return x
+
+
 def _log_i0(x: float) -> float:
     """ln I0(x), in log space above 3.75 so that strong drive (x beyond
     ~709, where exp(x) overflows) stays finite."""
@@ -82,7 +92,7 @@ def v_out(n: int, v_rx: float, v_t: float = BODY_THERMAL_VOLTAGE) -> float:
         raise ValueError("input amplitude must be finite and >= 0")
     if not v_t > 0:
         raise ValueError("thermal voltage must be > 0")
-    return 2.0 * n * v_t * _log_i0(v_rx / v_t)
+    return 2.0 * n * v_t * _log_i0(_drive(v_rx, v_t))
 
 
 @dataclass(frozen=True)
@@ -273,7 +283,7 @@ def minimum_stage_count(v_rx: float, target_v_out: float,
                         v_t: float = BODY_THERMAL_VOLTAGE) -> int:
     """Smallest n with 2 n V_T ln(I0(v_rx/V_T)) >= target (direct
     inversion of the output formula)."""
-    per_stage = 2.0 * v_t * _log_i0(v_rx / v_t)
+    per_stage = 2.0 * v_t * _log_i0(_drive(v_rx, v_t))
     if per_stage <= 0:
         raise ValueError("no positive per-stage gain at this drive level")
     return max(1, math.ceil(target_v_out / per_stage - 1e-12))

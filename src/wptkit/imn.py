@@ -18,7 +18,7 @@ from . import netcore
 from .coil import PortPair
 from .errors import UnmatchableError
 from .netcore import (IDENTITY, Entries, Representation, TwoPortMatrix, abcd_chain, abcd_to_s,
-                      impedance_of)
+                      impedance_of, promote)
 
 # A synthesized ideal match must push both reflections at least this low.
 RETURN_LOSS_FLOOR_DB = -40.0
@@ -63,16 +63,16 @@ class MatchingElement:
         return w * self.value
 
 
-def _element_entries(elem: MatchingElement, f: float) -> Entries:
+def _element_entries(elem: MatchingElement, f) -> Entries:
     w = 2.0 * math.pi * f
     if elem.kind in (ElementKind.SERIES_INDUCTOR, ElementKind.SHUNT_CAPACITOR):
-        x = 1j * w * elem.value  # series impedance jwL or shunt admittance jwC
+        x = 1j * promote(w) * elem.value  # series impedance jwL or shunt admittance jwC
     else:
-        x = -1j / (w * elem.value)  # series impedance 1/(jwC) or shunt admittance 1/(jwL)
+        x = -1j / promote(w * elem.value)  # series impedance 1/(jwC) or shunt admittance 1/(jwL)
     return (1 + 0j, x, 0j, 1 + 0j) if elem.kind.is_series else (1 + 0j, 0j, x, 1 + 0j)
 
 
-def element_abcd(elem: MatchingElement, f: float) -> TwoPortMatrix:
+def element_abcd(elem: MatchingElement, f) -> TwoPortMatrix:
     return netcore.abcd_matrix(*_element_entries(elem, f))
 
 
@@ -123,15 +123,17 @@ class LSectionIMN:
         return sum(abs(e.reactance(f)) for e in self.elements)
 
 
-def assemble_link(imn: LSectionIMN, t_coil: TwoPortMatrix, f: float) -> TwoPortMatrix:
-    """Full-link transmission matrix IMN_TX * T_coil * IMN_RX at f."""
+@netcore.quiet
+def assemble_link(imn: LSectionIMN, t_coil: TwoPortMatrix, f) -> TwoPortMatrix:
+    """Full-link transmission matrix IMN_TX * T_coil * IMN_RX at f, or
+    along an array of frequencies (see :mod:`netcore`)."""
     t_coil._expect(Representation.ABCD)
     # The TX section runs from its external port toward the coil, the RX
     # section from the coil toward its external port.
     tx = (imn.tx_series, imn.tx_shunt) if imn.tx_series_at_port else (imn.tx_shunt, imn.tx_series)
     rx = (imn.rx_shunt, imn.rx_series) if imn.rx_series_at_port else (imn.rx_series, imn.rx_shunt)
     tx_abcd, rx_abcd = (abcd_chain(*(_element_entries(e, f) for e in side)) for side in (tx, rx))
-    return netcore.abcd_matrix(*abcd_chain(IDENTITY, tx_abcd, t_coil.entries, rx_abcd))
+    return netcore.abcd_matrix(*abcd_chain(IDENTITY, tx_abcd, t_coil.operands, rx_abcd))
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,65 @@
-"""Exact two-port network algebra.
+"""Exact two-port network algebra on a frequency axis.
 
 Representation conversions (S, Z, ABCD with real, possibly unequal
 reference impedances), cascading, and reflection coefficients.  All
 operations are pure functions on immutable value objects; ABCD is the
 canonical form for cascading and S the canonical form for reporting.
 
-A matrix is validated in one place, ``TwoPortMatrix.__post_init__``, so
-every stage result is checked once.  Chains of ABCD factors (``cascade``,
-``cascade_all``, the tissue ladder, the matching-network link) multiply
-plain ``(A, B, C, D)`` entry tuples with :func:`abcd_chain` and build a
-matrix from the product only; a non-finite intermediate stays non-finite
-through the products, so it still raises at the stage result.
+The frequency axis.  The stages a sweep runs (``coil.coil_abcd``, the
+tissue ladder, the matching-network link, :func:`abcd_chain`,
+:func:`abcd_to_s`, :func:`s_to_abcd`, ``efficiency.pte_max`` and
+``NetworkTable.at``) take either one frequency or a float64 ``(F,)``
+array of them, and return one :class:`TwoPortMatrix` whose entries are
+complex numbers or read-only complex ``(F,)`` arrays.  A sweep therefore
+runs each stage once over all its points, and the matrix is validated
+once, in ``TwoPortMatrix.__post_init__``, over the whole array; a
+non-finite intermediate stays non-finite through the products, so it
+still raises at the stage result, naming the first point at which any
+entry fails.
+
+The CPython-order rule.  Every value a stage computes must equal, bit
+for bit, what Python's complex arithmetic gives at each point, so that
+reports and sweep files keep every byte.  Each formula is therefore
+written once, with Python's operators, and runs on Python numbers at one
+frequency and on :class:`Split` values along an axis:
+
+- A :class:`Split` holds the real and imaginary float64 arrays of a
+  complex quantity.  It multiplies as CPython's ``_Py_c_prod`` does and
+  divides as ``_Py_c_quot`` does (Smith's method, its branches taken per
+  point with :func:`where`); sums and differences are ``_Py_c_sum`` and
+  ``_Py_c_diff`` (CPython ``Objects/complexobject.c``, 3.10-3.12).
+- A real operand is promoted as CPython promotes it, to ``(x, +0.0)``,
+  which decides signed zeros.  A real array meets a Python complex
+  number only through :func:`promote`, and a matrix entry array becomes
+  an operand through :func:`lift`.
+- Expressions keep Python's association: left to right, a chain starts
+  from the identity and takes one factor at a time.
+- At one frequency the operands are Python floats and complex numbers,
+  so a single-frequency caller runs the same lines at Python's own
+  speed and pays no numpy per-call cost.
+
+numpy's own complex ufuncs are not used on this path: its complex
+product differs from CPython's in the last bit for about a quarter of
+random operands (and ``@`` on stacked 2x2 matrices for most).  Nor are
+``np.log10`` and ``np.power``, which may run vectorised library kernels
+that differ from libm's ``log10`` and ``pow``, nor ``x * x`` in place of
+``x ** 2``, which CPython computes with libm ``pow``: :func:`square`
+calls Python's ``**`` per point.  ``np.hypot`` and ``np.sqrt`` are the
+libm ``hypot`` and the correctly rounded square root that ``abs`` of a
+complex number and ``math.sqrt`` use.  ``tests/test_chain.py`` checks
+these identities on random, signed-zero, subnormal and huge operands.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DegenerateNetworkError
 
@@ -26,11 +68,212 @@ from .errors import DegenerateNetworkError
 _DENOM_FLOOR = 1e-300
 
 
-Entries = tuple[complex, complex, complex, complex]
+# (A, B, C, D) or (S11, S12, S21, S22): complex numbers, or Split values
+# along an axis.
+Entries = tuple
 
 # (A, B, C, D) of the identity two-port as abcd_matrix stores it: complex
 # entries, so a chain multiplies complex by complex throughout.
 IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+# The frequencies the stages accept: below the smallest normal float the
+# angular frequency underflows in the products that divide by it, and
+# above F_MAX the angular frequency 2 pi f overflows.
+F_MIN = sys.float_info.min
+F_MAX = sys.float_info.max / (2.0 * math.pi)
+
+
+# -- the frequency axis --------------------------------------------------------
+
+
+def on_axis(x) -> bool:
+    """True when ``x`` is an array with one value per frequency point."""
+    return isinstance(x, np.ndarray)
+
+
+def _carries_axis(arg) -> bool:
+    return isinstance(arg.m11 if isinstance(arg, TwoPortMatrix) else arg, np.ndarray)
+
+
+def quiet(fn):
+    """Run a stage on an axis with numpy's floating-point warnings off:
+    there an overflow or a 0/0 is a value (inf or nan), as Python's
+    complex arithmetic leaves it at one point, and the stage result's
+    finiteness check reports it.  A call at one frequency runs as it is."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if not any(map(_carries_axis, args)):
+            return fn(*args, **kwargs)
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return run
+
+
+def where(cond, x, y):
+    """``x`` where ``cond`` holds, else ``y``, point by point."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _parts(x) -> tuple:
+    """(re, im) of an operand; a real one is promoted to (x, +0.0)."""
+    if isinstance(x, (Split, complex)):
+        return x.real, x.imag
+    return x, 0.0
+
+
+class Split:
+    """A complex quantity along a frequency axis, as real and imaginary
+    float64 arrays, whose operators give at each point the bits of
+    Python's complex arithmetic.  The other operand may be a Python
+    number, a real array or a Split; a zero divisor gives nan where
+    CPython raises."""
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # a real array on the left defers to the reflected operators
+    __hash__ = None
+
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
+
+    def __add__(self, other):
+        br, bi = _parts(other)
+        return Split(self.real + br, self.imag + bi)
+
+    def __radd__(self, other):
+        ar, ai = _parts(other)
+        return Split(ar + self.real, ai + self.imag)
+
+    def __sub__(self, other):
+        br, bi = _parts(other)
+        return Split(self.real - br, self.imag - bi)
+
+    def __rsub__(self, other):
+        ar, ai = _parts(other)
+        return Split(ar - self.real, ai - self.imag)
+
+    def __mul__(self, other):
+        return _prod(self.real, self.imag, *_parts(other))
+
+    def __rmul__(self, other):
+        return _prod(*_parts(other), self.real, self.imag)
+
+    def __truediv__(self, other):
+        return _quot(self.real, self.imag, *_parts(other))
+
+    def __rtruediv__(self, other):
+        return _quot(*_parts(other), self.real, self.imag)
+
+    def __neg__(self):
+        return Split(-self.real, -self.imag)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
+
+    def __eq__(self, other):
+        br, bi = _parts(other)
+        return (self.real == br) & (self.imag == bi)
+
+
+def _prod(ar, ai, br, bi) -> Split:
+    # _Py_c_prod
+    return Split(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _quot(ar, ai, br, bi) -> Split:
+    # _Py_c_quot.  With p the part of the divisor of larger magnitude and q
+    # the other, its two branches share one denominator, as IEEE addition
+    # commutes.
+    first = abs(br) >= abs(bi)
+    p, q = where(first, br, bi), where(first, bi, br)
+    try:
+        ratio = q / p
+    except ZeroDivisionError:
+        return Split(math.nan, math.nan)
+    den = p + q * ratio
+    return Split(where(first, ar + ai * ratio, ar * ratio + ai) / den,
+                 where(first, ai - ar * ratio, ai * ratio - ar) / den)
+
+
+# Entry types that put a matrix on an axis.
+_AXIS_TYPES = frozenset((Split, np.ndarray))
+
+
+def promote(x):
+    """A real operand of complex arithmetic: a real array becomes a Split
+    with +0.0 imaginary parts, as CPython promotes a float; a number is
+    returned as it is, for Python to promote."""
+    return Split(x, 0.0) if isinstance(x, np.ndarray) else x
+
+
+def lift(z):
+    """A complex array as a Split operand; a number as it is."""
+    return Split(z.real, z.imag) if isinstance(z, np.ndarray) else z
+
+
+def join(re, im):
+    """Complex number or complex array from real and imaginary parts."""
+    if on_axis(re) or on_axis(im):
+        out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+        out.real = re
+        out.imag = im
+        return out
+    return complex(re, im)
+
+
+def per_point(fn, x):
+    """``fn`` applied to each point of ``x``; ``fn(x)`` for one point."""
+    if on_axis(x):
+        return np.array([fn(v) for v in x.tolist()])
+    return fn(x)
+
+
+def _pow2(x: float) -> float:
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def square(x):
+    """``x ** 2`` as CPython computes it (libm ``pow``, which ``x * x``
+    does not match in the last bit); inf where it overflows."""
+    return per_point(_pow2, x)
+
+
+def sqrt(x):
+    """Correctly rounded square root of a float or an array."""
+    return np.sqrt(x) if on_axis(x) else math.sqrt(x)
+
+
+def first_point(cond) -> int | None:
+    """Index of the first point at which ``cond`` holds, or None."""
+    if isinstance(cond, np.ndarray):
+        return int(cond.argmax()) if cond.any() else None
+    return 0 if cond else None
+
+
+def point(x, i: int):
+    """Value of ``x`` at point ``i``."""
+    if isinstance(x, Split):
+        return complex(x.real[i], x.imag[i])
+    return x[i] if on_axis(x) else x
+
+
+def check_frequency(f):
+    """``f``, a frequency or an array of them, each in [F_MIN, F_MAX];
+    else ValueError naming the first offending value."""
+    i = first_point(~((f >= F_MIN) & (f <= F_MAX)) if on_axis(f) else not F_MIN <= f <= F_MAX)
+    if i is not None:
+        raise ValueError(f"frequency must be in [{F_MIN:g}, {F_MAX:g}] Hz, "
+                         f"got {float(point(f, i))!r}")
+    return f
+
+
+# -- matrices ----------------------------------------------------------------
 
 
 class Representation(Enum):
@@ -48,7 +291,9 @@ def _require_finite(name: str, value: complex) -> complex:
 
 @dataclass(frozen=True)
 class TwoPortMatrix:
-    """Complex 2x2 network in S, Z or ABCD form.
+    """Complex 2x2 network in S, Z or ABCD form, at one frequency (complex
+    entries) or along a frequency axis (read-only complex ``(F,)`` entry
+    arrays, built from arrays or :class:`Split` values).
 
     ``zp1``/``zp2`` are the real reference impedances of port 1 and 2.
     They are mandatory for S matrices and optional bookkeeping for the
@@ -64,8 +309,22 @@ class TwoPortMatrix:
     zp2: float | None = None
 
     def __post_init__(self):
-        for name in ("m11", "m12", "m21", "m22"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        values = (self.m11, self.m12, self.m21, self.m22)
+        if not _AXIS_TYPES.isdisjoint(map(type, values)):
+            arrays = np.broadcast_arrays(*(join(v.real, v.imag) if isinstance(v, Split)
+                                           else np.asarray(v, dtype=complex) for v in values))
+            if arrays[0].ndim != 1:
+                raise ValueError("matrix entries must be numbers or (F,) arrays")
+            i = first_point(~functools.reduce(np.logical_and, map(np.isfinite, arrays)))
+            for name, entries in zip(("m11", "m12", "m21", "m22"), arrays):
+                if i is not None:
+                    _require_finite(name, entries[i])
+                entries = entries.copy()
+                entries.flags.writeable = False
+                object.__setattr__(self, name, entries)
+        else:
+            for name in ("m11", "m12", "m21", "m22"):
+                object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         for name in ("zp1", "zp2"):
             zp = getattr(self, name)
             if zp is not None:
@@ -79,6 +338,11 @@ class TwoPortMatrix:
     @property
     def entries(self) -> Entries:
         return (self.m11, self.m12, self.m21, self.m22)
+
+    @property
+    def operands(self) -> Entries:
+        """The entries as operands of the stage formulas (see :func:`lift`)."""
+        return tuple(map(lift, self.entries))
 
     @property
     def det(self) -> complex:
@@ -117,8 +381,10 @@ def shunt_admittance_abcd(y: complex) -> TwoPortMatrix:
 
 
 def _guard_denominator(value: complex, context: str) -> complex:
-    if abs(value) < _DENOM_FLOOR:
-        raise DegenerateNetworkError(f"singular denominator in {context}: |{value!r}| < 1e-300")
+    i = first_point(abs(value) < _DENOM_FLOOR)
+    if i is not None:
+        raise DegenerateNetworkError(
+            f"singular denominator in {context}: |{point(value, i)!r}| < 1e-300")
     return value
 
 
@@ -159,12 +425,14 @@ def s_to_z(net: TwoPortMatrix) -> TwoPortMatrix:
     )
 
 
+@quiet
 def abcd_to_s(net: TwoPortMatrix, zp1: float, zp2: float) -> TwoPortMatrix:
-    """Convert ABCD to S for real reference impedances zp1, zp2."""
+    """Convert ABCD to S for real reference impedances zp1, zp2, at one
+    frequency or along an axis."""
     net._expect(Representation.ABCD)
     if not (zp1 > 0 and zp2 > 0):
         raise ValueError("reference impedances must be > 0")
-    a, b, c, d = net.m11, net.m12, net.m21, net.m22
+    a, b, c, d = net.operands
     den = _guard_denominator(a * zp2 + b + c * zp1 * zp2 + d * zp1, "abcd_to_s")
     root = (zp1 * zp2) ** 0.5
     return s_matrix(
@@ -176,15 +444,17 @@ def abcd_to_s(net: TwoPortMatrix, zp1: float, zp2: float) -> TwoPortMatrix:
     )
 
 
+@quiet
 def s_to_abcd(net: TwoPortMatrix) -> TwoPortMatrix:
-    """Convert S (with stored zp1, zp2) to ABCD.
+    """Convert S (with stored zp1, zp2) to ABCD, at one frequency or along
+    an axis.
 
     Requires a transmitting network; for reciprocal data (S12 = S21)
     this matches the unequal-reference-impedance transmission formulas.
     """
     net._expect(Representation.S)
-    s11, s12, s21, s22 = net.m11, net.m12, net.m21, net.m22
-    if abs(s12) < _DENOM_FLOOR or abs(s21) < _DENOM_FLOOR:
+    s11, s12, s21, s22 = net.operands
+    if first_point((abs(s12) < _DENOM_FLOOR) | (abs(s21) < _DENOM_FLOOR)) is not None:
         raise DegenerateNetworkError("s_to_abcd: no transmission (S12 or S21 is zero)")
     zp1, zp2 = net.zp1, net.zp2
     den = 2.0 * s21
@@ -215,26 +485,29 @@ def abcd_to_z(net: TwoPortMatrix) -> TwoPortMatrix:
 
 
 def abcd_chain(*factors: Entries) -> Entries:
-    """Product of ABCD entry tuples, one factor at a time from the left:
-    port 2 of each factor feeds port 1 of the next.  Nothing is validated
-    here; wrap the result in :func:`abcd_matrix`."""
+    """Product of ABCD entry tuples (operands, see :func:`lift`), one factor
+    at a time from the left: port 2 of each factor feeds port 1 of the
+    next.  Nothing is validated here; wrap the result in
+    :func:`abcd_matrix`."""
     a, b, c, d = factors[0]
     for e, f, g, h in factors[1:]:
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return a, b, c, d
 
 
+@quiet
 def cascade(a: TwoPortMatrix, b: TwoPortMatrix) -> TwoPortMatrix:
     """Chain two ABCD matrices: port 2 of ``a`` feeds port 1 of ``b``."""
     a._expect(Representation.ABCD)
     b._expect(Representation.ABCD)
-    return abcd_matrix(*abcd_chain(a.entries, b.entries))
+    return abcd_matrix(*abcd_chain(a.operands, b.operands))
 
 
+@quiet
 def cascade_all(*nets: TwoPortMatrix) -> TwoPortMatrix:
     for net in nets:
         net._expect(Representation.ABCD)
-    return abcd_matrix(*abcd_chain(IDENTITY, *(net.entries for net in nets)))
+    return abcd_matrix(*abcd_chain(IDENTITY, *(net.operands for net in nets)))
 
 
 def input_reflection(s: TwoPortMatrix, gamma_load: complex) -> complex:

@@ -356,8 +356,11 @@ def synthesize_coil(stage: str, l_target: float, fab: spiral.FabConstraints,
         near = result.nearest
         detail = "no grid point reached the target"
         if near is not None:
+            off = near.rel_error * 100
+            # Fixed-point below a million per cent; beyond, three digits keep the line short.
+            off_text = f"{off:.2f}" if off < 1e6 else f"{off:.3g}"
             detail = (f"best miss: L = {si(near.inductance, 'H')} "
-                      f"({near.rel_error * 100:.2f} % off) at n={near.geometry.n}, "
+                      f"({off_text} % off) at n={near.geometry.n}, "
                       f"area {near.geometry.area * 1e6:.4g} mm^2")
         raise InfeasibleDesignError(stage, f"target {si(l_target, 'H')} infeasible; {detail}",
                                     nearest=near)
@@ -693,27 +696,27 @@ def frequency_grid(f_start: float, f_stop: float, points: int, scale: str = "log
     raise ValueError(f"scale must be 'log' or 'linear', got {scale!r}")
 
 
-def _row_from_s(f: float, s: TwoPortMatrix, ports: PortPair) -> SweepRow:
-    pte = efficiency.pte_link(s.m21, ports)
-    try:
-        max_eff = efficiency.pte_max(s)
-        pte_max_pct = max_eff.pte_max * 100.0 if max_eff.physical else float("nan")
-    except ValueError:
-        pte_max_pct = float("nan")
-    return SweepRow(f, _db(abs(s.m11)), _db(abs(s.m21)), _db(abs(s.m22)),
-                    pte * 100.0, pte_max_pct)
+@netcore.quiet
+def _sweep_rows(frequencies: list, s: TwoPortMatrix, ports: PortPair) -> list[SweepRow]:
+    """One row per frequency from the S matrix along the sweep's axis."""
+    columns = [abs(netcore.lift(m)) for m in (s.m11, s.m21, s.m22)]
+    columns += [efficiency.pte_link(s.m21, ports), efficiency.pte_max(s).pte_max]
+    return [SweepRow(f, _db(s11), _db(s21), _db(s22), pte * 100.0, pte_max * 100.0)
+            for f, s11, s21, s22, pte, pte_max in zip(frequencies, *(c.tolist() for c in columns))]
 
 
 def sweep_link(model: LinkModel, frequencies: Sequence[float],
                with_imn: bool = True) -> list[SweepRow]:
-    return [_row_from_s(f, model.s_at(f, with_imn=with_imn), model.ports)
-            for f in frequencies]
+    """Rows of the link over ``frequencies``, each stage run once for all."""
+    freqs = list(frequencies)
+    return _sweep_rows(freqs, model.s_at(np.array(freqs, dtype=float), with_imn=with_imn),
+                       model.ports)
 
 
 def sweep_table(table: NetworkTable, frequencies: Sequence[float] | None = None) -> list[SweepRow]:
     ports = PortPair(table.zp, table.zp)
     freqs = list(frequencies) if frequencies is not None else list(table.frequencies)
-    return [_row_from_s(f, table.at(f), ports) for f in freqs]
+    return _sweep_rows(freqs, table.at(np.array(freqs, dtype=float)), ports)
 
 
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:

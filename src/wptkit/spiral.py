@@ -15,9 +15,12 @@ coaxial spirals (per-turn filament loops, Neumann integral).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .netcore import check_frequency
 
 MU_0 = 4e-7 * math.pi          # H/m
 COPPER_RESISTIVITY = 1.68e-8   # ohm*m
@@ -195,8 +198,9 @@ def synthesize(l_target: float, fab: FabConstraints,
     as for one SpiralGeometry (``inductance``, ``modified_wheeler``,
     ``area``), so the result does not depend on the block size.
     """
-    if not 0 < l_target < math.inf:
-        raise ValueError("target inductance must be finite and > 0")
+    # A subnormal target would overflow the relative error of every point.
+    if not sys.float_info.min <= l_target < math.inf:
+        raise ValueError(f"target inductance must be finite and >= {sys.float_info.min:g} H")
     cosf = shape.cos_factor
     edge_max = math.sqrt(fab.max_area)
     area_cap = fab.max_area * (1.0 + 1e-12)
@@ -314,9 +318,7 @@ def trace_length(g: SpiralGeometry) -> float:
 
 
 def skin_depth(f: float, resistivity: float = COPPER_RESISTIVITY) -> float:
-    if not 0 < f < math.inf:
-        raise ValueError("frequency must be finite and > 0")
-    return math.sqrt(resistivity / (math.pi * f * MU_0))
+    return math.sqrt(resistivity / (math.pi * check_frequency(f) * MU_0))
 
 
 def ac_resistance(g: SpiralGeometry, f: float,

@@ -21,6 +21,7 @@ wholesale through :func:`import_override`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -140,10 +141,10 @@ def default_implant_stack(face_area: float = (18e-3) ** 2,
 
 
 def complex_permittivity(layer: ColeColeLayer, f: float) -> complex:
-    """Relative complex permittivity of the layer at frequency f."""
-    if not 0 < f < math.inf:
-        raise ValueError("frequency must be finite and > 0")
-    w = 2.0 * math.pi * f
+    """Relative complex permittivity of the layer at frequency f.  One
+    frequency per call: the complex power has no split form that keeps
+    CPython's bits."""
+    w = 2.0 * math.pi * netcore.check_frequency(f)
     eps = complex(layer.eps_inf, 0.0)
     for d_eps, tau, alpha in layer.dispersions:
         eps += d_eps / (1.0 + (1j * w * tau) ** (1.0 - alpha))
@@ -167,8 +168,10 @@ def loss_scaling(sigma: float, omega: float) -> float:
     return sigma * omega * omega
 
 
-def ladder_two_port(stack: TissueStack, f: float) -> TwoPortMatrix:
-    """ABCD of the discretized tissue slab at frequency f.
+@netcore.quiet
+def ladder_two_port(stack: TissueStack, f) -> TwoPortMatrix:
+    """ABCD of the discretized tissue slab at frequency f, or along an
+    array of frequencies (see :mod:`netcore`).
 
     Each section of thickness t_s uses the complex admittivity
     sigma_eff = jw eps0 eps(f): a longitudinal eddy-reflected impedance
@@ -178,16 +181,15 @@ def ladder_two_port(stack: TissueStack, f: float) -> TwoPortMatrix:
     thin-slab limit is the identity and the discretization converges
     quadratically.
     """
-    if not f > 0:
-        raise ValueError("frequency must be > 0")
-    w = 2.0 * math.pi * f
+    w = 2.0 * math.pi * netcore.check_frequency(f)
     mu0 = 4e-7 * math.pi
     coupling = mu0 * math.sqrt(stack.face_area)
     sections = []
     for layer in stack.layers:
-        sigma_eff = 1j * w * EPS_0 * complex_permittivity(layer, f)
+        eps = netcore.per_point(functools.partial(complex_permittivity, layer), f)
+        sigma_eff = 1j * netcore.promote(w) * EPS_0 * netcore.lift(eps)
         t_s = layer.thickness / stack.sections_per_layer
-        z = (w * coupling) ** 2 * sigma_eff * t_s
+        z = netcore.square(w * coupling) * sigma_eff * t_s
         y = sigma_eff * t_s
         # Symmetric T-section: Z/2 - Y - Z/2 (unit determinant, second-order
         # accurate discretization of the distributed slab).
@@ -222,17 +224,20 @@ class NetworkTable:
         object.__setattr__(self, "_re", columns.real.copy())
         object.__setattr__(self, "_im", columns.imag.copy())
 
-    def at(self, f: float) -> TwoPortMatrix:
+    def at(self, f) -> TwoPortMatrix:
+        """S matrix at frequency f, or along an array of frequencies (see
+        :mod:`netcore`), each on the tabulated range."""
         grid = self._f
-        if not grid[0] <= f <= grid[-1]:
+        i = netcore.first_point(~((grid[0] <= f) & (f <= grid[-1])))
+        if i is not None:
             raise ValueError(
-                f"frequency {f:g} Hz outside tabulated range "
+                f"frequency {netcore.point(f, i):g} Hz outside tabulated range "
                 f"[{grid[0]:g}, {grid[-1]:g}] Hz")
-        entries = [complex(float(np.interp(f, grid, re)), float(np.interp(f, grid, im)))
+        entries = [netcore.join(np.interp(f, grid, re), np.interp(f, grid, im))
                    for re, im in zip(self._re, self._im)]
         return s_matrix(*entries, self.zp, self.zp)
 
-    def abcd_at(self, f: float) -> TwoPortMatrix:
+    def abcd_at(self, f) -> TwoPortMatrix:
         return netcore.s_to_abcd(self.at(f))
 
 

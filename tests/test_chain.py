@@ -1,11 +1,15 @@
-"""Entry-tuple ABCD chains against the object cascades they replaced.
+"""The network stages against the per-point object code they replaced.
 
-The tissue ladder and the matching-network link multiply (A, B, C, D)
-tuples and build one validated matrix from the product.  They must give
-the entries, float for float, of the old code, which validated a matrix
-at every step; that code is kept here as the reference, with its own
-copy of the old two-matrix cascade.  The number of matrices each stage
-builds is counted by wrapping ``TwoPortMatrix.__post_init__``.
+The tissue ladder and the matching-network link build one validated
+matrix from a product of split (re, im) entries, at one frequency or
+along a frequency axis.  They must give the entries, float for float, of
+the old code, which validated a matrix at every step and ran one
+frequency at a time in Python's complex arithmetic; that code is kept
+here as the reference (``_reference_*``), with the old formulas of the
+coil ABCD, the ABCD/S conversions, the table interpolation and the sweep
+row.  The split arithmetic itself is checked against CPython's complex
+and float operations on random operands.  The number of matrices each
+stage builds is counted by wrapping ``TwoPortMatrix.__post_init__``.
 """
 
 import itertools
@@ -14,13 +18,15 @@ import math
 import numpy as np
 import pytest
 
-from wptkit import netcore
+from wptkit import netcore, pipeline
 from wptkit.coil import CoilPair, coil_abcd
-from wptkit.imn import ElementKind, LSectionIMN, MatchingElement, assemble_link
+from wptkit.efficiency import gamma_factor
+from wptkit.imn import ElementKind, LSectionIMN, MatchingElement, _db, assemble_link
 from wptkit.netcore import TwoPortMatrix
 from wptkit.pipeline import run_design, spec_from_dict
 from wptkit.tissue import (
     EPS_0,
+    NetworkTable,
     TissueStack,
     complex_permittivity,
     default_implant_stack,
@@ -32,6 +38,7 @@ from wptkit.touchstone import record_from_matrices, write_touchstone
 
 F0 = 20e6
 FREQS = [float(f) for f in np.geomspace(F0 / 10, F0 * 10, 9)]
+AXIS = np.geomspace(F0 / 10, F0 * 10, 1001)
 REF_COIL = CoilPair(400e-9, 400e-9, 0.5, 0.5, 0.1)
 
 
@@ -90,6 +97,81 @@ def _reference_assemble_link(imn, t_coil, f):
     return out
 
 
+def _reference_coil_abcd(coils, f):
+    w = 2.0 * math.pi * f
+    m = coils.mutual
+    jwm = 1j * w * m
+    za = coils.r1 + 1j * w * coils.l1
+    zb = coils.r2 + 1j * w * coils.l2
+    return netcore.abcd_matrix(za / jwm, (w * w * m * m + za * zb) / jwm, 1.0 / jwm, zb / jwm)
+
+
+def _reference_abcd_to_s(net, zp1, zp2):
+    a, b, c, d = net.entries
+    den = a * zp2 + b + c * zp1 * zp2 + d * zp1
+    root = (zp1 * zp2) ** 0.5
+    return netcore.s_matrix(
+        (a * zp2 + b - c * zp1 * zp2 - d * zp1) / den,
+        2.0 * (a * d - b * c) * root / den,
+        2.0 * root / den,
+        (-a * zp2 + b - c * zp1 * zp2 + d * zp1) / den,
+        zp1, zp2)
+
+
+def _reference_s_to_abcd(net):
+    s11, s12, s21, s22 = net.entries
+    zp1, zp2 = net.zp1, net.zp2
+    den = 2.0 * s21
+    x = s12 * s21
+    p, q = 1.0 + s11, 1.0 - s11
+    u, v = 1.0 + s22, 1.0 - s22
+    root = (zp1 * zp2) ** 0.5
+    return netcore.abcd_matrix(
+        (p * v + x) / den * (zp1 / zp2) ** 0.5,
+        (p * u - x) / den * root,
+        (q * v - x) / den / root,
+        (q * u + x) / den * (zp2 / zp1) ** 0.5)
+
+
+def _reference_table_at(table, f):
+    grid = table._f
+    entries = [complex(float(np.interp(f, grid, re)), float(np.interp(f, grid, im)))
+               for re, im in zip(table._re, table._im)]
+    return netcore.s_matrix(*entries, table.zp, table.zp)
+
+
+def _reference_s_at(link, f, with_imn):
+    if link.override is not None:
+        t = _reference_s_to_abcd(_reference_table_at(link.override, f))
+    else:
+        t = _reference_coil_abcd(link.coils, f)
+        if link.stack is not None:
+            t = _reference_cascade(t, _reference_ladder(link.stack, f))
+    if with_imn and link.matching is not None:
+        t = _reference_assemble_link(link.matching, t, f)
+    return _reference_abcd_to_s(t, link.ports.zp1, link.ports.zp2)
+
+
+def _reference_pte_max_pct(s):
+    s21_sq = s.m21 * s.m21
+    mag = abs(s21_sq)
+    if mag < 1e-300:
+        return math.nan
+    a = abs(s.m11 * s.m22 - s21_sq) ** 2
+    b = -abs(s.m11) ** 2
+    c = -abs(s.m22) ** 2
+    k_r = (1.0 + a + b + c) / (2.0 * mag)
+    if k_r < 1.0:
+        return math.nan
+    return 1.0 / (k_r + math.sqrt(k_r * k_r - 1.0)) * 100.0
+
+
+def _reference_row(f, s, ports):
+    pte = gamma_factor(ports) * abs(complex(s.m21)) ** 2
+    return pipeline.SweepRow(f, _db(abs(s.m11)), _db(abs(s.m21)), _db(abs(s.m22)),
+                             pte * 100.0, _reference_pte_max_pct(s))
+
+
 def _all_imns():
     """Every topology case with every L/C choice of its four elements."""
     series = (MatchingElement(ElementKind.SERIES_INDUCTOR, 330e-9),
@@ -104,6 +186,21 @@ def _all_imns():
 def assert_same(got, want):
     assert (got.m11, got.m12, got.m21, got.m22) == (want.m11, want.m12, want.m21, want.m22)
     assert repr(got) == repr(want)
+
+
+def assert_axis_same(got, want):
+    """``got``, a matrix along an axis, equals the per-point matrices
+    ``want`` entry by entry, in repr (so signed zeros count)."""
+    assert got.representation is want[0].representation
+    assert (got.zp1, got.zp2) == (want[0].zp1, want[0].zp2)
+    for k, entries in enumerate(got.entries):
+        assert [repr(complex(x)) for x in entries] == [repr(w.entries[k]) for w in want], k
+
+
+def point_matrix(net, i):
+    """Point ``i`` of a matrix along an axis, as a one-frequency matrix."""
+    return TwoPortMatrix(net.representation, *(complex(m[i]) for m in net.entries),
+                         net.zp1, net.zp2)
 
 
 @pytest.fixture
@@ -187,3 +284,207 @@ def test_non_finite_product_raises_at_the_result():
         assemble_link(imn, coil_abcd(REF_COIL, F0), F0)
     with pytest.raises(ValueError, match="expected ABCD"):
         netcore.cascade_all(coil_abcd(REF_COIL, F0), netcore.abcd_to_s(coil_abcd(REF_COIL, F0), 50, 50))
+
+
+# -- the frequency axis ------------------------------------------------------
+
+
+@pytest.mark.parametrize("sections", [1, 10, 30, 100])
+def test_ladder_axis_equals_object_cascade(sections):
+    stack = default_implant_stack(sections_per_layer=sections)
+    assert_axis_same(ladder_two_port(stack, AXIS),
+                     [_reference_ladder(stack, f) for f in AXIS.tolist()])
+
+
+def test_assemble_link_axis_equals_object_cascade():
+    axis = AXIS[::10]
+    stack = default_implant_stack(sections_per_layer=10)
+    bare = coil_abcd(REF_COIL, axis)
+    for t_coil in (bare, modified_coil_abcd(bare, stack, axis)):
+        points = [point_matrix(t_coil, i) for i in range(len(axis))]
+        for imn in _all_imns():
+            assert_axis_same(assemble_link(imn, t_coil, axis),
+                             [_reference_assemble_link(imn, t, f)
+                              for t, f in zip(points, axis.tolist())])
+
+
+@pytest.fixture(scope="module")
+def links(tmp_path_factory):
+    """The default link with 30 sections per layer, and the link whose
+    tissue-modified network is that link's .s2p table."""
+    analytic = run_design(spec_from_dict({"f0_hz": F0, "tissue": {"sections_per_layer": 30}})).link
+    freqs = pipeline.frequency_grid(F0 / 12, F0 * 12, 201)
+    record = record_from_matrices(
+        freqs, [netcore.abcd_to_s(analytic.coil_abcd_at(f), 50.0, 50.0) for f in freqs], 50.0)
+    path = tmp_path_factory.mktemp("links") / "link.s2p"
+    write_touchstone(record, path)
+    override = run_design(spec_from_dict({"f0_hz": F0, "tissue": {"override_s2p": str(path)}})).link
+    return {"analytic": analytic, "override": override}
+
+
+@pytest.mark.parametrize("with_imn", [True, False])
+@pytest.mark.parametrize("name", ["analytic", "override"])
+def test_link_sweep_equals_per_point_reference(links, name, with_imn):
+    link = links[name]
+    assert link.matching is not None
+    freqs = AXIS.tolist()
+    want = [_reference_s_at(link, f, with_imn) for f in freqs]
+    assert_axis_same(link.s_at(AXIS, with_imn=with_imn), want)
+    rows = pipeline.sweep_link(link, freqs, with_imn=with_imn)
+    assert [repr(row) for row in rows] == [repr(_reference_row(f, s, link.ports))
+                                           for f, s in zip(freqs, want)]
+
+
+def test_table_sweep_equals_per_point_reference(links):
+    table = links["override"].override
+    freqs = AXIS.tolist()
+    want = [_reference_table_at(table, f) for f in freqs]
+    assert_axis_same(table.at(AXIS), want)
+    ports = links["override"].ports
+    assert [repr(row) for row in pipeline.sweep_table(table, freqs)] == \
+        [repr(_reference_row(f, s, ports)) for f, s in zip(freqs, want)]
+
+
+def test_sweep_builds_a_fixed_number_of_matrices(links, matrices_built):
+    # One matrix per stage: coil, ladder, their cascade, the IMN link and
+    # the S conversion; a table link has its S table and its ABCD form.
+    want = {("analytic", True): 5, ("analytic", False): 4,
+            ("override", True): 4, ("override", False): 3, ("table", None): 1}
+    for points in (11, 1001):
+        freqs = pipeline.frequency_grid(F0 / 2, F0 * 2, points)
+        got = {}
+        for name, with_imn in want:
+            matrices_built[0] = 0
+            if name == "table":
+                pipeline.sweep_table(links["override"].override, freqs)
+            else:
+                pipeline.sweep_link(links[name], freqs, with_imn=with_imn)
+            got[name, with_imn] = matrices_built[0]
+        assert got == want, points
+
+
+def test_axis_errors_name_the_first_failing_point():
+    # From about 80 GHz the ladder's products overflow; the stage raises,
+    # for the whole axis, the error of its first failing point.
+    stack = default_implant_stack(sections_per_layer=30)
+    axis = np.geomspace(1e3, 1e12, 1001)
+    with pytest.raises(ValueError, match="must be finite") as on_axis:
+        ladder_two_port(stack, axis)
+    for f in axis.tolist():
+        try:
+            ladder_two_port(stack, f)
+        except ValueError as exc:
+            assert str(on_axis.value) == str(exc)
+            break
+    else:
+        pytest.fail("no point of the axis fails on its own")
+    table = NetworkTable((1e6, 2e6), ((0.1, 0.5, 0.5, 0.1),) * 2, 50.0)
+    with pytest.raises(ValueError, match=r"frequency 3e\+06 Hz outside"):
+        table.at(np.array([1e6, 1.5e6, 3e6, 4e6, 0.5e6]))
+
+
+@pytest.mark.parametrize("f", [5e-324, 1e-310, 0.0, -1.0, math.nan, math.inf, 1.7e308,
+                               math.nextafter(netcore.F_MAX, math.inf)])
+def test_stages_reject_the_same_frequencies(f):
+    stack = default_implant_stack(sections_per_layer=1)
+    calls = [lambda: complex_permittivity(muscle(), f)]
+    for value in (f, np.array([F0, f, F0])):
+        calls += [lambda value=value: coil_abcd(REF_COIL, value),
+                  lambda value=value: ladder_two_port(stack, value)]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {f"frequency must be in [2.22507e-308, 2.86112e+307] Hz, got {f!r}"}
+    # The smallest normal frequency and the largest with a finite 2 pi f pass.
+    netcore.check_frequency(np.array([2.2250738585072014e-308, F0, netcore.F_MAX]))
+    assert 2.0 * math.pi * netcore.F_MAX < math.inf
+
+
+# -- split arithmetic is CPython's arithmetic ----------------------------------
+
+
+def _operands(rng, size):
+    """Float64 values mixing ordinary magnitudes, huge values near the
+    overflow edge, subnormals, signed zeros and small integers (whose
+    products and sums cancel exactly to signed zeros)."""
+    kind = rng.integers(0, 6, size)
+    sign = rng.choice([-1.0, 1.0], size)
+    values = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+        [rng.standard_normal(size) * 10.0 ** rng.uniform(-20, 20, size),
+         sign * rng.uniform(1, 10, size) * 10.0 ** rng.uniform(150, 307, size),
+         sign * rng.uniform(0, 1, size) * 10.0 ** rng.uniform(-323, -300, size),
+         sign * 0.0,
+         sign * rng.integers(0, 4, size) / 2.0],
+        rng.standard_normal(size) * 10.0 ** rng.uniform(-300, 300, size))
+    return values
+
+
+def _same_parts(got, want) -> None:
+    """``got``, a Split, holds the parts of the Python complex numbers
+    ``want`` bit for bit."""
+    for part in ("real", "imag"):
+        bad = _differ(getattr(got, part), [getattr(z, part) for z in want])
+        assert not bad.any(), f"{part}: {int(bad.sum())} of {bad.size} differ"
+
+
+def _differ(got, want) -> np.ndarray:
+    """Points where ``got`` and ``want`` differ in a bit; two NaNs agree."""
+    got = np.broadcast_to(np.asarray(got, dtype=float), np.shape(want))
+    want = np.asarray(want, dtype=float)
+    return ~((got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want)))
+
+
+def _cpython(op, *columns):
+    out = []
+    for args in zip(*columns):
+        try:
+            out.append(op(*args))
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+def test_split_arithmetic_is_cpython_arithmetic():
+    rng = np.random.default_rng(6)
+    size = 100_000
+    ar, ai, br, bi, x = (_operands(rng, size) for _ in range(5))
+    a = [complex(re, im) for re, im in zip(ar.tolist(), ai.tolist())]
+    b = [complex(re, im) for re, im in zip(br.tolist(), bi.tolist())]
+    xs = x.tolist()
+    sa, sb = netcore.Split(ar, ai), netcore.Split(br, bi)
+    nz = np.array([z != 0 for z in b])
+    nb = netcore.Split(br[nz], bi[nz])
+    bz = [z for z in b if z != 0]
+    xz = x[nz]
+    with np.errstate(all="ignore"):
+        _same_parts(sa * sb, [p * q for p, q in zip(a, b)])
+        _same_parts(sa + sb, [p + q for p, q in zip(a, b)])
+        _same_parts(sa - sb, [p - q for p, q in zip(a, b)])
+        _same_parts(-sb, [-q for q in b])
+        _same_parts(netcore.Split(ar[nz], ai[nz]) / nb,
+                    [p / q for p, q, keep in zip(a, b, nz) if keep])
+        # Real operands on either side, promoted as CPython promotes a float.
+        _same_parts(x * sb, [v * q for v, q in zip(xs, b)])
+        _same_parts(sb * x, [q * v for v, q in zip(xs, b)])
+        _same_parts(x + sb, [v + q for v, q in zip(xs, b)])
+        _same_parts(x - sb, [v - q for v, q in zip(xs, b)])
+        _same_parts(sb - x, [q - v for v, q in zip(xs, b)])
+        _same_parts(xz / nb, [v / q for v, q in zip(xz.tolist(), bz)])
+        _same_parts(1.5 * sb, [1.5 * q for q in b])
+        _same_parts(1.0 - sb, [1.0 - q for q in b])
+        # Python complex constants against real arrays, as the stages write them.
+        _same_parts(1j * netcore.promote(x), [1j * v for v in xs])
+        xn = x[x != 0]
+        _same_parts(-1j / netcore.promote(xn), [-1j / v for v in xn.tolist()])
+        _same_parts((1 + 0j) * sb + 0j * sa, [(1 + 0j) * q + 0j * p for p, q in zip(a, b)])
+        reals = {
+            "abs": (abs(sa), _cpython(abs, a)),
+            "square": (netcore.square(x), _cpython(lambda v: v ** 2, xs)),
+            "sqrt": (netcore.sqrt(np.abs(x)), [math.sqrt(abs(v)) for v in xs]),
+        }
+    for name, (got, want) in reals.items():
+        bad = _differ(got, want)
+        assert not bad.any(), f"{name}: {int(bad.sum())} of {bad.size} differ"

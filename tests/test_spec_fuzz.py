@@ -3,23 +3,27 @@
 Every document, well formed or not, must end in a documented exit code
 (0, 2, 3 or 4) with at most one stderr line, never in a traceback.  Each
 key of the schema gets either a plausible value or junk: a wrong JSON
-type, NaN, an infinity, a non-integral count or an unknown key.  Area
-caps, section counts and stage counts stay small where they are numbers
-of the right type, because the work of a run grows linearly with them;
-the reader's upper limits on them are tested in test_pipeline.py.
-Examples are derandomized so every run checks the same documents.
+type, NaN, an infinity, a non-integral count or an unknown key.  Numbers
+are now and then an edge of the float range (the smallest subnormal, the
+smallest normal and its neighbour, 1e-300, the largest float) or a value
+next to the reader's own limit on the key.  Area caps, section counts and
+stage counts otherwise stay small where they are numbers of the right
+type, because the work of a run grows linearly with them; the reader's
+upper limits on them are tested in test_pipeline.py.  Examples are
+derandomized so every run checks the same documents.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptkit import cli
+from wptkit import cli, netcore, pipeline
 
 LAYER = {"name": "muscle", "eps_inf": 4.0,
          "dispersions": [[50.0, 7.23e-12, 0.1], [7000.0, 353.68e-9, 0.1]],
@@ -32,9 +36,26 @@ def log_uniform(lo: float, hi: float):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-def numbers(lo: float, hi: float):
-    """Mostly in [lo, hi]; sometimes zero, negative or tiny."""
-    return edge_or(log_uniform(lo, hi), st.sampled_from([0, -1, -0.0, 5e-324, 1e-300, 1, 1e300]))
+TINY = sys.float_info.min  # smallest normal float
+EDGES = [0, -1, -0.0, 5e-324, 1e-300, TINY, math.nextafter(TINY, 0.0), 1, 1e300,
+         sys.float_info.max]
+
+
+def beside(*limits: float) -> list[float]:
+    """Each limit and its two float neighbours."""
+    return [v for x in limits for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+def numbers(lo: float, hi: float, *limits: float):
+    """Mostly in [lo, hi]; sometimes zero, negative, tiny, huge or next to
+    one of the key's ``limits``."""
+    return edge_or(log_uniform(lo, hi), st.sampled_from(EDGES + beside(*limits)))
+
+
+def counts(lo: int, hi: int, limit: int):
+    """Integers in [lo, hi]; one time in eight the key's upper limit or one
+    past it."""
+    return edge_or(st.integers(lo, hi), st.sampled_from([limit, limit + 1]), odds=8)
 
 
 def edge_or(usual, edge, odds: int = 6):
@@ -71,10 +92,10 @@ def spec_documents(s2p_paths: list[str]):
     layer = objects({k: maybe(st.just(v)) for k, v in LAYER.items()}, tuple(LAYER))
     side = objects({"shape": maybe(st.sampled_from(["square", "hexagonal", "octagonal",
                                                      "circular", "pentagram"])),
-                    "max_area_m2": maybe(log_uniform(1e-6, 6e-4))})
+                    "max_area_m2": maybe(numbers(1e-6, 6e-4, pipeline.MAX_AREA))})
     tissue = objects({
         "enabled": maybe(st.booleans()),
-        "sections_per_layer": maybe(st.integers(0, 12)),
+        "sections_per_layer": maybe(counts(0, 12, pipeline.MAX_SECTIONS)),
         "face_area_m2": maybe(st.none() | log_uniform(1e-6, 1e-2)),
         "layers": maybe(st.none() | st.lists(maybe(layer), max_size=2)),
         "override_s2p": maybe(st.none() | st.sampled_from(s2p_paths)),
@@ -83,8 +104,8 @@ def spec_documents(s2p_paths: list[str]):
         "v_rx_v": maybe(numbers(1e-3, 30.0)),
         "target_v_out_v": maybe(numbers(0.1, 5.0)),
         "n_min": maybe(st.integers(0, 5)),
-        "n_max": maybe(st.integers(0, 30)),
-        "q_values": maybe(st.lists(numbers(1.0, 10.0), max_size=3)),
+        "n_max": maybe(counts(0, 30, pipeline.MAX_STAGES)),
+        "q_values": maybe(st.lists(numbers(1.0, 10.0, 1.0), max_size=3)),
         "max_charge_time_s": maybe(numbers(1e-6, 100.0)),
         "i_load_avg_a": maybe(numbers(1e-9, 1e-3)),
         "c_store_f": maybe(numbers(1e-9, 1e-5)),
@@ -94,10 +115,10 @@ def spec_documents(s2p_paths: list[str]):
         "tissue_z_ohm": maybe(st.lists(numbers(1.0, 100.0), min_size=2, max_size=2)),
     }, ("v_rx_v", "target_v_out_v"))
     return objects({
-        "f0_hz": maybe(numbers(1e5, 1e9)),
+        "f0_hz": maybe(numbers(1e5, 1e9, netcore.F_MAX)),
         "ports": maybe(objects({"zp1_ohm": maybe(numbers(1.0, 1e3)),
                                 "zp2_ohm": maybe(numbers(1.0, 1e3))})),
-        "k": maybe(numbers(1e-3, 0.99) | st.just("estimate")),
+        "k": maybe(numbers(1e-3, 0.99, 1.0) | st.just("estimate")),
         "distance_m": maybe(st.none() | numbers(1e-4, 0.1)),
         "r1_init_ohm": maybe(numbers(1e-3, 100.0)),
         "r2_init_ohm": maybe(numbers(1e-3, 100.0)),

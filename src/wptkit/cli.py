@@ -135,7 +135,7 @@ def _cmd_tissue_table(args) -> int:
         for i, (d_eps, tau, alpha) in enumerate(layer.dispersions, start=1):
             lines.append(f"  term {i}    d_eps={d_eps:g}  tau={si(tau, 's')}  alpha={alpha:g}")
         lines.append(f"  sigma     {si(layer.sigma_static, 'S/m')}")
-        if args.f:
+        if args.f is not None:
             eps = tissue.complex_permittivity(layer, args.f)
             lines.append(f"  at {si(args.f, 'Hz')}: eps' = {eps.real:.6g}, "
                          f"sigma_eff = {si(tissue.effective_conductivity(layer, args.f), 'S/m')}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,6 @@ TRACE_STEP = 50e-6   # m
 R_STEP = 100e-6      # m
 L_TOL = 0.01
 WHEELER_TOL = 0.05
-# Grid points per array block in synthesize: bounds its working set.
-SYNTH_BLOCK = 4096
 
 CIRCULAR_SEG = math.inf
 
@@ -166,14 +165,59 @@ class NearMiss:
     rel_error: float
 
 
+class RankedCandidates(Sequence):
+    """The kept grid points of one synthesis, in rank order, as a read-only
+    sequence of SpiralGeometry.  A geometry is built only when an index
+    or slice reads it; slices give tuples."""
+
+    def __init__(self, shape: ShapeCoefficients, n, r, dr, w):
+        self._shape = shape
+        self._fields = n, r, dr, w
+
+    def __len__(self) -> int:
+        return len(self._fields[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        n, r, dr, w = (a[index] for a in self._fields)
+        return SpiralGeometry(self._shape, int(n), float(r), float(dr), float(w))
+
+    def __eq__(self, other):
+        if not isinstance(other, RankedCandidates):
+            return NotImplemented
+        return self._shape == other._shape and all(
+            np.array_equal(a, b) for a, b in zip(self._fields, other._fields))
+
+    def __repr__(self) -> str:
+        return f"RankedCandidates({self._shape.name}, {len(self)} candidates)"
+
+
 @dataclass(frozen=True)
 class SynthesisResult:
     l_target: float
-    candidates: tuple[SpiralGeometry, ...]
+    # RankedCandidates when any point is kept, else ().
+    candidates: Sequence[SpiralGeometry]
     nearest: NearMiss | None
 
     def __bool__(self) -> bool:
         return bool(self.candidates)
+
+
+def _first_false(test, hi):
+    """Per lane, the first index in [0, hi) at which ``test`` is false, or
+    hi: a vectorised bisection, for tests true on a prefix of each lane.
+    ``test(lanes, k)`` evaluates the lanes at their indices k."""
+    lo = np.zeros_like(hi)
+    hi = hi.copy()
+    live = np.flatnonzero(hi > 0)
+    while live.size:
+        mid = (lo[live] + hi[live]) // 2
+        ok = test(live, mid)
+        lo[live[ok]] = mid[ok] + 1
+        hi[live[~ok]] = mid[~ok]
+        live = live[lo[live] < hi[live]]
+    return lo
 
 
 def synthesize(l_target: float, fab: FabConstraints,
@@ -187,16 +231,21 @@ def synthesize(l_target: float, fab: FabConstraints,
     target, fit the area cap and agree with the modified-Wheeler
     estimate within WHEELER_TOL (cross-model sanity gate).  Results are
     ranked by descending area: for the same inductance a larger coil
-    couples better.  Without candidates the result carries the nearest
-    miss: the first grid point, in (n, w, dr, r) order, with the smallest
-    relative error outside L_TOL.
+    couples better; ties go by (n, w, dr, r).  Without candidates the
+    result carries the nearest miss: the first grid point, in
+    (n, w, dr, r) order, with the smallest relative error outside L_TOL.
 
-    The (n, w, dr) rows form one table; their r runs, concatenated in
-    row order, are evaluated as numpy arrays in blocks of SYNTH_BLOCK
-    points, so the working memory does not grow with the grid.  Every
-    quantity is the same float expression, evaluated in the same order,
-    as for one SpiralGeometry (``inductance``, ``modified_wheeler``,
-    ``area``), so the result does not depend on the block size.
+    Along every (n, w, dr) row L rises strictly with r (for the four
+    tabulated shapes: dL/dd_avg > 0 wherever dr > w, and tests check
+    every row), and the area grows with r.  So each row is a run of
+    points below the L_TOL window, the window itself, then points above
+    it or over the cap.  Two bisections over all rows at once find the
+    window edges; only the window and its two neighbours, the row's
+    smallest misses, are evaluated in full.  Every quantity is the same
+    float expression as for one SpiralGeometry (``inductance``,
+    ``modified_wheeler``, ``area``), as the grid-scan oracle in the
+    tests evaluates it, so the result equals a full scan of the grid.
+    The candidates are ranked in numpy and built on access.
     """
     # A subnormal target would overflow the relative error of every point.
     if not sys.float_info.min <= l_target < math.inf:
@@ -215,84 +264,79 @@ def synthesize(l_target: float, fab: FabConstraints,
         w_step = fab.min_trace_width + np.arange(W_STEPS) * TRACE_STEP
         dr_step = w_step[:, None] + fab.min_spacing + np.arange(DR_STEPS) * TRACE_STEP
         row_w = np.broadcast_to(w_step[:, None], (N_MAX, W_STEPS, DR_STEPS)).ravel()
+        row_dr = np.broadcast_to(dr_step, (N_MAX, W_STEPS, DR_STEPS)).ravel()
         row_ndr = (n[:, None, None] * dr_step).ravel()
         # Each row's r run is np.arange(R_STEP, r_hi + R_STEP/2, R_STEP);
         # all runs are prefixes of the longest one.
         r_hi = np.maximum((edge_max - row_w) / (2.0 * cosf) - row_ndr, 0.0)
-    row_coef = np.repeat(0.5 * shape.c1 * MU_0 * n * n, W_STEPS * DR_STEPS)
     counts = np.ceil((r_hi + 0.5 * R_STEP - R_STEP) / R_STEP).astype(np.intp)
     counts[r_hi < R_STEP] = 0
-    ends = np.cumsum(counts)
-    starts = ends - counts
     r_run = np.arange(R_STEP, r_hi.max() + 0.5 * R_STEP, R_STEP)
-    del r_hi, counts
+    # From here on the table holds the non-empty rows only, in grid order.
+    rows = np.flatnonzero(counts)
+    row_n = n[rows // (W_STEPS * DR_STEPS)]
+    row_w, row_dr, row_ndr, counts = (a[rows] for a in (row_w, row_dr, row_ndr, counts))
+    row_coef = 0.5 * shape.c1 * MU_0 * row_n * row_n
+    del r_hi, rows
 
-    def evaluate_block(lo: int, hi: int):
-        """Kept rows and radii of points [lo, hi), and the first point
-        with the smallest error among the misses as (row, r, L, error)."""
-        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
-        span = np.minimum(ends[first:last + 1], hi) - np.maximum(starts[first:last + 1], lo)
-        row = np.repeat(np.arange(first, last + 1), span)
-        r = r_run[np.arange(lo, hi) - starts[row]]
+    def evaluate(row, r):
+        """Current-sheet L, edge and d_avg at the points, as SpiralGeometry
+        and inductance evaluate them, and the area test."""
         ndr = row_ndr[row]
-        # Current-sheet L, as SpiralGeometry and inductance evaluate it.
-        # Arrays are dropped once used: the block's working set is what
-        # synthesis adds to peak memory.
         d_avg = (2.0 * r + ndr) * cosf
         edge = row_w[row] + 2.0 * (r + ndr) * cosf
-        del ndr
         phi = edge / d_avg - 1.0
         with np.errstate(invalid="ignore"):
             bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
-        del phi
         l_val = row_coef[row] * d_avg * bracket
-        del bracket
-        usable = (edge * edge <= area_cap) & (l_val > 0.0)
-        rel = np.abs(l_val - l_target) / l_target
-        within = rel <= L_TOL
+        return l_val, edge, d_avg, edge * edge <= area_cap
 
-        # Modified-Wheeler gate, as modified_wheeler evaluates it.
-        hit = np.flatnonzero(usable & within)
-        d_out = np.sqrt(edge[hit] * edge[hit])
-        d_in = 2.0 * d_avg[hit] - d_out
-        valid = d_in > 0.0
-        hit, d_out, d_in = hit[valid], d_out[valid], d_in[valid]
-        rho = (d_out - d_in) / (d_out + d_in)
-        n_hit = n[row[hit] // (W_STEPS * DR_STEPS)]
-        l_mw = shape.k1 * MU_0 * n_hit * n_hit * d_avg[hit] / (1.0 + shape.k2 * rho)
-        l_cs = l_val[hit]
-        hit = hit[~(np.abs(l_cs - l_mw) / l_cs > WHEELER_TOL)]
+    # Lane i < len(counts) finds the first point of row i not below the
+    # window, lane i + len(counts) the first point above it; a point over
+    # the cap ends both searches.
+    def in_run(lane, k):
+        l_val, _, _, fits = evaluate(lane % counts.size, r_run[k])
+        outside = np.abs(l_val - l_target) / l_target > L_TOL
+        return fits & np.where(lane < counts.size, outside & (l_val < l_target),
+                               ~(outside & (l_val > l_target)))
 
-        miss = np.flatnonzero(usable & ~within)
-        if miss.size == 0:
-            return row[hit], r[hit], None
+    first_not_below, first_above = np.split(_first_false(in_run, np.tile(counts, 2)), 2)
+    # The window and its neighbours, in (row, r) order.
+    lo = np.maximum(first_not_below - 1, 0)
+    span = np.minimum(first_above + 1, counts) - lo
+    row = np.repeat(np.arange(counts.size), span)
+    k = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span - lo, span)
+    r = r_run[k]
+    l_val, edge, d_avg, fits = evaluate(row, r)
+    usable = fits & (l_val > 0.0)
+    rel = np.abs(l_val - l_target) / l_target
+    within = rel <= L_TOL
+
+    # Modified-Wheeler gate, as modified_wheeler evaluates it.
+    hit = np.flatnonzero(usable & within)
+    d_out = np.sqrt(edge[hit] * edge[hit])
+    d_in = 2.0 * d_avg[hit] - d_out
+    valid = d_in > 0.0
+    hit, d_out, d_in = hit[valid], d_out[valid], d_in[valid]
+    rho = (d_out - d_in) / (d_out + d_in)
+    n_hit = row_n[row[hit]]
+    l_mw = shape.k1 * MU_0 * n_hit * n_hit * d_avg[hit] / (1.0 + shape.k2 * rho)
+    l_cs = l_val[hit]
+    hit = hit[~(np.abs(l_cs - l_mw) / l_cs > WHEELER_TOL)]
+
+    if hit.size:
+        kept = row[hit]
+        n_k, r_k, dr_k, w_k = row_n[kept], r[hit], row_dr[kept], row_w[kept]
+        # Descending area, as SpiralGeometry.area evaluates it, then n, w, dr, r.
+        order = np.lexsort((r_k, dr_k, w_k, n_k, -(edge[hit] * edge[hit])))
+        return SynthesisResult(l_target, RankedCandidates(
+            shape, n_k[order], r_k[order], dr_k[order], w_k[order]), None)
+    miss = np.flatnonzero(usable & ~within)
+    if miss.size:
         i = miss[np.argmin(rel[miss])]
-        return row[hit], r[hit], (int(row[i]), float(r[i]), float(l_val[i]), float(rel[i]))
-
-    kept_rows = [np.empty(0, np.intp)]
-    kept_r = [np.empty(0)]
-    nearest_at: tuple[int, float, float, float] | None = None  # row, r, L, error
-    total = int(ends[-1])
-    for lo in range(0, total, SYNTH_BLOCK):
-        rows, r, miss = evaluate_block(lo, min(lo + SYNTH_BLOCK, total))
-        kept_rows.append(rows)
-        kept_r.append(r)
-        if miss is not None and (nearest_at is None or miss[3] < nearest_at[3]):
-            nearest_at = miss
-
-    def geometry(i: int, r: float) -> SpiralGeometry:
-        n_i, iwdr = divmod(i, W_STEPS * DR_STEPS)
-        iw, idr = divmod(iwdr, DR_STEPS)
-        return SpiralGeometry(shape, n_i + 1, r, float(dr_step[iw, idr]), float(w_step[iw]))
-
-    kept = zip(np.concatenate(kept_rows).tolist(), np.concatenate(kept_r).tolist())
-    ranked = tuple(sorted((geometry(i, r) for i, r in kept),
-                          key=lambda g: (-g.area, g.n, g.w, g.dr, g.r)))
-    if ranked:
-        return SynthesisResult(l_target, ranked, None)
-    if nearest_at is not None:
-        i, r, l_val, err = nearest_at
-        return SynthesisResult(l_target, (), NearMiss(geometry(i, r), l_val, err))
+        g = SpiralGeometry(shape, int(row_n[row[i]]), float(r[i]),
+                           float(row_dr[row[i]]), float(row_w[row[i]]))
+        return SynthesisResult(l_target, (), NearMiss(g, float(l_val[i]), float(rel[i])))
     # Area cap excludes even the smallest one-turn coil; report that
     # coil as the miss so the caller sees how far off the cap is.
     w_min = fab.min_trace_width

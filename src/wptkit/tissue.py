@@ -144,7 +144,12 @@ def complex_permittivity(layer: ColeColeLayer, f: float) -> complex:
     """Relative complex permittivity of the layer at frequency f.  One
     frequency per call: the complex power has no split form that keeps
     CPython's bits."""
-    w = 2.0 * math.pi * netcore.check_frequency(f)
+    return _permittivity_at(layer, 2.0 * math.pi * netcore.check_frequency(f))
+
+
+def _permittivity_at(layer: ColeColeLayer, w: float) -> complex:
+    """complex_permittivity at the angular frequency w = 2 pi f of a
+    checked frequency f."""
     eps = complex(layer.eps_inf, 0.0)
     for d_eps, tau, alpha in layer.dispersions:
         eps += d_eps / (1.0 + (1j * w * tau) ** (1.0 - alpha))
@@ -186,7 +191,7 @@ def ladder_two_port(stack: TissueStack, f) -> TwoPortMatrix:
     coupling = mu0 * math.sqrt(stack.face_area)
     sections = []
     for layer in stack.layers:
-        eps = netcore.per_point(functools.partial(complex_permittivity, layer), f)
+        eps = netcore.per_point(functools.partial(_permittivity_at, layer), w)
         sigma_eff = 1j * netcore.promote(w) * EPS_0 * netcore.lift(eps)
         t_s = layer.thickness / stack.sections_per_layer
         z = netcore.square(w * coupling) * sigma_eff * t_s

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from wptkit import netcore, pipeline
+from wptkit import cli, netcore, pipeline, tissue
 from wptkit.coil import CoilPair, coil_abcd
 from wptkit.efficiency import gamma_factor
 from wptkit.imn import ElementKind, LSectionIMN, MatchingElement, _db, assemble_link
@@ -30,6 +30,7 @@ from wptkit.tissue import (
     TissueStack,
     complex_permittivity,
     default_implant_stack,
+    effective_conductivity,
     ladder_two_port,
     modified_coil_abcd,
     muscle,
@@ -296,6 +297,23 @@ def test_ladder_axis_equals_object_cascade(sections):
                      [_reference_ladder(stack, f) for f in AXIS.tolist()])
 
 
+def test_ladder_permittivity_is_complex_permittivity(monkeypatch):
+    # The ladder checks its axis once, then evaluates each layer's
+    # permittivity from 2 pi f point by point, unchecked.
+    stack = default_implant_stack()
+    want = [complex_permittivity(layer, f) for layer in stack.layers for f in AXIS.tolist()]
+    core, got = tissue._permittivity_at, []
+
+    def recording(layer, w):
+        got.append(core(layer, w))
+        return got[-1]
+
+    monkeypatch.setattr(tissue, "_permittivity_at", recording)
+    ladder_two_port(stack, AXIS)
+    assert len(got) == len(want) == 3 * 1001
+    assert [repr(eps) for eps in got] == [repr(eps) for eps in want]
+
+
 def test_assemble_link_axis_equals_object_cascade():
     axis = AXIS[::10]
     stack = default_implant_stack(sections_per_layer=10)
@@ -385,9 +403,10 @@ def test_axis_errors_name_the_first_failing_point():
 
 @pytest.mark.parametrize("f", [5e-324, 1e-310, 0.0, -1.0, math.nan, math.inf, 1.7e308,
                                math.nextafter(netcore.F_MAX, math.inf)])
-def test_stages_reject_the_same_frequencies(f):
+def test_stages_reject_the_same_frequencies(f, capsys):
     stack = default_implant_stack(sections_per_layer=1)
-    calls = [lambda: complex_permittivity(muscle(), f)]
+    calls = [lambda: complex_permittivity(muscle(), f),
+             lambda: effective_conductivity(muscle(), f)]
     for value in (f, np.array([F0, f, F0])):
         calls += [lambda value=value: coil_abcd(REF_COIL, value),
                   lambda value=value: ladder_two_port(stack, value)]
@@ -396,7 +415,10 @@ def test_stages_reject_the_same_frequencies(f):
         with pytest.raises(ValueError) as exc:
             call()
         messages.add(str(exc.value))
-    assert messages == {f"frequency must be in [2.22507e-308, 2.86112e+307] Hz, got {f!r}"}
+    message = f"frequency must be in [2.22507e-308, 2.86112e+307] Hz, got {f!r}"
+    assert messages == {message}
+    assert cli.main(["tissue", "table", f"--f={f!r}"]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
     # The smallest normal frequency and the largest with a finite 2 pi f pass.
     netcore.check_frequency(np.array([2.2250738585072014e-308, F0, netcore.F_MAX]))
     assert 2.0 * math.pi * netcore.F_MAX < math.inf

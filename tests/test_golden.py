@@ -1,17 +1,18 @@
 """Byte-exact reference outputs.
 
-The reports of four specs and the three sweep CSVs of the default spec
-are compared byte for byte with files in ``tests/data``.  The references
-pin what a refactor must not move: every report line and footer digit,
-including values that sit at the rounding floor (``s11_link_db`` near
--250 dB), and every sweep row.
+The reports of four specs, the three sweep CSVs of the default spec and
+two ``coil synth`` candidate lists are compared byte for byte with files
+in ``tests/data``.  The references pin what a refactor must not move:
+every report line and footer digit, including values that sit at the
+rounding floor (``s11_link_db`` near -250 dB), every sweep row, and
+every synthesis candidate in rank order.
 """
 
 from pathlib import Path
 
 import pytest
 
-from wptkit import netcore, pipeline, tissue
+from wptkit import cli, netcore, pipeline, tissue
 from wptkit.touchstone import read_touchstone, record_from_matrices, write_touchstone
 
 DATA = Path(__file__).parent / "data"
@@ -77,3 +78,20 @@ def test_report_matches_reference(name):
 def test_default_sweeps_match_reference(tmp_path):
     for kind, text in default_sweeps(tmp_path).items():
         assert text == reference(f"sweep_default_{kind}.csv"), kind
+
+
+# Every candidate (--top beyond any count), square coils at 20 MHz.
+COIL_SYNTH = {
+    "coil_synth_80nH_5mm_square.csv": ("80e-9", "25e-6"),
+    "coil_synth_400nH_18mm_square.csv": ("400.4e-9", "3.24e-4"),
+}
+
+
+@pytest.mark.parametrize("filename", sorted(COIL_SYNTH))
+def test_coil_synth_matches_reference(filename, tmp_path):
+    target, cap = COIL_SYNTH[filename]
+    out = tmp_path / "candidates.csv"
+    assert cli.main(["coil", "synth", "--target-l", target, "--max-area", cap,
+                     "--shape", "square", "--f0", "20e6", "--top", "100000",
+                     "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / filename).read_bytes()

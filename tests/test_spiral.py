@@ -174,15 +174,10 @@ class TestSynthesize:
             skin_depth(math.inf)
 
 
-def _reference_synthesize(l_target, fab, shape):
-    """Point-by-point grid search: one numpy r run per (n, w, dr) row and
-    one SpiralGeometry per point inside L_TOL.  The oracle for the
-    blocked array evaluation in spiral.synthesize."""
+def _grid_rows(fab, shape):
+    """(n, w, dr, r run) of every non-empty grid row, in (n, w, dr) order."""
     cosf = shape.cos_factor
     edge_max = math.sqrt(fab.max_area)
-    candidates = []
-    nearest = None
-
     for n in range(1, spiral.N_MAX + 1):
         for iw in range(spiral.W_STEPS):
             w = fab.min_trace_width + iw * spiral.TRACE_STEP
@@ -192,33 +187,51 @@ def _reference_synthesize(l_target, fab, shape):
                 if r_hi < spiral.R_STEP:
                     continue
                 r = np.arange(spiral.R_STEP, r_hi + 0.5 * spiral.R_STEP, spiral.R_STEP)
-                if r.size == 0:
+                if r.size:
+                    yield n, w, dr, r
+
+
+def _row_inductance(shape, n, w, dr, r):
+    """Current-sheet L and footprint edge along one row's r run, in the
+    array form: np.log and phi**2 over the whole run."""
+    cosf = shape.cos_factor
+    d_avg = (2.0 * r + n * dr) * cosf
+    edge = w + 2.0 * (r + n * dr) * cosf
+    phi = edge / d_avg - 1.0
+    with np.errstate(invalid="ignore"):
+        bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
+    return 0.5 * shape.c1 * spiral.MU_0 * n * n * d_avg * bracket, edge
+
+
+def _reference_synthesize(l_target, fab, shape):
+    """Point-by-point grid search: every point of every (n, w, dr) row,
+    one SpiralGeometry per point inside L_TOL, ranked by a Python sort.
+    The oracle for the bracket search and numpy ranking in
+    spiral.synthesize; its candidates are a tuple."""
+    candidates = []
+    nearest = None
+
+    for n, w, dr, r in _grid_rows(fab, shape):
+        l_val, edge = _row_inductance(shape, n, w, dr, r)
+        ok_area = edge * edge <= fab.max_area * (1.0 + 1e-12)
+        ok_model = l_val > 0.0
+        rel = np.abs(l_val - l_target) / l_target
+        usable = ok_area & ok_model
+        for i in np.nonzero(usable)[0]:
+            err = float(rel[i])
+            if err <= spiral.L_TOL:
+                g = SpiralGeometry(shape, n, float(r[i]), dr, w)
+                try:
+                    l_mw = modified_wheeler(g)
+                except ValueError:
                     continue
-                d_avg = (2.0 * r + n * dr) * cosf
-                edge = w + 2.0 * (r + n * dr) * cosf
-                phi = edge / d_avg - 1.0
-                with np.errstate(invalid="ignore"):
-                    bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
-                l_val = 0.5 * shape.c1 * spiral.MU_0 * n * n * d_avg * bracket
-                ok_area = edge * edge <= fab.max_area * (1.0 + 1e-12)
-                ok_model = l_val > 0.0
-                rel = np.abs(l_val - l_target) / l_target
-                usable = ok_area & ok_model
-                for i in np.nonzero(usable)[0]:
-                    err = float(rel[i])
-                    if err <= spiral.L_TOL:
-                        g = SpiralGeometry(shape, n, float(r[i]), dr, w)
-                        try:
-                            l_mw = modified_wheeler(g)
-                        except ValueError:
-                            continue
-                        l_cs = float(l_val[i])
-                        if abs(l_cs - l_mw) / l_cs > spiral.WHEELER_TOL:
-                            continue
-                        candidates.append((-g.area, n, w, dr, float(r[i]), g))
-                    elif nearest is None or err < nearest.rel_error:
-                        g = SpiralGeometry(shape, n, float(r[i]), dr, w)
-                        nearest = NearMiss(g, float(l_val[i]), err)
+                l_cs = float(l_val[i])
+                if abs(l_cs - l_mw) / l_cs > spiral.WHEELER_TOL:
+                    continue
+                candidates.append((-g.area, n, w, dr, float(r[i]), g))
+            elif nearest is None or err < nearest.rel_error:
+                g = SpiralGeometry(shape, n, float(r[i]), dr, w)
+                nearest = NearMiss(g, float(l_val[i]), err)
 
     candidates.sort(key=lambda item: item[:5])
     ranked = tuple(item[5] for item in candidates)
@@ -233,25 +246,118 @@ def _reference_synthesize(l_target, fab, shape):
     return SynthesisResult(l_target, ranked, nearest if not ranked else None)
 
 
+def assert_matches_reference(l_target, fab, shape):
+    """synthesize equals the oracle: the same candidates in the same
+    order, the same near miss, with equal repr (Python ints and floats,
+    no numpy scalars).  Returns the oracle's result."""
+    got = synthesize(l_target, fab, shape)
+    want = _reference_synthesize(l_target, fab, shape)
+    assert got.l_target == want.l_target
+    assert len(got.candidates) == len(want.candidates)
+    assert tuple(got.candidates) == want.candidates
+    assert repr(tuple(got.candidates)) == repr(want.candidates)
+    assert got.nearest == want.nearest
+    assert repr(got.nearest) == repr(want.nearest)
+    return want
+
+
 # Caps: the two reference implants, a large 1e-2 m^2 board, a 1 mm^2 cap
 # whose few grid points miss both reachable targets (near miss from the
 # grid) and a cap below the smallest one-turn coil (fallback near miss).
 EQUIVALENCE_CAPS = ((5e-3) ** 2, (18e-3) ** 2, 1e-2, (1e-3) ** 2, (0.5e-3) ** 2)
 EQUIVALENCE_TARGETS = (80e-9, 400.4e-9, 1e-3)  # 1 mH is out of reach
+SHAPE_LIST = (SQUARE, HEXAGONAL, OCTAGONAL, CIRCULAR)
+
+
+def _edge_targets(shape, fab, per_side=2, r_min=0.0):
+    """(target, geometry) pairs at which the geometry, a grid point with
+    r >= r_min that passes the Wheeler gate, has a relative error of
+    exactly L_TOL: the first ``per_side`` such points, in grid order, at
+    the window's top edge (L above the target) and at its bottom edge."""
+    found = {1.0: [], -1.0: []}
+    for n, w, dr, r in _grid_rows(fab, shape):
+        l_val, edge = _row_inductance(shape, n, w, dr, r)
+        fits = (edge * edge <= fab.max_area * (1.0 + 1e-12)) & (r >= r_min)
+        for sign, hits in found.items():
+            # One ulp of the target moves the error by many ulps of L_TOL,
+            # so scan a few targets around L / (1 + sign L_TOL).
+            t = np.nextafter(l_val / (1.0 + sign * spiral.L_TOL), 0.0)
+            for _ in range(8):
+                t = np.nextafter(t, np.inf)
+                exact = fits & (np.abs(l_val - t) / t == spiral.L_TOL)
+                for i in np.flatnonzero(exact):
+                    g = SpiralGeometry(shape, n, float(r[i]), dr, w)
+                    try:
+                        l_mw = modified_wheeler(g)
+                    except ValueError:
+                        continue
+                    l_cs = float(l_val[i])
+                    if len(hits) < per_side and abs(l_cs - l_mw) / l_cs <= spiral.WHEELER_TOL:
+                        hits.append((float(t[i]), g))
+        if all(len(hits) == per_side for hits in found.values()):
+            break
+    return found[1.0] + found[-1.0]
+
+
+def _kept_at_edge(target, g, check):
+    """Whether g is kept one ulp below, at and one ulp above target."""
+    return [g in check(t).candidates
+            for t in (math.nextafter(target, 0.0), target, math.nextafter(target, math.inf))]
 
 
 class TestSynthesizeEquivalence:
     @pytest.mark.parametrize("cap", EQUIVALENCE_CAPS, ids="cap={:.3g}".format)
-    @pytest.mark.parametrize("shape", (SQUARE, HEXAGONAL, OCTAGONAL, CIRCULAR),
-                             ids=lambda shape: shape.name)
+    @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
     def test_identical_to_reference_loop(self, shape, cap):
         fab = FabConstraints(max_area=cap)
         for target in EQUIVALENCE_TARGETS:
-            got = synthesize(target, fab, shape)
-            want = _reference_synthesize(target, fab, shape)
-            assert got == want
-            # repr also pins the types: Python ints and floats, no numpy scalars.
-            assert repr(got) == repr(want)
+            assert_matches_reference(target, fab, shape)
+
+    @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
+    def test_window_edges_match_reference(self, shape):
+        # A grid point whose error is exactly L_TOL is kept; one ulp of
+        # target away it sits just inside or just outside the window.
+        fab = FabConstraints(max_area=(5e-3) ** 2)
+        edges = _edge_targets(shape, fab)
+        assert len(edges) == 4
+        for target, g in edges:
+            kept = _kept_at_edge(target, g, lambda t: assert_matches_reference(t, fab, shape))
+            # Kept at the edge; exactly one neighbour moves it outside.
+            assert kept[1] and kept.count(False) == 1
+
+    @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
+    def test_wide_window_edges_kept(self, shape):
+        # At r >= 30 mm one R_STEP changes L by well under 1 %, so the
+        # window spans several points on each side of the target; its edge
+        # points are found in the array form, without the slow oracle.
+        fab = FabConstraints(max_area=1e-2)
+        edges = _edge_targets(shape, fab, r_min=30e-3)
+        assert len(edges) == 4
+        for target, g in edges:
+            kept = _kept_at_edge(target, g, lambda t: synthesize(t, fab, shape))
+            assert kept[1] and kept.count(False) == 1
+
+    def test_random_cases_match_reference(self):
+        rng = np.random.default_rng(20251018)
+        for _ in range(12):
+            cap = math.exp(rng.uniform(math.log((1e-3) ** 2), math.log((18e-3) ** 2)))
+            width, spacing = (float(v) for v in rng.uniform(50e-6, 500e-6, 2))
+            target = math.exp(rng.uniform(math.log(5e-9), math.log(2e-6)))
+            shape = SHAPE_LIST[int(rng.integers(len(SHAPE_LIST)))]
+            assert_matches_reference(target, FabConstraints(width, spacing, cap), shape)
+
+    @pytest.mark.parametrize("minimum", [50e-6, 100e-6, 500e-6])
+    @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
+    def test_inductance_rises_along_every_row(self, shape, minimum):
+        # The invariant the bracket search relies on: along each (n, w, dr)
+        # row the array-form L rises strictly with r, up to the 1e-2 m^2 cap.
+        fab = FabConstraints(minimum, minimum, 1e-2)
+        rows = 0
+        for n, w, dr, r in _grid_rows(fab, shape):
+            l_val, _ = _row_inductance(shape, n, w, dr, r)
+            assert np.all(np.diff(l_val) > 0.0), (n, w, dr)
+            rows += 1
+        assert rows > 4000  # of the 5,760 (n, w, dr) rows
 
     def test_cases_reach_every_outcome(self):
         # Candidates, a near miss from the grid and the one-turn fallback.
@@ -262,6 +368,33 @@ class TestSynthesizeEquivalence:
         assert fallback is not None
         assert (fallback.geometry.n, fallback.geometry.r) == (1, spiral.R_STEP)
         assert fallback.geometry.area > (0.5e-3) ** 2
+
+
+class TestRankedCandidates:
+    def test_geometries_built_only_when_read(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return SpiralGeometry(*args)
+
+        result = synthesize(400.4e-9, FabConstraints(max_area=(18e-3) ** 2), SQUARE)
+        monkeypatch.setattr(spiral, "SpiralGeometry", counting)
+        assert len(result.candidates) > 100 and not built
+        first = result.candidates[0]
+        assert len(built) == 1
+        assert result.candidates[:5][0] == first and len(built) == 6
+
+    def test_sequence_protocol(self):
+        cands = synthesize(80e-9, FabConstraints(max_area=(5e-3) ** 2), SQUARE).candidates
+        full = tuple(cands)
+        assert len(full) == len(cands) > 2
+        assert cands[-1] == full[-1] and cands[1:3] == full[1:3]
+        assert cands[::-1] == full[::-1] and cands[:0] == ()
+        assert list(iter(cands)) == list(full) and full[2] in cands
+        with pytest.raises(IndexError):
+            cands[len(cands)]
+        assert isinstance(cands[0].n, int) and isinstance(cands[0].r, float)
 
 
 class TestAcResistance:

@@ -34,6 +34,10 @@ frequency and on :class:`Split` values along an axis:
   an operand through :func:`lift`.
 - Expressions keep Python's association: left to right, a chain starts
   from the identity and takes one factor at a time.
+- A complex power has one form, :func:`jpow`, for the purely imaginary
+  bases of the Cole-Cole terms: at one frequency it is Python's ``**``,
+  and along an axis it runs CPython's ``complex_pow`` for such a base
+  with a constant phase, calling libm ``pow`` per point.
 - At one frequency the operands are Python floats and complex numbers,
   so a single-frequency caller runs the same lines at Python's own
   speed and pays no numpy per-call cost.
@@ -242,6 +246,29 @@ def square(x):
     """``x ** 2`` as CPython computes it (libm ``pow``, which ``x * x``
     does not match in the last bit); inf where it overflows."""
     return per_point(_pow2, x)
+
+
+# The argument of ``1j * x`` for x >= 0: CPython's ``atan2(x, +0.0)``.
+_HALF_PI = math.atan2(1.0, 0.0)
+
+
+def jpow(x, e):
+    """``(1j * x) ** e`` for x >= 0 and 0 < e <= 1, as CPython computes it.
+
+    Along an axis only libm ``pow`` runs per point, through Python's
+    ``**``.  For this base ``complex_pow`` takes one of two paths: e == 1
+    is ``c_powi``, the product ``1 * (1j * x)``, which is ``(+0.0, x)``;
+    any other e is ``_Py_c_pow`` with ``hypot(+0.0, x) = x`` and argument
+    pi/2, so the result is ``x ** e * (cos(phi), sin(phi))`` with the
+    constant phase phi = (pi/2) e.  inf where x is inf, where CPython
+    raises OverflowError."""
+    if not on_axis(x):
+        return (1j * x) ** e
+    if e == 1.0:
+        return Split(np.zeros_like(x), x)
+    phi = _HALF_PI * e
+    size = np.array([v ** e for v in x.tolist()])
+    return Split(size * math.cos(phi), size * math.sin(phi))
 
 
 def sqrt(x):

@@ -10,8 +10,6 @@ with the stage name and its nearest-miss data.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -719,12 +717,12 @@ def sweep_table(table: NetworkTable, frequencies: Sequence[float] | None = None)
     return _sweep_rows(freqs, table.at(np.array(freqs, dtype=float)), ports)
 
 
+# One CSV row: no field needs quoting, and lines end in "\r\n" as csv.writer ends them.
+_SWEEP_ROW = ",".join(["%.12g"] * len(SWEEP_HEADER)) + "\r\n"
+
+
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
     """Sweep rows as CSV with a header, '.' decimals, no locale."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(SWEEP_HEADER)
-    for row in rows:
-        writer.writerow([f"{row.f:.12g}", f"{row.s11_db:.12g}", f"{row.s21_db:.12g}",
-                         f"{row.s22_db:.12g}", f"{row.pte_pct:.12g}", f"{row.pte_max_pct:.12g}"])
-    return buf.getvalue()
+    return ",".join(SWEEP_HEADER) + "\r\n" + "".join([
+        _SWEEP_ROW % (row.f, row.s11_db, row.s21_db, row.s22_db, row.pte_pct, row.pte_max_pct)
+        for row in rows])

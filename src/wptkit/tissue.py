@@ -21,7 +21,6 @@ wholesale through :func:`import_override`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -141,20 +140,33 @@ def default_implant_stack(face_area: float = (18e-3) ** 2,
 
 
 def complex_permittivity(layer: ColeColeLayer, f: float) -> complex:
-    """Relative complex permittivity of the layer at frequency f.  One
-    frequency per call: the complex power has no split form that keeps
-    CPython's bits."""
-    return _permittivity_at(layer, 2.0 * math.pi * netcore.check_frequency(f))
+    """Relative complex permittivity of the layer at frequency f."""
+    w = 2.0 * math.pi * netcore.check_frequency(f)
+    _check_dispersions((layer,), f, w)
+    return _permittivity_at(layer, w)
 
 
-def _permittivity_at(layer: ColeColeLayer, w: float) -> complex:
+def _check_dispersions(layers, f, w) -> None:
+    """ValueError unless w tau is finite for every dispersion term of every
+    layer at the checked frequency f, or along an axis of them (w = 2 pi f),
+    naming the first failing point and the first layer that fails there."""
+    taus = [max((tau for _, tau, _ in layer.dispersions), default=0.0) for layer in layers]
+    i = netcore.first_point(w * max(taus) == math.inf)
+    if i is not None:
+        at = netcore.point(w, i)
+        name = next(layer.name for layer, tau in zip(layers, taus) if at * tau == math.inf)
+        raise ValueError(f"layer {name!r}: 2 pi f tau overflows at "
+                         f"f = {float(netcore.point(f, i))!r} Hz")
+
+
+def _permittivity_at(layer: ColeColeLayer, w):
     """complex_permittivity at the angular frequency w = 2 pi f of a
-    checked frequency f."""
+    checked frequency f, or along an axis of them (a Split)."""
     eps = complex(layer.eps_inf, 0.0)
     for d_eps, tau, alpha in layer.dispersions:
-        eps += d_eps / (1.0 + (1j * w * tau) ** (1.0 - alpha))
+        eps += d_eps / (1.0 + netcore.jpow(w * tau, 1.0 - alpha))
     if layer.sigma_static > 0.0:
-        eps += layer.sigma_static / (1j * w * EPS_0)
+        eps += layer.sigma_static / (1j * netcore.promote(w) * EPS_0)
     return eps
 
 
@@ -187,12 +199,12 @@ def ladder_two_port(stack: TissueStack, f) -> TwoPortMatrix:
     quadratically.
     """
     w = 2.0 * math.pi * netcore.check_frequency(f)
+    _check_dispersions(stack.layers, f, w)
     mu0 = 4e-7 * math.pi
     coupling = mu0 * math.sqrt(stack.face_area)
     sections = []
     for layer in stack.layers:
-        eps = netcore.per_point(functools.partial(_permittivity_at, layer), w)
-        sigma_eff = 1j * netcore.promote(w) * EPS_0 * netcore.lift(eps)
+        sigma_eff = 1j * netcore.promote(w) * EPS_0 * _permittivity_at(layer, w)
         t_s = layer.thickness / stack.sections_per_layer
         z = netcore.square(w * coupling) * sigma_eff * t_s
         y = sigma_eff * t_s

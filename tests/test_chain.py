@@ -14,9 +14,12 @@ stage builds is counted by wrapping ``TwoPortMatrix.__post_init__``.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptkit import cli, netcore, pipeline, tissue
 from wptkit.coil import CoilPair, coil_abcd
@@ -26,6 +29,8 @@ from wptkit.netcore import TwoPortMatrix
 from wptkit.pipeline import run_design, spec_from_dict
 from wptkit.tissue import (
     EPS_0,
+    TISSUE_LIBRARY,
+    ColeColeLayer,
     NetworkTable,
     TissueStack,
     complex_permittivity,
@@ -299,14 +304,15 @@ def test_ladder_axis_equals_object_cascade(sections):
 
 def test_ladder_permittivity_is_complex_permittivity(monkeypatch):
     # The ladder checks its axis once, then evaluates each layer's
-    # permittivity from 2 pi f point by point, unchecked.
+    # permittivity from 2 pi f along the whole axis, unchecked.
     stack = default_implant_stack()
     want = [complex_permittivity(layer, f) for layer in stack.layers for f in AXIS.tolist()]
     core, got = tissue._permittivity_at, []
 
     def recording(layer, w):
-        got.append(core(layer, w))
-        return got[-1]
+        eps = core(layer, w)
+        got.extend(complex(re, im) for re, im in zip(eps.real.tolist(), eps.imag.tolist()))
+        return eps
 
     monkeypatch.setattr(tissue, "_permittivity_at", recording)
     ladder_two_port(stack, AXIS)
@@ -510,3 +516,61 @@ def test_split_arithmetic_is_cpython_arithmetic():
     for name, (got, want) in reals.items():
         bad = _differ(got, want)
         assert not bad.any(), f"{name}: {int(bad.sum())} of {bad.size} differ"
+
+
+# Every tau and exponent 1 - alpha of the library layers.
+LIBRARY_TERMS = [term for make in TISSUE_LIBRARY.values() for term in make().dispersions]
+LIBRARY_TAUS = sorted({tau for _, tau, _ in LIBRARY_TERMS})
+LIBRARY_EXPONENTS = {1.0 - alpha for _, _, alpha in LIBRARY_TERMS}
+
+
+def _jpow_reprs(x, e):
+    """repr of ``jpow(x, e)`` at each point of the array ``x``."""
+    got = netcore.jpow(x, e)
+    return [repr(complex(re, im)) for re, im in zip(got.real.tolist(), got.imag.tolist())]
+
+
+@pytest.mark.parametrize("e", sorted({1.0, math.nextafter(1.0, 0.0), 0.01, *LIBRARY_EXPONENTS}))
+def test_jpow_is_cpython_complex_power(e):
+    # The bases of the Cole-Cole terms, 2 pi f tau, from 0 and the smallest
+    # subnormal through those of the smallest frequency to the largest float.
+    bases = [0.0, 5e-324, sys.float_info.max]
+    bases += [netcore.F_MIN * tau for tau in LIBRARY_TAUS]
+    bases += [2.0 * math.pi * netcore.F_MIN * tau for tau in LIBRARY_TAUS]
+    bases += np.geomspace(1e-300, 1e300, 6001).tolist()
+    x = np.array(bases)
+    want = [repr((1j * v) ** e) for v in bases]
+    assert _jpow_reprs(x, e) == want
+    assert [repr(netcore.jpow(v, e)) for v in bases] == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.0, sys.float_info.max), min_size=1, max_size=50),
+       st.floats(0.0, 1.0, exclude_min=True))
+def test_jpow_property(bases, e):
+    assert _jpow_reprs(np.array(bases), e) == [repr((1j * v) ** e) for v in bases]
+
+
+def test_overflowing_dispersion_names_the_first_failing_point():
+    # 2 pi f tau overflows above about 2.9e7 Hz for the first layer and
+    # 2.9e6 Hz for the second: along a rising axis the second layer fails
+    # first, and the axis raises the error of that point.
+    layers = tuple(ColeColeLayer(name, 4.0, ((10.0, tau, 0.1), (5.0, 1e-9, 0.0)), 0.2, 0.01)
+                   for name, tau in (("a", 1e300), ("b", 1e301)))
+    stack = TissueStack(layers, 2, 1e-4)
+    axis = np.geomspace(1e6, 1e8, 101)
+    with pytest.raises(ValueError, match="layer 'b': 2 pi f tau overflows") as on_axis:
+        ladder_two_port(stack, axis)
+    for f in axis.tolist():
+        try:
+            ladder_two_port(stack, f)
+        except ValueError as exc:
+            assert str(on_axis.value) == str(exc)
+            break
+    else:
+        pytest.fail("no point of the axis fails on its own")
+    for layer in layers:
+        with pytest.raises(ValueError, match=f"layer '{layer.name}'"):
+            complex_permittivity(layer, 1e8)
+        complex_permittivity(layer, 1e6)
+    assert ladder_two_port(stack, axis[:20]).m11.shape == (20,)

@@ -6,6 +6,8 @@ carry units on every number and end in a machine-readable footer; the
 CLI must honor its exit-code contract.
 """
 
+import csv
+import io
 import json
 import math
 import re
@@ -266,6 +268,24 @@ class TestSweep:
         assert len(lines) == 12
         assert "," in lines[1] and "." in lines[1]
 
+    def test_csv_bytes_match_csv_writer_on_edge_rows(self, symmetric_report):
+        def reference(rows):
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(pipeline.SWEEP_HEADER)
+            for row in rows:
+                writer.writerow([f"{getattr(row, name):.12g}" for name in
+                                 ("f", "s11_db", "s21_db", "s22_db", "pte_pct", "pte_max_pct")])
+            return buf.getvalue()
+
+        edges = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                 sys.float_info.max, -sys.float_info.max, 1e16, -1e16, 1.0, 123456789012.5]
+        rows = [pipeline.SweepRow(*(edges[(i + k) % len(edges)] for k in range(6)))
+                for i in range(len(edges))]
+        rows += sweep_link(symmetric_report.link, frequency_grid(1e7, 4e7, 11, "linear"))
+        assert sweep_csv_text(rows) == reference(rows)
+        assert sweep_csv_text([]) == reference([])
+
     def test_imported_sweep_equals_rows(self, tmp_path, symmetric_report):
         freqs = [10e6, 20e6, 30e6]
         mats = [symmetric_report.link.s_at(f) for f in freqs]
@@ -328,6 +348,26 @@ class TestCli:
         bad = dict(SYMMETRIC, rx={"shape": "square", "max_area_m2": 2.5e-7})
         spec.write_text(json.dumps(bad))
         assert run_cli("design", str(spec)).returncode == 3
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_overflowing_dispersion_is_a_validation_error(self, tmp_path, capsys, command):
+        # 2 pi f tau overflows at f0 for tau = 1e303, and from about 28.7 MHz
+        # for tau = 1e300, inside the sweep's band but above f0.
+        tau = {"design": 1e303, "sweep": 1e300}[command]
+        layer = {"name": "x", "eps_inf": 4.0, "dispersions": [[10.0, tau, 0.1]],
+                 "sigma_s_per_m": 0.2, "thickness_m": 0.01}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"f0_hz": 2e7, "tissue": {"layers": [layer]}}))
+        args = {"design": ["design", str(spec)],
+                "sweep": ["sweep", "--spec", str(spec), "--start", "1e6", "--stop", "1e12"]}
+        assert cli.main(args[command]) == 2
+        at = 2e7
+        if command == "sweep":
+            at = next(f for f in frequency_grid(1e6, 1e12, pipeline.DEFAULT_SWEEP_POINTS)
+                      if 2.0 * math.pi * f * tau == math.inf)
+            assert 2e7 < at < 3e7
+        assert capsys.readouterr().err == \
+            f"validation error: layer 'x': 2 pi f tau overflows at f = {at!r} Hz\n"
 
     def test_zero_coupling_is_a_validation_error(self, tmp_path):
         spec = tmp_path / "k0.json"

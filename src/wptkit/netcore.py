@@ -309,6 +309,14 @@ class Representation(Enum):
     ABCD = "ABCD"
 
 
+class PointError(ValueError):
+    """A value fails validation at point ``index`` of a frequency axis."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def _require_finite(name: str, value: complex) -> complex:
     value = complex(value)
     if not (cmath.isfinite(value)):
@@ -344,8 +352,8 @@ class TwoPortMatrix:
                 raise ValueError("matrix entries must be numbers or (F,) arrays")
             i = first_point(~functools.reduce(np.logical_and, map(np.isfinite, arrays)))
             for name, entries in zip(("m11", "m12", "m21", "m22"), arrays):
-                if i is not None:
-                    _require_finite(name, entries[i])
+                if i is not None and not cmath.isfinite(entries[i]):
+                    raise PointError(i, f"{name} must be finite, got {complex(entries[i])!r}")
                 entries = entries.copy()
                 entries.flags.writeable = False
                 object.__setattr__(self, name, entries)

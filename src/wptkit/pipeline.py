@@ -694,6 +694,15 @@ def frequency_grid(f_start: float, f_stop: float, points: int, scale: str = "log
     raise ValueError(f"scale must be 'log' or 'linear', got {scale!r}")
 
 
+def _s_along(frequencies: list, s_at) -> TwoPortMatrix:
+    """``s_at`` along the sweep's frequency axis; a point that fails
+    validation is named by its frequency."""
+    try:
+        return s_at(np.array(frequencies, dtype=float))
+    except netcore.PointError as exc:
+        raise ValueError(f"{exc} at f = {float(frequencies[exc.index])!r} Hz") from None
+
+
 @netcore.quiet
 def _sweep_rows(frequencies: list, s: TwoPortMatrix, ports: PortPair) -> list[SweepRow]:
     """One row per frequency from the S matrix along the sweep's axis."""
@@ -707,14 +716,14 @@ def sweep_link(model: LinkModel, frequencies: Sequence[float],
                with_imn: bool = True) -> list[SweepRow]:
     """Rows of the link over ``frequencies``, each stage run once for all."""
     freqs = list(frequencies)
-    return _sweep_rows(freqs, model.s_at(np.array(freqs, dtype=float), with_imn=with_imn),
+    return _sweep_rows(freqs, _s_along(freqs, lambda f: model.s_at(f, with_imn=with_imn)),
                        model.ports)
 
 
 def sweep_table(table: NetworkTable, frequencies: Sequence[float] | None = None) -> list[SweepRow]:
     ports = PortPair(table.zp, table.zp)
     freqs = list(frequencies) if frequencies is not None else list(table.frequencies)
-    return _sweep_rows(freqs, table.at(np.array(freqs, dtype=float)), ports)
+    return _sweep_rows(freqs, _s_along(freqs, table.at), ports)
 
 
 # One CSV row: no field needs quoting, and lines end in "\r\n" as csv.writer ends them.

@@ -36,6 +36,7 @@ TRACE_STEP = 50e-6   # m
 R_STEP = 100e-6      # m
 L_TOL = 0.01
 WHEELER_TOL = 0.05
+NEWTON_STEPS = 5  # per window edge, see _guess_edges
 
 CIRCULAR_SEG = math.inf
 
@@ -58,10 +59,21 @@ class ShapeCoefficients:
     k2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.c1, self.c2, self.c3, self.c4, self.k1, self.k2))):
+            raise ValueError("shape coefficients must be finite")
         if not (self.c1 > 0 and self.c2 > 0):
             raise ValueError("C1 and C2 must be > 0")
         if self.seg != CIRCULAR_SEG and self.seg < 3:
             raise ValueError(f"polygon order must be >= 3, got {self.seg}")
+        # Synthesis needs L to rise with d_avg along each (n, w, dr) row:
+        # dL/dd_avg is proportional to ln(c2/phi) + 1 - c4 phi^2, and dr > w
+        # keeps the fill ratio phi in (0, 1 + 1/cos_factor].  That term falls
+        # with phi for c4 >= 0; for c4 < 0 its minimum is at 1/sqrt(-2 c4).
+        phi_max = 1.0 + 1.0 / self.cos_factor
+        phi = min(phi_max, 1.0 / math.sqrt(-2.0 * self.c4)) if self.c4 < 0.0 else phi_max
+        if not math.log(self.c2 / phi) + 1.0 - self.c4 * phi * phi > 0.0:
+            raise ValueError(f"ln(C2/phi) + 1 - C4 phi^2 must be > 0 for fill ratios "
+                             f"phi up to {phi_max:.4g}; it is not at phi = {phi:.4g}")
 
     @property
     def cos_factor(self) -> float:
@@ -220,6 +232,36 @@ def _first_false(test, hi):
     return lo
 
 
+def _guess_edges(shape, targets, coef, w, ndr, counts):
+    """Newton's estimate, per target and row, of the first index of the
+    row's r run at which the current-sheet L reaches the target: a
+    ``(len(targets), rows)`` float array, not clipped to [0, count] and NaN
+    where the iteration breaks down.
+
+    Along a row, with x = d_avg and K = w + n dr cos_factor,
+    L = coef (x ln(c2 x / K) + c3 K + c4 K^2 / x), which rises with x and,
+    for c4 >= 0, is convex; so NEWTON_STEPS steps from the row's top point
+    approach each root from above.  A row whose first point already
+    reaches a target gets 0 for it, one whose top point misses it its
+    count; only the others iterate.
+    """
+    cosf = shape.cos_factor
+    k = w + ndr * cosf
+    c2_k, c3_k, c4_kk = shape.c2 / k, shape.c3 * k, shape.c4 * k * k
+    goal = np.divide.outer(targets, coef)
+    with np.errstate(all="ignore"):
+        first, top = ((2.0 * R_STEP * m + ndr) * cosf for m in (1, counts))
+        l_first, l_top = (x * np.log(c2_k * x) + c3_k + c4_kk / x for x in (first, top))
+        guess = np.where(l_first >= goal, 0.0, counts.astype(float))
+        edge, row = np.nonzero((l_first < goal) & (l_top >= goal))
+        x, goal, c2_k, c3_k, c4_kk = top[row], goal[edge, row], c2_k[row], c3_k[row], c4_kk[row]
+        for _ in range(NEWTON_STEPS):
+            ln = np.log(c2_k * x)
+            x = x - (x * ln + c3_k + c4_kk / x - goal) / (ln + 1.0 - c4_kk / (x * x))
+        guess[edge, row] = np.ceil((x / cosf - ndr[row]) / (2.0 * R_STEP)) - 1.0
+    return guess
+
+
 def synthesize(l_target: float, fab: FabConstraints,
                shape: ShapeCoefficients) -> SynthesisResult:
     """Grid-search spiral layouts hitting ``l_target`` inside the area cap.
@@ -235,17 +277,21 @@ def synthesize(l_target: float, fab: FabConstraints,
     result carries the nearest miss: the first grid point, in
     (n, w, dr, r) order, with the smallest relative error outside L_TOL.
 
-    Along every (n, w, dr) row L rises strictly with r (for the four
-    tabulated shapes: dL/dd_avg > 0 wherever dr > w, and tests check
-    every row), and the area grows with r.  So each row is a run of
-    points below the L_TOL window, the window itself, then points above
-    it or over the cap.  Two bisections over all rows at once find the
-    window edges; only the window and its two neighbours, the row's
-    smallest misses, are evaluated in full.  Every quantity is the same
-    float expression as for one SpiralGeometry (``inductance``,
-    ``modified_wheeler``, ``area``), as the grid-scan oracle in the
-    tests evaluates it, so the result equals a full scan of the grid.
-    The candidates are ranked in numpy and built on access.
+    Along every (n, w, dr) row L rises strictly with r (dL/dd_avg > 0
+    wherever dr > w, which ShapeCoefficients enforces), and the area
+    grows with r.  Each row's run is first trimmed to the points inside
+    the cap; the rest is a run of points below the L_TOL window, the
+    window itself, then points above it.  Newton's method on the closed
+    form of L along the row guesses both window edges (_guess_edges),
+    and only the window and its two neighbours, the row's smallest
+    misses, are evaluated in full.  A guess is kept only where the exact
+    window tests hold at the edges: true just before each edge, false
+    at it; rows that fail are bisected and evaluated again.  Every
+    quantity is the same float expression as for one SpiralGeometry
+    (``inductance``, ``modified_wheeler``, ``area``), as the grid-scan
+    oracle in the tests evaluates it, so the result equals a full scan
+    of the grid whatever the guesses are.  The candidates are ranked in
+    numpy and built on access.
     """
     # A subnormal target would overflow the relative error of every point.
     if not sys.float_info.min <= l_target < math.inf:
@@ -272,6 +318,24 @@ def synthesize(l_target: float, fab: FabConstraints,
     counts = np.ceil((r_hi + 0.5 * R_STEP - R_STEP) / R_STEP).astype(np.intp)
     counts[r_hi < R_STEP] = 0
     r_run = np.arange(R_STEP, r_hi.max() + 0.5 * R_STEP, R_STEP)
+
+    def edge_at(row, r):
+        return row_w[row] + 2.0 * (r + row_ndr[row]) * cosf
+
+    def fits(row, k):
+        edge = edge_at(row, r_run[k])
+        return edge * edge <= area_cap
+
+    # The area test holds on a prefix of each run, which the count above
+    # overshoots by at most its last point, unless rounding at extreme
+    # sizes is coarser than R_STEP (such rows are bisected): trim each
+    # count to that prefix.
+    rows = np.flatnonzero(counts)
+    last_fits = fits(rows, counts[rows] - 1)
+    counts[rows[~last_fits]] -= 1
+    odd = rows[~last_fits & (counts[rows] > 0)]
+    odd = odd[~fits(odd, counts[odd] - 1)]
+    counts[odd] = _first_false(lambda lane, k: fits(odd[lane], k), counts[odd])
     # From here on the table holds the non-empty rows only, in grid order.
     rows = np.flatnonzero(counts)
     row_n = n[rows // (W_STEPS * DR_STEPS)]
@@ -281,34 +345,54 @@ def synthesize(l_target: float, fab: FabConstraints,
 
     def evaluate(row, r):
         """Current-sheet L, edge and d_avg at the points, as SpiralGeometry
-        and inductance evaluate them, and the area test."""
+        and inductance evaluate them."""
         ndr = row_ndr[row]
         d_avg = (2.0 * r + ndr) * cosf
-        edge = row_w[row] + 2.0 * (r + ndr) * cosf
+        edge = edge_at(row, r)
         phi = edge / d_avg - 1.0
         with np.errstate(invalid="ignore"):
             bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
-        l_val = row_coef[row] * d_avg * bracket
-        return l_val, edge, d_avg, edge * edge <= area_cap
+        return row_coef[row] * d_avg * bracket, edge, d_avg
 
-    # Lane i < len(counts) finds the first point of row i not below the
-    # window, lane i + len(counts) the first point above it; a point over
-    # the cap ends both searches.
-    def in_run(lane, k):
-        l_val, _, _, fits = evaluate(lane % counts.size, r_run[k])
+    def window_tests(l_val):
+        """Per point: below the window; not above it.  Along a row each
+        holds on a prefix of the run."""
         outside = np.abs(l_val - l_target) / l_target > L_TOL
-        return fits & np.where(lane < counts.size, outside & (l_val < l_target),
-                               ~(outside & (l_val > l_target)))
+        return outside & (l_val < l_target), ~(outside & (l_val > l_target))
 
-    first_not_below, first_above = np.split(_first_false(in_run, np.tile(counts, 2)), 2)
-    # The window and its neighbours, in (row, r) order.
-    lo = np.maximum(first_not_below - 1, 0)
-    span = np.minimum(first_above + 1, counts) - lo
-    row = np.repeat(np.arange(counts.size), span)
-    k = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span - lo, span)
-    r = r_run[k]
-    l_val, edge, d_avg, fits = evaluate(row, r)
-    usable = fits & (l_val > 0.0)
+    def window(first_not_below, first_above):
+        """The window and its neighbours, in (row, r) order, with each
+        row's offset: run index k of a row sits at position base + k."""
+        lo = np.maximum(first_not_below - 1, 0)
+        span = np.minimum(first_above + 1, counts) - lo
+        base = np.cumsum(span) - span - lo
+        row = np.repeat(np.arange(counts.size), span)
+        return row, base, r_run[np.arange(span.sum()) - np.repeat(base, span)]
+
+    guess = _guess_edges(shape, (l_target * (1.0 - L_TOL), l_target * (1.0 + L_TOL)),
+                         row_coef, row_w, row_ndr, counts)
+    proven = np.isfinite(guess).all(axis=0)
+    first_not_below, first_above = np.where(proven, np.clip(guess, 0, counts), 0).astype(np.intp)
+    first_not_below = np.minimum(first_not_below, first_above)
+    row, base, r = window(first_not_below, first_above)
+    l_val, edge, d_avg = evaluate(row, r)
+    # An edge is proven where its test holds just before it and fails at it.
+    for first, test in zip((first_not_below, first_above), window_tests(l_val)):
+        proven &= (first == 0) | np.take(test, base + first - 1, mode="clip")
+        proven &= (first == counts) | ~np.take(test, base + first, mode="clip")
+    wrong = np.flatnonzero(~proven)
+    if wrong.size:
+        lanes = np.tile(wrong, 2)
+
+        def in_run(lane, k):
+            below, not_above = window_tests(evaluate(lanes[lane], r_run[k])[0])
+            return np.where(lane < wrong.size, below, not_above)
+
+        first_not_below[wrong], first_above[wrong] = np.split(
+            _first_false(in_run, np.tile(counts[wrong], 2)), 2)
+        row, base, r = window(first_not_below, first_above)
+        l_val, edge, d_avg = evaluate(row, r)
+    usable = l_val > 0.0
     rel = np.abs(l_val - l_target) / l_target
     within = rel <= L_TOL
 

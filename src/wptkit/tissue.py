@@ -50,6 +50,9 @@ class ColeColeLayer:
     thickness: float
 
     def __post_init__(self):
+        for name in ("eps_inf", "sigma_static", "thickness"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.eps_inf < 1.0:
             raise ValueError(f"eps_inf must be >= 1, got {self.eps_inf}")
         if self.sigma_static < 0.0:
@@ -58,6 +61,8 @@ class ColeColeLayer:
             raise ValueError("layer thickness must be > 0")
         terms = tuple((float(d), float(t), float(a)) for d, t, a in self.dispersions)
         for d_eps, tau, alpha in terms:
+            if not all(map(math.isfinite, (d_eps, tau, alpha))):
+                raise ValueError(f"dispersion term ({d_eps}, {tau}, {alpha}) must be finite")
             if d_eps < 0.0 or tau <= 0.0:
                 raise ValueError(f"bad dispersion term ({d_eps}, {tau}, {alpha})")
             if not 0.0 <= alpha < 1.0:

@@ -369,6 +369,19 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"validation error: layer 'x': 2 pi f tau overflows at f = {at!r} Hz\n"
 
+    def test_overflowing_sweep_names_the_first_failing_frequency(self, tmp_path, capsys):
+        # Above about 0.1 THz the default link's S parameters overflow; the
+        # one-line error names the first sweep frequency at which they do.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"f0_hz": 2e7}))
+        assert cli.main(["sweep", "--spec", str(spec), "--start", "1e6", "--stop", "1e12"]) == 2
+        at = 119124200802.73763
+        assert capsys.readouterr().err == \
+            f"validation error: m12 must be finite, got (nan+nanj) at f = {at!r} Hz\n"
+        grid = frequency_grid(1e6, 1e12, pipeline.DEFAULT_SWEEP_POINTS)
+        link = pipeline.run_design(pipeline.spec_from_dict({"f0_hz": 2e7})).link
+        assert len(pipeline.sweep_link(link, grid[:grid.index(at)])) == grid.index(at)
+
     def test_zero_coupling_is_a_validation_error(self, tmp_path):
         spec = tmp_path / "k0.json"
         spec.write_text(json.dumps({"f0_hz": 20e6, "k": 0}))

@@ -158,11 +158,13 @@ class TestSynthesize:
         assert a.candidates == b.candidates
 
     @pytest.mark.parametrize("minimum", [1e300, 1.7e308])
-    def test_huge_fabrication_minima_leave_no_grid_point(self, minimum):
-        # The row table overflows; no numpy warning escapes and the result
-        # has neither candidates nor a finite near miss.
-        result = synthesize(80e-9, FabConstraints(minimum, minimum, 1e-4), SQUARE)
-        assert result == SynthesisResult(80e-9, (), None)
+    def test_huge_fabrication_minima_leave_no_grid_point(self, minimum, monkeypatch):
+        # The row table overflows and ends empty, with an empty r run; no
+        # numpy warning escapes and the result has neither candidates nor a
+        # finite near miss, whatever the window-edge guesses.
+        for _ in wrong_guesses(monkeypatch):
+            result = synthesize(80e-9, FabConstraints(minimum, minimum, 1e-4), SQUARE)
+            assert result == SynthesisResult(80e-9, (), None)
 
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -246,18 +248,47 @@ def _reference_synthesize(l_target, fab, shape):
     return SynthesisResult(l_target, ranked, nearest if not ranked else None)
 
 
-def assert_matches_reference(l_target, fab, shape):
+# Wrong window-edge guesses (spiral._guess_edges) that the exact edge
+# tests must catch: each edge off by -3, -1, +1 or +3 points, every edge
+# at 0 or at its row's count, and NaN.  Caught rows are bisected.
+GUESS_ERRORS = {
+    "minus3": lambda guess, counts: guess - 3.0,
+    "minus1": lambda guess, counts: guess - 1.0,
+    "plus1": lambda guess, counts: guess + 1.0,
+    "plus3": lambda guess, counts: guess + 3.0,
+    "zero": lambda guess, counts: np.zeros_like(guess),
+    "count": lambda guess, counts: np.broadcast_to(counts, guess.shape).astype(float),
+    "nan": lambda guess, counts: np.full_like(guess, np.nan),
+}
+
+
+def wrong_guesses(monkeypatch, errors=tuple(GUESS_ERRORS)):
+    """Yields once with Newton's guesses, then once with each of ``errors``
+    applied to them, then restores spiral._guess_edges."""
+    guess_edges = spiral._guess_edges
+    yield "newton"
+    for name in errors:
+        def wrong(*args, error=GUESS_ERRORS[name]):
+            return error(guess_edges(*args), args[-1])
+        monkeypatch.setattr(spiral, "_guess_edges", wrong)
+        yield name
+    monkeypatch.setattr(spiral, "_guess_edges", guess_edges)
+
+
+def assert_matches_reference(l_target, fab, shape, monkeypatch=None):
     """synthesize equals the oracle: the same candidates in the same
     order, the same near miss, with equal repr (Python ints and floats,
-    no numpy scalars).  Returns the oracle's result."""
-    got = synthesize(l_target, fab, shape)
+    no numpy scalars); with ``monkeypatch``, also under every wrong guess
+    of GUESS_ERRORS.  Returns the oracle's result."""
     want = _reference_synthesize(l_target, fab, shape)
-    assert got.l_target == want.l_target
-    assert len(got.candidates) == len(want.candidates)
-    assert tuple(got.candidates) == want.candidates
-    assert repr(tuple(got.candidates)) == repr(want.candidates)
-    assert got.nearest == want.nearest
-    assert repr(got.nearest) == repr(want.nearest)
+    for _ in wrong_guesses(monkeypatch) if monkeypatch else ("newton",):
+        got = synthesize(l_target, fab, shape)
+        assert got.l_target == want.l_target
+        assert len(got.candidates) == len(want.candidates)
+        assert tuple(got.candidates) == want.candidates
+        assert repr(tuple(got.candidates)) == repr(want.candidates)
+        assert got.nearest == want.nearest
+        assert repr(got.nearest) == repr(want.nearest)
     return want
 
 
@@ -308,20 +339,21 @@ def _kept_at_edge(target, g, check):
 class TestSynthesizeEquivalence:
     @pytest.mark.parametrize("cap", EQUIVALENCE_CAPS, ids="cap={:.3g}".format)
     @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
-    def test_identical_to_reference_loop(self, shape, cap):
+    def test_identical_to_reference_loop(self, shape, cap, monkeypatch):
         fab = FabConstraints(max_area=cap)
         for target in EQUIVALENCE_TARGETS:
-            assert_matches_reference(target, fab, shape)
+            assert_matches_reference(target, fab, shape, monkeypatch)
 
     @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
-    def test_window_edges_match_reference(self, shape):
+    def test_window_edges_match_reference(self, shape, monkeypatch):
         # A grid point whose error is exactly L_TOL is kept; one ulp of
         # target away it sits just inside or just outside the window.
         fab = FabConstraints(max_area=(5e-3) ** 2)
         edges = _edge_targets(shape, fab)
         assert len(edges) == 4
         for target, g in edges:
-            kept = _kept_at_edge(target, g, lambda t: assert_matches_reference(t, fab, shape))
+            kept = _kept_at_edge(
+                target, g, lambda t: assert_matches_reference(t, fab, shape, monkeypatch))
             # Kept at the edge; exactly one neighbour moves it outside.
             assert kept[1] and kept.count(False) == 1
 
@@ -358,6 +390,23 @@ class TestSynthesizeEquivalence:
             assert np.all(np.diff(l_val) > 0.0), (n, w, dr)
             rows += 1
         assert rows > 4000  # of the 5,760 (n, w, dr) rows
+
+    @pytest.mark.parametrize("error", GUESS_ERRORS)
+    def test_wrong_guesses_are_bisected(self, monkeypatch, error):
+        # Newton's guesses need no bisection at the reference targets; each
+        # wrong guess is caught on some rows, which are bisected.
+        lanes = {}
+        first_false = spiral._first_false
+
+        def counting(test, hi):
+            lanes[name] = lanes.get(name, 0) + hi.size
+            return first_false(test, hi)
+
+        monkeypatch.setattr(spiral, "_first_false", counting)
+        for name in wrong_guesses(monkeypatch, (error,)):
+            synthesize(400.4e-9, FabConstraints(max_area=(18e-3) ** 2), SQUARE)
+            synthesize(80e-9, FabConstraints(max_area=(5e-3) ** 2), SQUARE)
+        assert lanes["newton"] == 0 and lanes[error] > 0
 
     def test_cases_reach_every_outcome(self):
         # Candidates, a near miss from the grid and the one-turn fallback.
@@ -461,3 +510,21 @@ class TestShapeCoefficients:
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(ValueError):
             ShapeCoefficients("bad", 4, -1.0, 2.0, 0.0, 0.0, 2.34, 2.75)
+        with pytest.raises(ValueError, match="must be finite"):
+            ShapeCoefficients("bad", 4, 1.27, 2.07, 0.18, math.nan, 2.34, 2.75)
+
+    @pytest.mark.parametrize("c2, c4", [(2.07, 0.3), (0.1, -1.0)])
+    def test_l_falling_along_a_row_rejected(self, c2, c4):
+        # dL/dd_avg ~ ln(c2/phi) + 1 - c4 phi^2 must stay > 0 for phi up to
+        # 1 + 1/cos_factor (2.41 for a square).  (2.07, 0.3) fails at that
+        # end; (0.1, -1.0) passes there but fails at its minimum, phi = 0.71.
+        with pytest.raises(ValueError, match="must be > 0 for fill ratios"):
+            ShapeCoefficients("bad", 4, 1.27, c2, 0.18, c4, 2.34, 2.75)
+
+    def test_tabulated_shapes_keep_l_rising(self):
+        # The bracket search's invariant holds with a margin for every
+        # tabulated shape; the square's, 0.088, is the smallest.
+        for shape in SHAPE_LIST:
+            phi = 1.0 + 1.0 / shape.cos_factor
+            assert math.log(shape.c2 / phi) + 1.0 - shape.c4 * phi * phi > 0.08
+        ShapeCoefficients("negative c4", 4, 1.27, 2.07, 0.18, -0.5, 2.34, 2.75)

@@ -81,6 +81,24 @@ class TestColeCole:
         with pytest.raises(ValueError):
             ColeColeLayer("bad", 4.0, (), -1.0, 1e-3)
 
+    @pytest.mark.parametrize("args", [
+        ("x", 4.0, (), math.nan, 0.01),
+        ("x", math.nan, (), 0.2, 0.01),
+        ("x", math.inf, (), 0.2, 0.01),
+        ("x", 4.0, (), math.inf, 0.01),
+        ("x", 4.0, (), 0.2, math.inf),
+        ("x", 4.0, ((math.nan, 1e-9, 0.1),), 0.2, 0.01),
+        ("x", 4.0, ((10.0, math.nan, 0.1),), 0.2, 0.01),
+        ("x", 4.0, ((10.0, math.inf, 0.1),), 0.2, 0.01),
+        ("x", 4.0, ((math.inf, 1e-9, 0.1),), 0.2, 0.01),
+    ])
+    def test_non_finite_fields_rejected(self, args):
+        # NaN fails every comparison, so each field needs its own finiteness
+        # test; a NaN sigma_static used to give a finite, wrong permittivity.
+        with pytest.raises(ValueError, match="must be finite") as err:
+            ColeColeLayer(*args)
+        assert "\n" not in str(err.value)
+
     def test_layer_dict_round_trip(self):
         layer = fat(3e-3)
         spec = spec_from_dict({"f0_hz": 20e6, "tissue": {"layers": [layer_to_dict(layer)]}})

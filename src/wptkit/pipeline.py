@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -669,8 +669,10 @@ def render_report(report: DesignReport) -> str:
 # -- frequency sweeps ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sweep point: |S11|, |S21| and |S22| in dB, PTE and PTE_max in
+    percent.  A tuple, so a CSV line is one ``%`` format."""
+
     f: float
     s11_db: float
     s21_db: float
@@ -705,11 +707,16 @@ def _s_along(frequencies: list, s_at) -> TwoPortMatrix:
 
 @netcore.quiet
 def _sweep_rows(frequencies: list, s: TwoPortMatrix, ports: PortPair) -> list[SweepRow]:
-    """One row per frequency from the S matrix along the sweep's axis."""
-    columns = [abs(netcore.lift(m)) for m in (s.m11, s.m21, s.m22)]
-    columns += [efficiency.pte_link(s.m21, ports), efficiency.pte_max(s).pte_max]
-    return [SweepRow(f, _db(s11), _db(s21), _db(s22), pte * 100.0, pte_max * 100.0)
-            for f, s11, s21, s22, pte, pte_max in zip(frequencies, *(c.tolist() for c in columns))]
+    """One row per frequency from the S matrix along the sweep's axis,
+    built from its columns."""
+    columns = [_db_column(abs(netcore.lift(m))) for m in (s.m11, s.m21, s.m22)]
+    columns += [efficiency.pte_link(s.m21, ports) * 100.0, efficiency.pte_max(s).pte_max * 100.0]
+    return list(map(SweepRow, frequencies, *(c.tolist() for c in columns)))
+
+
+def _db_column(mag: np.ndarray) -> np.ndarray:
+    """``imn._db`` at each point: libm ``log10`` through ``math.log10``."""
+    return 20.0 * np.fromiter(map(math.log10, np.maximum(mag, 1e-300).tolist()), float, mag.size)
 
 
 def sweep_link(model: LinkModel, frequencies: Sequence[float],
@@ -733,5 +740,4 @@ _SWEEP_ROW = ",".join(["%.12g"] * len(SWEEP_HEADER)) + "\r\n"
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
     """Sweep rows as CSV with a header, '.' decimals, no locale."""
     return ",".join(SWEEP_HEADER) + "\r\n" + "".join([
-        _SWEEP_ROW % (row.f, row.s11_db, row.s21_db, row.s22_db, row.pte_pct, row.pte_max_pct)
-        for row in rows])
+        _SWEEP_ROW % row for row in rows])

@@ -14,6 +14,7 @@ coaxial spirals (per-turn filament loops, Neumann integral).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -482,9 +483,18 @@ def _loop_mutual(a: float, b: float, d: float) -> float:
     """
     closeness = math.sqrt(a * b) / max(math.hypot(a - b, d), 1e-12)
     npts = int(min(max(256, 64 * math.ceil(closeness) * 8), 65536))
-    psi = np.linspace(0.0, 2.0 * math.pi, npts, endpoint=False)
-    integrand = np.cos(psi) / np.sqrt(a * a + b * b + d * d - 2.0 * a * b * np.cos(psi))
+    cos_psi = _cos_grid(npts)
+    integrand = cos_psi / np.sqrt(a * a + b * b + d * d - 2.0 * a * b * cos_psi)
     return float(0.5 * MU_0 * a * b * np.mean(integrand) * 2.0 * math.pi)
+
+
+@functools.lru_cache(maxsize=16)
+def _cos_grid(npts: int) -> np.ndarray:
+    """cos(psi) on the ``npts``-point periodic trapezoid grid over [0, 2 pi),
+    read-only: it depends on nothing else."""
+    cos_psi = np.cos(np.linspace(0.0, 2.0 * math.pi, npts, endpoint=False))
+    cos_psi.flags.writeable = False
+    return cos_psi
 
 
 def mutual_inductance(tx: SpiralGeometry, rx: SpiralGeometry, distance: float) -> float:

@@ -207,17 +207,20 @@ def ladder_two_port(stack: TissueStack, f) -> TwoPortMatrix:
     _check_dispersions(stack.layers, f, w)
     mu0 = 4e-7 * math.pi
     coupling = mu0 * math.sqrt(stack.face_area)
+    wc_sq = netcore.square(w * coupling)
     sections = []
     for layer in stack.layers:
         sigma_eff = 1j * netcore.promote(w) * EPS_0 * _permittivity_at(layer, w)
         t_s = layer.thickness / stack.sections_per_layer
-        z = netcore.square(w * coupling) * sigma_eff * t_s
+        z = wc_sq * sigma_eff * t_s
         y = sigma_eff * t_s
         # Symmetric T-section: Z/2 - Y - Z/2 (unit determinant, second-order
         # accurate discretization of the distributed slab).
         half = 0.5 * z
         a = 1.0 + half * y
         sections += [(a, z + half * half * y, y, a)] * stack.sections_per_layer
+    if netcore.on_axis(w):
+        return netcore.abcd_matrix(*netcore.abcd_chain_along(w.size, sections))
     return netcore.abcd_matrix(*netcore.abcd_chain(netcore.IDENTITY, *sections))
 
 

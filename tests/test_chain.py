@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptkit import cli, netcore, pipeline, tissue
-from wptkit.coil import CoilPair, coil_abcd
+from wptkit.coil import CoilPair, PortPair, coil_abcd
 from wptkit.efficiency import gamma_factor
 from wptkit.imn import ElementKind, LSectionIMN, MatchingElement, _db, assemble_link
 from wptkit.netcore import TwoPortMatrix
@@ -574,3 +574,100 @@ def test_overflowing_dispersion_names_the_first_failing_point():
             complex_permittivity(layer, 1e8)
         complex_permittivity(layer, 1e6)
     assert ladder_two_port(stack, axis[:20]).m11.shape == (20,)
+
+
+# -- the stacked chain kernel --------------------------------------------------
+
+BLOCK = netcore.CHAIN_BLOCK
+# Scalar parts: signed zeros, subnormals, the smallest normal, magnitudes
+# whose products overflow, infinities and NaN, besides any float.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, 0.5, -1.5, 3.0,
+           1e154, -1e200, sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
+           math.nan]
+SCALARS = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+def _array_part(rng, size):
+    values = _operands(rng, size)
+    values[rng.random(size) < 0.02] = math.nan
+    return values
+
+
+def _entry(data, rng, size):
+    """A factor entry: a Python complex, a real float (which CPython
+    promotes to (x, +0.0)), or a Split with array or scalar imaginary parts."""
+    kind = data.draw(st.sampled_from(["complex", "real", "split", "split with scalar imag"]))
+    if kind == "complex":
+        return complex(data.draw(SCALARS), data.draw(SCALARS))
+    if kind == "real":
+        return data.draw(SCALARS)
+    imag = _array_part(rng, size) if kind == "split" else data.draw(SCALARS)
+    return netcore.Split(_array_part(rng, size), imag)
+
+
+def _copy(factor):
+    """A new factor tuple equal to ``factor``, with Splits of its own."""
+    def copy(part):
+        return part.copy() if isinstance(part, np.ndarray) else part
+
+    return tuple(netcore.Split(copy(x.real), copy(x.imag)) if isinstance(x, netcore.Split) else x
+                 for x in factor)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]), st.data())
+def test_stacked_chain_is_abcd_chain(size, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    factors = []
+    for _ in range(data.draw(st.integers(1, 40))):
+        reuse = data.draw(st.sampled_from(["new", "same object", "equal copy"])) if factors else "new"
+        if reuse == "new":
+            factors.append(tuple(_entry(data, rng, size) for _ in range(4)))
+        else:
+            factors.append(factors[-1] if reuse == "same object" else _copy(factors[-1]))
+    with np.errstate(all="ignore"):
+        want = netcore.abcd_chain(netcore.IDENTITY, *factors)
+    got = netcore.abcd_chain_along(size, factors)
+    # Bit for bit, NaN at the same points: a NaN's sign and payload follow
+    # the operand order the machine's loop picks for commutative operations,
+    # which numpy does not fix across array lengths (and outputs print any
+    # NaN as nan).
+    for k, (g, w) in enumerate(zip(got, want)):
+        for part in ("real", "imag"):
+            bad = _differ(getattr(g, part), np.broadcast_to(getattr(w, part), (size,)))
+            assert not bad.any(), (k, part, int(bad.sum()))
+
+
+def test_ladder_axis_across_blocks_equals_single_points():
+    # An axis of several blocks with a partial last one; the per-point
+    # ladder runs the product of Python complex numbers.
+    stack = default_implant_stack(sections_per_layer=10)
+    axis = np.geomspace(F0 / 10, F0 * 10, 3 * BLOCK + 7)
+    got = ladder_two_port(stack, axis)
+    picks = sorted({*range(0, axis.size, 97), *(b + d for b in range(0, axis.size, BLOCK)
+                                               for d in (-1, 0, 1)), axis.size - 1} - {-1})
+    assert_axis_same(TwoPortMatrix(got.representation, *(m[picks] for m in got.entries)),
+                     [ladder_two_port(stack, f) for f in axis[picks].tolist()])
+
+
+def test_ladder_squares_w_coupling_once(monkeypatch):
+    calls = []
+    square = netcore.square
+    monkeypatch.setattr(netcore, "square", lambda x: calls.append(x) or square(x))
+    ladder_two_port(default_implant_stack(sections_per_layer=3), AXIS)
+    assert len(calls) == 1
+
+
+def test_table_sweep_with_a_blocked_row_equals_per_point_reference():
+    # S21 = 0 at one row: its dB values are -6000 and pte_max is NaN.
+    rows = [(0.2 + 0.1j, 0.5 - 0.2j, 0.5 - 0.2j, 0.1 + 0.3j),
+            (0.0j, 0.0j, 0.0j, -0.25 + 0j),
+            (-0.3 + 0.05j, 0.6 + 0.1j, 0.6 + 0.1j, 0.2 - 0.1j)]
+    table = NetworkTable((1e6, 2e6, 4e6), tuple(rows), 50.0)
+    freqs = [1e6, 1.5e6, 2e6, 3e6, 4e6]
+    ports = PortPair(50.0, 50.0)
+    got = pipeline.sweep_table(table, freqs)
+    want = [_reference_row(f, _reference_table_at(table, f), ports) for f in freqs]
+    assert [repr(row) for row in got] == [repr(row) for row in want]
+    assert got[2].s21_db == got[2].s11_db == -6000.0 and math.isnan(got[2].pte_max_pct)
+    assert sum(math.isnan(row.pte_max_pct) for row in got) == 1

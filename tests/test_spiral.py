@@ -500,6 +500,26 @@ class TestCoupling:
         k = estimate_k(g, g, 1e-6)
         assert 0.0 <= k < 1.0
 
+    def test_cached_cosine_grid_keeps_the_integral(self):
+        # The grid is built once per point count and shared read-only; the
+        # integral equals, bit for bit, the one that builds its own grid.
+        def uncached(a, b, d):
+            closeness = math.sqrt(a * b) / max(math.hypot(a - b, d), 1e-12)
+            npts = int(min(max(256, 64 * math.ceil(closeness) * 8), 65536))
+            psi = np.linspace(0.0, 2.0 * math.pi, npts, endpoint=False)
+            integrand = np.cos(psi) / np.sqrt(a * a + b * b + d * d - 2.0 * a * b * np.cos(psi))
+            return float(0.5 * spiral.MU_0 * a * b * np.mean(integrand) * 2.0 * math.pi)
+
+        cases = [(10e-3, 10e-3, d) for d in (1e-6, 2e-3, 40e-3)] + [(12e-3, 3e-3, 8e-3)]
+        for _ in range(2):
+            assert [repr(spiral._loop_mutual(*c)) for c in cases] == \
+                [repr(uncached(*c)) for c in cases]
+        grid = spiral._cos_grid(512)
+        assert grid is spiral._cos_grid(512)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
 
 class TestShapeCoefficients:
     def test_embedded_table(self):

@@ -41,9 +41,9 @@ from .errors import (
     WptError,
 )
 from .harvester import (
+    DesignPoint,
     DesignSpaceResult,
     HarvesterConstraints,
-    HarvesterSpec,
     RectifierInput,
     bessel_i0,
     design_space,
@@ -61,7 +61,6 @@ from .imn import (
     assemble_link,
     series_resonance_capacitor,
     synthesize_imn,
-    verify_match,
 )
 from .netcore import (
     Representation,

@@ -171,9 +171,8 @@ def _cmd_harvester_explore(args) -> int:
                          f"{p.match_residual:.12g}"])
     text = buf.getvalue()
     if result.chosen is not None:
-        chosen = result.chosen
-        text += (f"# chosen: n={chosen.n_stages} q={chosen.q_boost:g} "
-                 f"v_t={si(chosen.v_t, 'V')} c_store={si(chosen.c_store, 'F')}\n")
+        text += (f"# chosen: n={result.chosen.n} q={result.chosen.q:g} "
+                 f"v_t={si(constraints.v_t, 'V')} c_store={si(constraints.c_store, 'F')}\n")
     else:
         text += "# no feasible point; nearest misses follow\n"
         for label, p in result.nearest.items():
@@ -290,7 +289,7 @@ def main(argv=None) -> int:
         return _fail("infeasible", exc, EXIT_INFEASIBLE)
     except TouchstoneFormatError as exc:
         return _fail("file error", exc, EXIT_IO)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _fail("i/o error", exc, EXIT_IO)
     except (ValueError, KeyError) as exc:
         return _fail("validation error", exc, EXIT_VALIDATION)

@@ -16,10 +16,6 @@ from . import netcore
 from .errors import DegenerateNetworkError
 from .netcore import Representation, TwoPortMatrix, abcd_matrix, z_matrix
 
-# Two reciprocity estimates (S12, S21) further apart than this are rejected.
-RECIPROCITY_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class CoilPair:
     """Electrical model of the TX/RX coils: self-inductances, series
@@ -194,14 +190,10 @@ class ExtractedParams:
 def extract_params(s: TwoPortMatrix, f: float) -> ExtractedParams:
     """Recover (L1, L2, R1, R2, k) from a reciprocal S matrix at f.
 
-    Uses p = 1+S11, q = 1-S11, u = 1+S22, v = 1-S22, x = S12 S21:
-
-        L1 = Im{zp1 (pv+x)/(qv-x)} / (2 pi f),  R1 = Re{same}
-        L2 = Im{zp2 (qu+x)/(qv-x)} / (2 pi f),  R2 = Re{same}
-        k  = [Re{A} Re{D}]^(-1/2)
-
-    with A, D the transmission parameters of the network.  S12 and S21
-    are averaged when they agree within RECIPROCITY_TOL, else rejected.
+    S12 and S21 are averaged into one transmission when they agree within
+    ``netcore.RECIPROCITY_TOL``, else rejected.  The reciprocal network's
+    Z matrix gives L = Im{Z_ii} / (2 pi f) and R = Re{Z_ii}; its
+    transmission parameters give k = [Re{A} Re{D}]^(-1/2).
     """
     s._expect(Representation.S)
     if not f > 0:
@@ -210,29 +202,19 @@ def extract_params(s: TwoPortMatrix, f: float) -> ExtractedParams:
     scale = max(abs(s12), abs(s21))
     if scale < 1e-300:
         raise DegenerateNetworkError("extract_params: no transmission (S12 = S21 = 0)")
-    if abs(s12 - s21) > RECIPROCITY_TOL * scale:
+    if abs(s12 - s21) > netcore.RECIPROCITY_TOL * scale:
         raise ValueError(
-            f"network is not reciprocal within {RECIPROCITY_TOL:g}: "
+            f"network is not reciprocal within {netcore.RECIPROCITY_TOL:g}: "
             f"S12={s12!r}, S21={s21!r}"
         )
     s_fwd = 0.5 * (s12 + s21)
-    x = s_fwd * s_fwd
-    p, q = 1.0 + s.m11, 1.0 - s.m11
-    u, v = 1.0 + s.m22, 1.0 - s.m22
-    den = q * v - x
-    if abs(den) < 1e-300:
-        raise DegenerateNetworkError("extract_params: qv - x = 0")
-
+    sym = netcore.s_matrix(s.m11, s_fwd, s_fwd, s.m22, s.zp1, s.zp2)
+    z = netcore.s_to_z(sym)
     w = 2.0 * math.pi * f
-    ratio1 = s.zp1 * (p * v + x) / den
-    ratio2 = s.zp2 * (q * u + x) / den
-    l1, r1 = ratio1.imag / w, ratio1.real
-    l2, r2 = ratio2.imag / w, ratio2.real
-
-    # A and D of the same network, for the coupling estimate.
-    a = (p * v + x) / (2.0 * s_fwd) * (s.zp1 / s.zp2) ** 0.5
-    d = (q * u + x) / (2.0 * s_fwd) * (s.zp2 / s.zp1) ** 0.5
-    re_ad = a.real * d.real
+    l1, r1 = z.m11.imag / w, z.m11.real
+    l2, r2 = z.m22.imag / w, z.m22.real
+    abcd = netcore.s_to_abcd(sym)
+    re_ad = abcd.m11.real * abcd.m22.real
 
     issues = []
     if l1 <= 0:

@@ -148,28 +148,6 @@ def stage_scaling_model(r_stage: float, c_stage: float) -> Callable[[int, float]
     return z_in
 
 
-@dataclass(frozen=True)
-class HarvesterSpec:
-    """Chosen operating point of the harvesting chain."""
-
-    n_stages: int
-    v_t: float
-    q_boost: float
-    c_store: float
-    f0: float
-    z_in_eh: complex
-
-    def __post_init__(self):
-        if self.n_stages < 1:
-            raise ValueError("stage count must be >= 1")
-        if not self.v_t > 0:
-            raise ValueError("thermal voltage must be > 0")
-        if self.q_boost < 1.0:
-            raise ValueError("boost quality factor must be >= 1")
-        if not self.c_store > 0:
-            raise ValueError("storage capacitance must be > 0")
-
-
 @dataclass(frozen=True, kw_only=True)
 class HarvesterConstraints:
     """Search box for the design-space sweep."""
@@ -218,8 +196,11 @@ class DesignPoint:
 
 @dataclass(frozen=True)
 class DesignSpaceResult:
+    """The sweep table, the chosen point of it (None when no point is
+    feasible) and, when none is, the nearest miss on each constraint."""
+
     table: tuple[DesignPoint, ...]
-    chosen: HarvesterSpec | None
+    chosen: DesignPoint | None
     nearest: dict[str, DesignPoint]
 
     def __bool__(self) -> bool:
@@ -265,11 +246,7 @@ def design_space(v_rx: float, target_v_out: float,
 
     feasible = [p for p in rows
                 if p.v_out >= target_v_out and p.charge_time <= constraints.max_charge_time]
-    chosen = None
-    if feasible:
-        best = min(feasible, key=lambda p: (p.n, p.match_residual, p.q))
-        chosen = HarvesterSpec(best.n, constraints.v_t, best.q, constraints.c_store,
-                               constraints.f0, best.z_in_eh)
+    chosen = min(feasible, key=lambda p: (p.n, p.match_residual, p.q), default=None)
 
     nearest: dict[str, DesignPoint] = {}
     if not feasible and rows:

@@ -52,14 +52,11 @@ class MatchingElement:
             raise ValueError(f"element value must be positive and finite, got {self.value}")
 
     def reactance(self, f: float) -> float:
-        """Signed reactance (series) or susceptance-equivalent |X| basis."""
+        """Reactance of the element at f: -1/(wC) for a capacitor, wL for
+        an inductor."""
         w = 2.0 * math.pi * f
-        if self.kind is ElementKind.SERIES_INDUCTOR:
-            return w * self.value
-        if self.kind is ElementKind.SERIES_CAPACITOR:
+        if self.kind.is_capacitor:
             return -1.0 / (w * self.value)
-        if self.kind is ElementKind.SHUNT_CAPACITOR:
-            return -1.0 / (w * self.value)  # element impedance, capacitive
         return w * self.value
 
 
@@ -70,10 +67,6 @@ def _element_entries(elem: MatchingElement, f) -> Entries:
     else:
         x = -1j / promote(w * elem.value)  # series impedance 1/(jwC) or shunt admittance 1/(jwL)
     return (1 + 0j, x, 0j, 1 + 0j) if elem.kind.is_series else (1 + 0j, 0j, x, 1 + 0j)
-
-
-def element_abcd(elem: MatchingElement, f) -> TwoPortMatrix:
-    return netcore.abcd_matrix(*_element_entries(elem, f))
 
 
 @dataclass(frozen=True)
@@ -136,21 +129,8 @@ def assemble_link(imn: LSectionIMN, t_coil: TwoPortMatrix, f) -> TwoPortMatrix:
     return netcore.abcd_matrix(*abcd_chain(IDENTITY, tx_abcd, t_coil.operands, rx_abcd))
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    s11_db: float
-    s22_db: float
-    s21_db: float
-
-
 def _db(mag: float) -> float:
     return 20.0 * math.log10(max(mag, 1e-300))
-
-
-def verify_match(t_link: TwoPortMatrix, ports: PortPair) -> MatchReport:
-    """Return loss and transmission of an assembled link (ABCD), in dB."""
-    s = abcd_to_s(t_link, ports.zp1, ports.zp2)
-    return MatchReport(_db(abs(s.m11)), _db(abs(s.m22)), _db(abs(s.m21)))
 
 
 def series_resonance_capacitor(inductance: float, f: float) -> float:
@@ -164,12 +144,23 @@ def series_resonance_capacitor(inductance: float, f: float) -> float:
 
 @dataclass(frozen=True)
 class ImnSolution:
-    """One ranked synthesis result with its achieved port behaviour."""
+    """One ranked synthesis result: the matching network and the S matrix
+    of the full link at f0 that it was verified on."""
 
     imn: LSectionIMN
-    s11_db: float
-    s22_db: float
-    s21_db: float
+    s: TwoPortMatrix
+
+    @property
+    def s11_db(self) -> float:
+        return _db(abs(self.s.m11))
+
+    @property
+    def s22_db(self) -> float:
+        return _db(abs(self.s.m22))
+
+    @property
+    def s21_db(self) -> float:
+        return _db(abs(self.s.m21))
 
     @property
     def s21_mag(self) -> float:
@@ -271,7 +262,7 @@ def simultaneous_match_targets(s: TwoPortMatrix) -> tuple[complex, complex]:
     s11, s12, s21, s22 = s.m11, s.m12, s.m21, s.m22
     if abs(s12 * s21) < 1e-300:
         raise UnmatchableError("no transmission path: S12*S21 = 0")
-    delta = s11 * s22 - s12 * s21
+    delta = s.det
     b1 = 1.0 + abs(s11) ** 2 - abs(s22) ** 2 - abs(delta) ** 2
     b2 = 1.0 + abs(s22) ** 2 - abs(s11) ** 2 - abs(delta) ** 2
     c1 = s11 - delta * s22.conjugate()
@@ -337,10 +328,9 @@ def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair, f0: float) -> ImnSynt
         for rx in rx_options:
             imn = LSectionIMN(_case_of(tx.series_at_port, rx.series_at_port),
                               tx.series, tx.shunt, rx.series, rx.shunt)
-            report = verify_match(assemble_link(imn, t_coil, f0), ports)
-            if report.s11_db > RETURN_LOSS_FLOOR_DB or report.s22_db > RETURN_LOSS_FLOOR_DB:
+            sol = ImnSolution(imn, abcd_to_s(assemble_link(imn, t_coil, f0), ports.zp1, ports.zp2))
+            if sol.s11_db > RETURN_LOSS_FLOOR_DB or sol.s22_db > RETURN_LOSS_FLOOR_DB:
                 continue
-            sol = ImnSolution(imn, report.s11_db, report.s22_db, report.s21_db)
             # |S21| quantized so numerically identical optima actually tie
             # and fall through to the reactance criterion.
             key = (

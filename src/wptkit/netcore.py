@@ -85,6 +85,10 @@ from .errors import DegenerateNetworkError
 # silently overflowing into Inf.
 _DENOM_FLOOR = 1e-300
 
+# Largest |S12 - S21|, relative to max(|S12|, |S21|), at which S data counts
+# as reciprocal: in an imported table and in the matrix extraction reads.
+RECIPROCITY_TOL = 1e-3
+
 
 # (A, B, C, D) or (S11, S12, S21, S22): complex numbers, or Split values
 # along an axis.
@@ -415,20 +419,6 @@ def abcd_matrix(a: complex, b: complex, c: complex, d: complex) -> TwoPortMatrix
     return TwoPortMatrix(Representation.ABCD, a, b, c, d)
 
 
-def identity_abcd() -> TwoPortMatrix:
-    return abcd_matrix(1.0, 0.0, 0.0, 1.0)
-
-
-def series_impedance_abcd(z: complex) -> TwoPortMatrix:
-    """ABCD of a single series impedance z."""
-    return abcd_matrix(1.0, z, 0.0, 1.0)
-
-
-def shunt_admittance_abcd(y: complex) -> TwoPortMatrix:
-    """ABCD of a single shunt admittance y to ground."""
-    return abcd_matrix(1.0, 0.0, y, 1.0)
-
-
 def _guard_denominator(value: complex, context: str) -> complex:
     i = first_point(abs(value) < _DENOM_FLOOR)
     if i is not None:
@@ -620,13 +610,6 @@ def input_reflection(s: TwoPortMatrix, gamma_load: complex) -> complex:
         raise ValueError(f"|gamma_load| must be <= 1, got {abs(gamma_load)}")
     den = _guard_denominator(1.0 - s.m22 * gamma_load, "input_reflection")
     return s.m11 + s.m21 * s.m21 * gamma_load / den
-
-
-def terminated_input_impedance(abcd: TwoPortMatrix, z_load: complex) -> complex:
-    """Input impedance of an ABCD two-port terminated by z_load."""
-    abcd._expect(Representation.ABCD)
-    den = _guard_denominator(abcd.m21 * z_load + abcd.m22, "terminated_input_impedance")
-    return (abcd.m11 * z_load + abcd.m12) / den
 
 
 def reflection_of(z: complex, z0: float) -> complex:

@@ -309,7 +309,7 @@ def spec_from_dict(data) -> DesignSpec:
 
 
 def load_design_spec(path: str | Path) -> DesignSpec:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))
 
 
@@ -389,7 +389,6 @@ class DesignReport:
     l2_target: float
     tx_stage: CoilStage
     rx_stage: CoilStage
-    coils: CoilPair
     k_source: str
     f_opt: float
     s_max_bare: float
@@ -398,7 +397,6 @@ class DesignReport:
     imn_synthesis: imn.ImnSynthesis
     pte_report: efficiency.PteReport
     link: LinkModel
-    stack: TissueStack | None = None
     sar: efficiency.SarBudget | None = None
     harvest_result: harvester.DesignSpaceResult | None = None
 
@@ -411,17 +409,18 @@ class DesignReport:
         return render_report(self)
 
     def footer(self) -> dict[str, float | int | str]:
+        coils = self.link.coils
         out: dict[str, float | int | str] = {
             "f0_hz": self.spec.f0,
             "zp1_ohm": self.spec.ports.zp1,
             "zp2_ohm": self.spec.ports.zp2,
-            "k": self.coils.k,
+            "k": coils.k,
             "k_source": self.k_source,
             "l_opt_h": self.l_opt,
-            "l1_h": self.coils.l1,
-            "l2_h": self.coils.l2,
-            "r1_ohm": self.coils.r1,
-            "r2_ohm": self.coils.r2,
+            "l1_h": coils.l1,
+            "l2_h": coils.l2,
+            "r1_ohm": coils.r1,
+            "r2_ohm": coils.r2,
             "f_opt_hz": self.f_opt,
             "s_max": self.s_max_bare,
             "tx_turns": self.tx_stage.geometry.n,
@@ -452,8 +451,8 @@ class DesignReport:
             out["pdl_max_w"] = self.sar.pdl_max
         if self.harvest_result is not None and self.harvest_result.chosen:
             chosen = self.harvest_result.chosen
-            out["harvester_n"] = chosen.n_stages
-            out["harvester_q"] = chosen.q_boost
+            out["harvester_n"] = chosen.n
+            out["harvester_q"] = chosen.q
         return out
 
 
@@ -514,8 +513,7 @@ def run_design(spec: DesignSpec) -> DesignReport:
     if synthesis.solutions:
         best = synthesis.solutions[0]
         model = replace(model, matching=best.imn)
-        t_link = imn.assemble_link(best.imn, t_eff, spec.f0)
-        s21_link = netcore.abcd_to_s(t_link, ports.zp1, ports.zp2).m21
+        s21_link = best.s.m21
     else:  # already matched: the bare network is the link
         s21_link = s_eff.m21
 
@@ -546,10 +544,10 @@ def run_design(spec: DesignSpec) -> DesignReport:
 
     return DesignReport(
         spec=spec, l_opt=l_opt_val, l1_target=l1_target, l2_target=l2_target,
-        tx_stage=tx_stage, rx_stage=rx_stage, coils=coils, k_source=k_source,
+        tx_stage=tx_stage, rx_stage=rx_stage, k_source=k_source,
         f_opt=f_opt_val, s_max_bare=s_max_val, s21_bare_f0=s21_bare,
         extraction=extraction, imn_synthesis=synthesis, pte_report=pte_rep,
-        link=model, stack=stack, sar=sar, harvest_result=harvest_result,
+        link=model, sar=sar, harvest_result=harvest_result,
     )
 
 
@@ -566,7 +564,7 @@ def render_report(report: DesignReport) -> str:
     add("[inputs]")
     add(f"  design frequency     {si(spec.f0, 'Hz')}")
     add(f"  port impedances      {si(spec.ports.zp1, 'ohm')} / {si(spec.ports.zp2, 'ohm')}")
-    add(f"  coupling coefficient {report.coils.k:.6g} ({report.k_source})")
+    add(f"  coupling coefficient {report.link.coils.k:.6g} ({report.k_source})")
     add(f"  initial resistances  {si(spec.r1_init, 'ohm')} / {si(spec.r2_init, 'ohm')}")
     add("")
     add("[inductance]")
@@ -596,13 +594,14 @@ def render_report(report: DesignReport) -> str:
     add(f"  peak |S21|           {report.s_max_bare:.6g} ({_db(report.s_max_bare):.4g} dB)")
     add(f"  |S21| at f0          {report.s21_bare_f0:.6g} ({_db(report.s21_bare_f0):.4g} dB)")
     add("")
-    if report.stack is not None:
+    stack = report.link.stack
+    if stack is not None:
         add("[tissue channel]")
-        for layer in report.stack.layers:
+        for layer in stack.layers:
             add(f"  layer                {layer.name}: {si(layer.thickness, 'm')}, "
                 f"sigma {si(layer.sigma_static, 'S/m')}")
-        add(f"  sections per layer   {report.stack.sections_per_layer}")
-        add(f"  face area            {report.stack.face_area * 1e6:.4g} mm^2")
+        add(f"  sections per layer   {stack.sections_per_layer}")
+        add(f"  face area            {stack.face_area * 1e6:.4g} mm^2")
         add("")
     ex = report.extraction
     add("[effective coil parameters (re-extracted)]")
@@ -645,12 +644,10 @@ def render_report(report: DesignReport) -> str:
         add(f"  max delivered power  {si(report.sar.pdl_max, 'W')}")
         add("")
     if report.harvest_result is not None and report.harvest_result.chosen is not None:
-        chosen = report.harvest_result.chosen
-        point = next(p for p in report.harvest_result.table
-                     if p.n == chosen.n_stages and p.q == chosen.q_boost)
+        point = report.harvest_result.chosen
         add("[harvester]")
-        add(f"  stages               {chosen.n_stages}")
-        add(f"  boost Q              {chosen.q_boost:.4g}")
+        add(f"  stages               {point.n}")
+        add(f"  boost Q              {point.q:.4g}")
         add(f"  V_out                {si(point.v_out, 'V')}")
         add(f"  R_rect               {si(point.r_rect, 'ohm')}")
         add(f"  C_rect               {si(point.c_rect, 'F')}")

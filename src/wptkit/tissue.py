@@ -31,8 +31,6 @@ from .netcore import TwoPortMatrix, cascade, s_matrix
 
 EPS_0 = 8.8541878128e-12  # F/m
 DEFAULT_SECTIONS = 10  # slab sections per tissue layer
-# Largest |S12 - S21|, relative to max(|S12|, |S21|), accepted in imported data.
-RECIPROCITY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -272,18 +270,9 @@ def import_override(record) -> NetworkTable:
     non-reciprocal rows (the row index is named in the error)."""
     for i, (_, b, c, _) in enumerate(record.s):
         scale = max(abs(b), abs(c), 1e-300)
-        if abs(b - c) > RECIPROCITY_TOL * scale:
+        if abs(b - c) > netcore.RECIPROCITY_TOL * scale:
             raise ValueError(
                 f"row {i}: |S12 - S21| = {abs(b - c):.3g} exceeds reciprocity "
-                f"tolerance {RECIPROCITY_TOL:g}")
+                f"tolerance {netcore.RECIPROCITY_TOL:g}")
     return NetworkTable(record.frequencies, record.s, record.resistance)
 
-
-def layer_to_dict(layer: ColeColeLayer) -> dict:
-    return {
-        "name": layer.name,
-        "eps_inf": layer.eps_inf,
-        "dispersions": [list(term) for term in layer.dispersions],
-        "sigma_s_per_m": layer.sigma_static,
-        "thickness_m": layer.thickness,
-    }

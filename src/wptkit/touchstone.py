@@ -15,7 +15,6 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import TouchstoneFormatError
-from .netcore import TwoPortMatrix, s_matrix
 
 _FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 
@@ -45,10 +44,6 @@ class TouchstoneRecord:
             raise ValueError("frequencies must be strictly increasing")
         if not self.resistance > 0:
             raise ValueError("reference resistance must be > 0")
-
-    def matrix_at(self, index: int) -> TwoPortMatrix:
-        s11, s12, s21, s22 = self.s[index]
-        return s_matrix(s11, s12, s21, s22, self.resistance, self.resistance)
 
 
 def _complex_from(fmt: TouchstoneFormat, a: float, b: float) -> complex:
@@ -128,7 +123,14 @@ def parse_touchstone(text: str) -> TouchstoneRecord:
 
 
 def read_touchstone(path: str | Path) -> TouchstoneRecord:
-    return parse_touchstone(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; count their lines as the parser does.
+        line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise TouchstoneFormatError(
+            line, f"not UTF-8 text ({exc.reason}: byte 0x{exc.object[exc.start]:02x})") from None
+    return parse_touchstone(text)
 
 
 def format_touchstone(record: TouchstoneRecord) -> str:

@@ -1,13 +1,15 @@
 """Byte-exact reference outputs.
 
-The reports of four specs, the three sweep CSVs of the default spec and
-two ``coil synth`` candidate lists are compared byte for byte with files
-in ``tests/data``.  The references pin what a refactor must not move:
+The reports of four specs, the three sweep CSVs of the default spec,
+two ``coil synth`` candidate lists, two ``match`` rankings and three
+``harvester explore`` tables are compared byte for byte with files in
+``tests/data``.  The references pin what a refactor must not move:
 every report line and footer digit, including values that sit at the
 rounding floor (``s11_link_db`` near -250 dB), every sweep row, and
 every synthesis candidate in rank order.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -94,4 +96,36 @@ def test_coil_synth_matches_reference(filename, tmp_path):
     assert cli.main(["coil", "synth", "--target-l", target, "--max-area", cap,
                      "--shape", "square", "--f0", "20e6", "--top", "100000",
                      "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / filename).read_bytes()
+
+
+# Every solution (--top beyond the 64 variants) of two specs.
+MATCH = {
+    "match_default_top64.txt": "default",
+    "match_asymmetric_top64.txt": "asymmetric",
+}
+
+
+@pytest.mark.parametrize("filename", sorted(MATCH))
+def test_match_matches_reference(filename, tmp_path):
+    spec, out = tmp_path / "spec.json", tmp_path / "match.txt"
+    spec.write_text(json.dumps(SPECS[MATCH[filename]]))
+    assert cli.main(["match", str(spec), "--top", "64", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / filename).read_bytes()
+
+
+# The README case, a boosted grid and an infeasible one (exit 3, nearest misses).
+HARVESTER_EXPLORE = {
+    "harvester_explore_readme.csv": ([], 0),
+    "harvester_explore_q124.csv": (["--q", "1", "2", "4"], 0),
+    "harvester_explore_nmax3.csv": (["--n-max", "3"], 3),
+}
+
+
+@pytest.mark.parametrize("filename", sorted(HARVESTER_EXPLORE))
+def test_harvester_explore_matches_reference(filename, tmp_path):
+    flags, code = HARVESTER_EXPLORE[filename]
+    out = tmp_path / "explore.csv"
+    assert cli.main(["harvester", "explore", "--v-rx", "0.05", "--target-v", "1.0",
+                     *flags, "--out", str(out)]) == code
     assert out.read_bytes() == (DATA / filename).read_bytes()

@@ -168,7 +168,7 @@ class TestDesignSpace:
         result = design_space(0.05, 1.0, cons)
         assert result.chosen is not None
         expected = minimum_stage_count(0.05, 1.0, 0.026)
-        assert result.chosen.n_stages == expected == 25
+        assert result.chosen.n == expected == 25
 
     def test_determinism(self):
         cons = constraints(q_range=(1.0, 2.0))
@@ -219,7 +219,7 @@ class TestDesignSpace:
     def test_boost_factor_reduces_stage_count(self):
         plain = design_space(0.05, 1.0, constraints())
         boosted = design_space(0.05, 1.0, constraints(q_range=(3.0,)))
-        assert boosted.chosen.n_stages < plain.chosen.n_stages
+        assert boosted.chosen.n < plain.chosen.n
 
 
 class TestScalingModel:

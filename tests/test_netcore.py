@@ -20,17 +20,16 @@ from wptkit.netcore import (
     abcd_to_z,
     cascade,
     cascade_all,
-    identity_abcd,
     input_reflection,
     s_matrix,
     s_to_abcd,
     s_to_z,
-    series_impedance_abcd,
-    shunt_admittance_abcd,
     z_matrix,
     z_to_abcd,
     z_to_s,
 )
+
+IDENTITY = abcd_matrix(1.0, 0.0, 0.0, 1.0)
 
 
 def close(a: complex, b: complex, tol: float = 1e-12, scale: float = 1.0) -> bool:
@@ -57,7 +56,7 @@ class TestZToS:
     def test_series_element_closed_form(self):
         # Series impedance Z between equal ports: S11 = Z/(Z + 2 Z0),
         # S21 = 2 Z0/(Z + 2 Z0).  Realized through the ABCD route.
-        s = abcd_to_s(series_impedance_abcd(50.0), 50, 50)
+        s = abcd_to_s(abcd_matrix(1.0, 50.0, 0.0, 1.0), 50, 50)
         assert close(s.m11, 1.0 / 3.0)
         assert close(s.m21, 2.0 / 3.0)
 
@@ -86,14 +85,14 @@ class TestZToS:
 
 class TestAbcdToS:
     def test_identity_is_through(self):
-        s = abcd_to_s(identity_abcd(), 50, 50)
+        s = abcd_to_s(IDENTITY, 50, 50)
         assert abs(s.m11) < 1e-15 and abs(s.m22) < 1e-15
         assert close(s.m21, 1.0) and close(s.m12, 1.0)
 
     def test_identity_unequal_ports(self):
         # A direct junction between 50 and 100 ohm references reflects
         # (zp2 - zp1)/(zp2 + zp1) and conserves energy.
-        s = abcd_to_s(identity_abcd(), 50, 100)
+        s = abcd_to_s(IDENTITY, 50, 100)
         assert close(s.m11, 1.0 / 3.0)
         assert abs(abs(s.m21) ** 2 + abs(s.m11) ** 2 - 1.0) < 1e-12
 
@@ -173,13 +172,13 @@ class TestZRoundTrip:
 class TestCascade:
     def test_identity_neutral(self):
         x = abcd_matrix(1 + 2j, 3, 4j, 5)
-        out = cascade(identity_abcd(), x)
+        out = cascade(IDENTITY, x)
         assert out.m11 == x.m11 and out.m12 == x.m12
         assert out.m21 == x.m21 and out.m22 == x.m22
 
     def test_series_elements_add(self):
-        out = cascade(series_impedance_abcd(10 + 5j), series_impedance_abcd(20 - 1j))
-        expect = series_impedance_abcd(30 + 4j)
+        out = cascade(abcd_matrix(1.0, 10 + 5j, 0.0, 1.0), abcd_matrix(1.0, 20 - 1j, 0.0, 1.0))
+        expect = abcd_matrix(1.0, 30 + 4j, 0.0, 1.0)
         assert out.m12 == expect.m12
         assert out.m11 == 1 and out.m22 == 1 and out.m21 == 0
 
@@ -195,11 +194,11 @@ class TestCascade:
 
     def test_cascade_requires_abcd(self):
         with pytest.raises(ValueError):
-            cascade(identity_abcd(), s_matrix(0, 1, 1, 0, 50, 50))
+            cascade(IDENTITY, s_matrix(0, 1, 1, 0, 50, 50))
 
     def test_cascade_all(self):
-        y = shunt_admittance_abcd(0.01j)
-        out = cascade_all(y, identity_abcd(), y)
+        y = abcd_matrix(1.0, 0.0, 0.01j, 1.0)
+        out = cascade_all(y, IDENTITY, y)
         assert close(out.m21, 0.02j)
 
 

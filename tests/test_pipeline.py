@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from wptkit import cli, harvester, imn, pipeline, tissue
+from wptkit import cli, harvester, imn, netcore, pipeline, tissue
 from wptkit.coil import PortPair
 from wptkit.errors import InfeasibleDesignError
 from wptkit.pipeline import (
@@ -119,6 +119,20 @@ class TestSpecParsing:
             harvester.DEFAULT_STAGE_R, harvester.DEFAULT_STAGE_C)
 
 
+def test_readme_library_use_runs():
+    # The README's Library use block runs as it stands and reads what it says.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block, = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    best, point = ns["best"], ns["point"]
+    assert ns["link_s"] is best.s and ns["loss_db"] == best.s21_db
+    assert max(best.s11_db, best.s22_db) < imn.RETURN_LOSS_FLOOR_DB
+    assert ns["loss_db"] == pytest.approx(-0.854, abs=5e-4)
+    assert point in ns["sizing"].table and (ns["stages"], point.q) == (9, 2.0)
+    assert ns["v_dc"] == pytest.approx(1.06, abs=5e-3)
+
+
 LAYER = {"name": "muscle", "eps_inf": 4.0, "dispersions": [[50.0, 7.23e-12, 0.1]],
          "sigma_s_per_m": 0.2, "thickness_m": 0.01}
 
@@ -186,7 +200,7 @@ class TestSymmetricDesign:
         # the re-extracted values describe.
         ex = symmetric_report.extraction
         assert ex.valid
-        assert ex.r2 > symmetric_report.coils.r2  # embedded side got lossier
+        assert ex.r2 > symmetric_report.link.coils.r2  # embedded side got lossier
 
 
 class TestAsymmetricDesign:
@@ -492,6 +506,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("file error: line 3: "), err
 
+    def test_undecodable_s2p_is_a_file_error(self, tmp_path, capsys):
+        s2p = tmp_path / "latin.s2p"
+        s2p.write_bytes(b"# MHZ S RI R 50\n10 0.5 0 0.5 0 0.5 0 0.5 0\n! \xff\n"
+                        b"30 0.5 0 0.5 0 0.5 0 0.5 0\n")
+        assert cli.main(["sweep", "--s2p", str(s2p)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("file error: line 3: "), err
+
+    def test_undecodable_spec_is_an_io_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"f0_hz": 20e6, "tissue": {"layers": [{"name": "\xff"}]}}')
+        assert cli.main(["design", str(spec)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
+
+    def test_override_within_import_tolerance_designs(self, tmp_path, capsys):
+        # S12 off S21 by 1e-4 relative passes the import check (1e-3), so
+        # the design that reads the same table must accept it too.
+        link = run_design(spec_from_dict({"f0_hz": 20e6})).link
+        freqs = frequency_grid(link.f0 / 10.0, link.f0 * 10.0, 51)
+        mats = [netcore.abcd_to_s(link.coil_abcd_at(f), 50.0, 50.0) for f in freqs]
+        record = record_from_matrices(freqs, [
+            netcore.s_matrix(m.m11, m.m12 * (1 + 1e-4), m.m21, m.m22, 50.0, 50.0)
+            for m in mats])
+        s2p = tmp_path / "skewed.s2p"
+        write_touchstone(record, s2p)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"f0_hz": 20e6, "tissue": {"override_s2p": str(s2p)}}))
+        assert cli.main(["sweep", "--s2p", str(s2p), "--out", str(tmp_path / "s.csv")]) == 0
+        assert cli.main(["design", str(spec), "--out", str(tmp_path / "r.txt")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_s2p_convert(self, tmp_path):
         src = tmp_path / "in.s2p"
         src.write_text("# MHZ S MA R 50\n1 0.5 0 1 0 1 0 0.5 0\n2 0.5 0 1 0 1 0 0.5 0\n")
@@ -541,5 +587,5 @@ class TestKEstimation:
         }
         report = run_design(spec_from_dict(spec_dict))
         assert report.k_source == "estimated"
-        assert 0.0 < report.coils.k < 1.0
+        assert 0.0 < report.link.coils.k < 1.0
         assert report.imn_synthesis.solutions

@@ -25,7 +25,6 @@ from wptkit.tissue import (
     fat,
     import_override,
     ladder_two_port,
-    layer_to_dict,
     loss_scaling,
     modified_coil_abcd,
     muscle,
@@ -101,7 +100,10 @@ class TestColeCole:
 
     def test_layer_dict_round_trip(self):
         layer = fat(3e-3)
-        spec = spec_from_dict({"f0_hz": 20e6, "tissue": {"layers": [layer_to_dict(layer)]}})
+        data = {"name": layer.name, "eps_inf": layer.eps_inf,
+                "dispersions": [list(term) for term in layer.dispersions],
+                "sigma_s_per_m": layer.sigma_static, "thickness_m": layer.thickness}
+        spec = spec_from_dict({"f0_hz": 20e6, "tissue": {"layers": [data]}})
         again, = spec.tissue.layers
         assert again == layer
 

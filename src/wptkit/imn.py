@@ -6,10 +6,16 @@ four L/C choices give 4 x 2^4 = 64 variants; the synthesizer solves the
 simultaneous-conjugate-match condition (equivalent to forcing
 S11,link = S22,link = 0 at the design frequency) in closed form and
 keeps every variant whose element values come out positive.
+
+Each variant is then verified on the S matrix of its full link at f0:
+:func:`synthesize_imn` builds each TX option's ``_head`` (I * TX *
+T_coil) once and multiplies it by the RX section, the left-to-right
+products :func:`assemble_link` makes, and so the same bits.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -112,9 +118,6 @@ class LSectionIMN:
     def capacitor_count(self) -> int:
         return sum(1 for e in self.elements if e.kind.is_capacitor)
 
-    def reactance_sum(self, f: float) -> float:
-        return sum(abs(e.reactance(f)) for e in self.elements)
-
 
 @netcore.quiet
 def assemble_link(imn: LSectionIMN, t_coil: TwoPortMatrix, f) -> TwoPortMatrix:
@@ -123,10 +126,21 @@ def assemble_link(imn: LSectionIMN, t_coil: TwoPortMatrix, f) -> TwoPortMatrix:
     t_coil._expect(Representation.ABCD)
     # The TX section runs from its external port toward the coil, the RX
     # section from the coil toward its external port.
-    tx = (imn.tx_series, imn.tx_shunt) if imn.tx_series_at_port else (imn.tx_shunt, imn.tx_series)
-    rx = (imn.rx_shunt, imn.rx_series) if imn.rx_series_at_port else (imn.rx_series, imn.rx_shunt)
-    tx_abcd, rx_abcd = (abcd_chain(*(_element_entries(e, f) for e in side)) for side in (tx, rx))
-    return netcore.abcd_matrix(*abcd_chain(IDENTITY, tx_abcd, t_coil.operands, rx_abcd))
+    tx_abcd = _section(imn.tx_series, imn.tx_shunt, imn.tx_series_at_port, f)
+    rx_abcd = _section(imn.rx_series, imn.rx_shunt, not imn.rx_series_at_port, f)
+    return netcore.abcd_matrix(*abcd_chain(_head(tx_abcd, t_coil), rx_abcd))
+
+
+def _head(tx_abcd: Entries, t_coil: TwoPortMatrix) -> Entries:
+    """I * TX * T_coil: the part of a link before its RX section."""
+    return abcd_chain(IDENTITY, tx_abcd, t_coil.operands)
+
+
+def _section(series: MatchingElement, shunt: MatchingElement, series_first: bool, f) -> Entries:
+    """ABCD entries of a two-element section, its series element at port 1
+    when ``series_first``."""
+    pair = (series, shunt) if series_first else (shunt, series)
+    return abcd_chain(*(_element_entries(e, f) for e in pair))
 
 
 def _db(mag: float) -> float:
@@ -190,6 +204,12 @@ class _SideSolution:
     series_at_port: bool
     series: MatchingElement
     shunt: MatchingElement
+
+    def rank_terms(self, f: float) -> tuple[tuple[float, float], tuple[str, str]]:
+        """The side's terms of the ranking key: the |X| at f of its series
+        and shunt elements, and their kinds, in that order."""
+        pair = (self.series, self.shunt)
+        return tuple(abs(e.reactance(f)) for e in pair), tuple(e.kind.value for e in pair)
 
 
 def _elements_from_xb(x: float, b: float, w: float) -> tuple[MatchingElement, MatchingElement] | None:
@@ -320,25 +340,36 @@ def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair, f0: float) -> ImnSynt
     if abs(gamma_s) < 1e-9 and abs(gamma_l) < 1e-9:
         return ImnSynthesis((), True, z_ms, z_ml, f0)
 
-    tx_options = _solve_side(ports.zp1, z_ms, f0)
-    rx_options = _solve_side(ports.zp2, z_ml, f0)
-
+    zp1, zp2 = ports.zp1, ports.zp2
+    tx_options = _solve_side(zp1, z_ms, f0)
+    rx_options = _solve_side(zp2, z_ml, f0)
+    # A variant's link is head * tail, as assemble_link builds it.
+    tails = [(rx, _section(rx.series, rx.shunt, not rx.series_at_port, f0), *rx.rank_terms(f0))
+             for rx in rx_options]
     kept: list[tuple[tuple, ImnSolution]] = []
     for tx in tx_options:
-        for rx in rx_options:
+        head = _head(_section(tx.series, tx.shunt, tx.series_at_port, f0), t_coil)
+        tx_x, tx_kinds = tx.rank_terms(f0)
+        for rx, tail, rx_x, rx_kinds in tails:
+            link = abcd_chain(head, tail)
+            if not all(map(cmath.isfinite, link)):
+                netcore.abcd_matrix(*link)  # raises the validated matrix's ValueError
+            s_mat = netcore.s_matrix(*netcore.abcd_entries_to_s(*link, zp1, zp2), zp1, zp2)
+            if (_db(abs(s_mat.m11)) > RETURN_LOSS_FLOOR_DB
+                    or _db(abs(s_mat.m22)) > RETURN_LOSS_FLOOR_DB):
+                continue
             imn = LSectionIMN(_case_of(tx.series_at_port, rx.series_at_port),
                               tx.series, tx.shunt, rx.series, rx.shunt)
-            sol = ImnSolution(imn, abcd_to_s(assemble_link(imn, t_coil, f0), ports.zp1, ports.zp2))
-            if sol.s11_db > RETURN_LOSS_FLOOR_DB or sol.s22_db > RETURN_LOSS_FLOOR_DB:
-                continue
+            sol = ImnSolution(imn, s_mat)
             # |S21| quantized so numerically identical optima actually tie
-            # and fall through to the reactance criterion.
+            # and fall through to the total reactance at f0, summed from 0
+            # in the order of imn.elements.
             key = (
                 -imn.capacitor_count,
                 -round(sol.s21_mag, 9),
-                imn.reactance_sum(f0),
+                sum(tx_x + rx_x),
                 imn.topology_case,
-                tuple(e.kind.value for e in imn.elements),
+                tx_kinds + rx_kinds,
             )
             kept.append((key, sol))
 

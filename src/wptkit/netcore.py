@@ -471,15 +471,19 @@ def abcd_to_s(net: TwoPortMatrix, zp1: float, zp2: float) -> TwoPortMatrix:
     net._expect(Representation.ABCD)
     if not (zp1 > 0 and zp2 > 0):
         raise ValueError("reference impedances must be > 0")
-    a, b, c, d = net.operands
+    return s_matrix(*abcd_entries_to_s(*net.operands, zp1, zp2), zp1, zp2)
+
+
+def abcd_entries_to_s(a, b, c, d, zp1: float, zp2: float) -> Entries:
+    """(S11, S12, S21, S22) of ABCD operands for real reference impedances
+    zp1, zp2, unvalidated: the formula of :func:`abcd_to_s`."""
     den = _guard_denominator(a * zp2 + b + c * zp1 * zp2 + d * zp1, "abcd_to_s")
     root = (zp1 * zp2) ** 0.5
-    return s_matrix(
+    return (
         (a * zp2 + b - c * zp1 * zp2 - d * zp1) / den,
         2.0 * (a * d - b * c) * root / den,
         2.0 * root / den,
         (-a * zp2 + b - c * zp1 * zp2 + d * zp1) / den,
-        zp1, zp2,
     )
 
 

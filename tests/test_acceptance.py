@@ -13,7 +13,7 @@ import pytest
 
 import wptkit
 from wptkit import netcore, tissue
-from wptkit.coil import CoilPair, PortPair, coil_abcd, coil_s, extract_params, f_opt, l_opt, s21_mag
+from wptkit.coil import CoilPair, PortPair, coil_abcd, coil_s, extract_params, f_opt, l_opt
 from wptkit.efficiency import gamma_factor, pte_max, sar_constrained_pdl
 from wptkit.errors import TouchstoneFormatError
 from wptkit.harvester import bessel_i0, v_out

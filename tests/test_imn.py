@@ -8,17 +8,23 @@ terminated-impedance calculation.
 """
 
 import math
+import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wptkit import imn as imn_module
 from wptkit import netcore
 from wptkit.coil import CoilPair, PortPair, coil_abcd
 from wptkit.efficiency import pte_max
 from wptkit.errors import UnmatchableError
 from wptkit.imn import (
+    RETURN_LOSS_FLOOR_DB,
     ElementKind,
     ImnSolution,
+    ImnSynthesis,
     LSectionIMN,
     MatchingElement,
     assemble_link,
@@ -26,6 +32,7 @@ from wptkit.imn import (
     simultaneous_match_targets,
     synthesize_imn,
 )
+from wptkit.tissue import default_implant_stack, modified_coil_abcd
 
 REF_COIL = CoilPair(400e-9, 400e-9, 0.5, 0.5, 0.1)
 P50 = PortPair(50, 50)
@@ -53,6 +60,90 @@ def element_link(elem, f):
 def reverified(imn, t_coil, f):
     """The solution re-verified on a freshly assembled link."""
     return ImnSolution(imn, netcore.abcd_to_s(assemble_link(imn, t_coil, f), P50.zp1, P50.zp2))
+
+
+def _reference_synthesize_imn(t_coil, ports, f0):
+    """synthesize_imn with every variant verified on its own link: one
+    assemble_link and one abcd_to_s per variant, and the same ranking key
+    with the total reactance summed over the assembled network's elements."""
+    t_coil._expect(netcore.Representation.ABCD)
+    if not f0 > 0:
+        raise ValueError("design frequency must be > 0")
+    s = netcore.abcd_to_s(t_coil, ports.zp1, ports.zp2)
+    z_ms, z_ml = simultaneous_match_targets(s)
+    for name, z in (("source", z_ms), ("load", z_ml)):
+        if z.real <= 1e-9 * abs(z):
+            raise UnmatchableError(
+                f"{name}-side impedance at f0 is purely reactive ({z:.6g} ohm)")
+    gamma_s = netcore.reflection_of(z_ms, ports.zp1)
+    gamma_l = netcore.reflection_of(z_ml, ports.zp2)
+    if abs(gamma_s) < 1e-9 and abs(gamma_l) < 1e-9:
+        return ImnSynthesis((), True, z_ms, z_ml, f0)
+    tx_options = imn_module._solve_side(ports.zp1, z_ms, f0)
+    rx_options = imn_module._solve_side(ports.zp2, z_ml, f0)
+    kept = []
+    for tx in tx_options:
+        for rx in rx_options:
+            imn = LSectionIMN(imn_module._case_of(tx.series_at_port, rx.series_at_port),
+                              tx.series, tx.shunt, rx.series, rx.shunt)
+            sol = ImnSolution(imn, netcore.abcd_to_s(assemble_link(imn, t_coil, f0),
+                                                     ports.zp1, ports.zp2))
+            if sol.s11_db > RETURN_LOSS_FLOOR_DB or sol.s22_db > RETURN_LOSS_FLOOR_DB:
+                continue
+            key = (-imn.capacitor_count, -round(sol.s21_mag, 9),
+                   sum(abs(e.reactance(f0)) for e in imn.elements), imn.topology_case,
+                   tuple(e.kind.value for e in imn.elements))
+            kept.append((key, sol))
+    kept.sort(key=lambda item: item[0])
+    return ImnSynthesis(tuple(sol for _, sol in kept), False, z_ms, z_ml, f0)
+
+
+def outcome(fn, *args):
+    """The pickled result of fn(*args), or the type and message of what it
+    raised."""
+    try:
+        return pickle.dumps(fn(*args))
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def coil_pairs():
+    inductance = log_uniform(10e-9, 10e-6)
+    resistance = log_uniform(0.01, 10.0)
+    return st.builds(CoilPair, inductance, inductance, resistance, resistance,
+                     st.floats(0.01, 0.95))
+
+
+@st.composite
+def raw_abcd(draw):
+    """An ABCD matrix of random complex entries sharing one scale from
+    1e-155 to 1e153.  Near the ends products overflow or cancel, mostly in
+    the match targets; TestSharedChain fixes two cases where they do so in
+    a variant's link."""
+    scale = draw(st.sampled_from((1e-155, 1e-150, 1e-75, 1.0, 1e75, 1e150, 1e152, 1e153)))
+    part = st.builds(lambda sign, size: sign * size * scale,
+                     st.sampled_from((1.0, -1.0)), log_uniform(0.01, 100.0))
+    return netcore.abcd_matrix(*(complex(draw(part), draw(part)) for _ in range(4)))
+
+
+@st.composite
+def matching_problems(draw):
+    """(coil ABCD at f0, ports, f0): a bare coil pair, the same through the
+    default tissue stack, or a raw ABCD matrix whose products can overflow."""
+    f0 = draw(log_uniform(1e6, 100e6))
+    ports = PortPair(draw(log_uniform(1.0, 200.0)), draw(log_uniform(1.0, 200.0)))
+    kind = draw(st.sampled_from(("bare", "tissue", "raw")))
+    if kind == "raw":
+        t_coil = draw(raw_abcd())
+    else:
+        t_coil = coil_abcd(draw(coil_pairs()), f0)
+        if kind == "tissue":
+            t_coil = modified_coil_abcd(t_coil, default_implant_stack(sections_per_layer=5), f0)
+    return t_coil, ports, f0
 
 
 def terminated_input_impedance(abcd, z_load):
@@ -204,6 +295,40 @@ class TestSynthesize:
         direct = synthesize_imn(ref_abcd(), P50, F0).solutions[0]
         via_comp = synthesize_imn(t_comp, P50, F0).solutions[0]
         assert via_comp.s21_mag ** 2 == pytest.approx(direct.s21_mag ** 2, rel=1e-3)
+
+
+class TestSharedChain:
+    """synthesize_imn against the loop that assembles and converts each
+    variant's link on its own."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(matching_problems())
+    def test_equals_per_variant_reference(self, problem):
+        assert outcome(synthesize_imn, *problem) == outcome(_reference_synthesize_imn, *problem)
+
+    @pytest.mark.parametrize("entries, ports, f0, error", [
+        # Finite coil S, but a variant's S12 overflows, in a variant that
+        # the return-loss floor would drop.
+        ((-2.675448499337647e+153 + 5.24831311283111e+152j,
+          -2.074713736462437e+153 - 1.5915563582908237e+152j,
+          6.8067482286405745e+152 + 1.0117767829009697e+152j,
+          2.438880341398819e+153 - 4.118363169686635e+151j),
+         PortPair(107.0667869271104, 2.691836827867745), 98176486.08097038,
+         "m12 must be finite"),
+        # A variant's S denominator cancels to zero.
+        ((-8.078193074704388e-153 + 1.16104064609446e-152j,
+          5.6559999121070855e-155 - 4.510333966460213e-152j,
+          9.521685147437583e-156 + 1.8814111965159353e-152j,
+          1.377767348925739e-151 - 2.002130092876806e-151j),
+         PortPair(13.704239911477888, 78.24503653849935), 17608895.921445884,
+         "singular denominator in abcd_to_s"),
+    ], ids=("overflow-the-floor-would-drop", "zero-denominator"))
+    def test_a_failing_variant_raises_as_before(self, entries, ports, f0, error):
+        t_coil = netcore.abcd_matrix(*entries)
+        simultaneous_match_targets(netcore.abcd_to_s(t_coil, ports.zp1, ports.zp2))
+        got = outcome(synthesize_imn, t_coil, ports, f0)
+        assert got == outcome(_reference_synthesize_imn, t_coil, ports, f0)
+        assert error in got[1]
 
 
 class TestVerifyMatch:

@@ -21,7 +21,6 @@ from wptkit import cli, harvester, imn, netcore, pipeline, tissue
 from wptkit.coil import PortPair
 from wptkit.errors import InfeasibleDesignError
 from wptkit.pipeline import (
-    DesignSpec,
     frequency_grid,
     load_design_spec,
     run_design,

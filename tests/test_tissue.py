@@ -6,7 +6,6 @@ in its discretization and monotonically damped by conductivity, and the
 import path must reproduce and interpolate tabulated network data.
 """
 
-import cmath
 import math
 
 import pytest

@@ -16,15 +16,17 @@ products :func:`assemble_link` makes, and so the same bits.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 from . import netcore
 from .coil import PortPair
 from .errors import UnmatchableError
-from .netcore import (IDENTITY, Entries, Representation, TwoPortMatrix, abcd_chain, abcd_to_s,
-                      impedance_of, promote)
+from .netcore import (IDENTITY, BuiltOnRead, Entries, Representation, TwoPortMatrix, abcd_chain,
+                      abcd_to_s, impedance_of, promote)
 
 # A synthesized ideal match must push both reflections at least this low.
 RETURN_LOSS_FLOOR_DB = -40.0
@@ -178,18 +180,23 @@ class ImnSolution:
 
     @property
     def s21_mag(self) -> float:
-        return 10.0 ** (self.s21_db / 20.0)
+        return _mag(self.s21_db)
+
+
+def _mag(db: float) -> float:
+    return 10.0 ** (db / 20.0)
 
 
 @dataclass(frozen=True)
 class ImnSynthesis:
-    """All positive-element L-section matches found at f0.
+    """All positive-element L-section matches found at f0, ranked: a
+    sequence of ImnSolution, each built when it is read.
 
     ``already_matched`` flags a network whose ports need no finite
     two-element correction (the degenerate limit).
     """
 
-    solutions: tuple[ImnSolution, ...]
+    solutions: Sequence[ImnSolution]
     already_matched: bool
     z_source_target: complex
     z_load_target: complex
@@ -198,6 +205,10 @@ class ImnSynthesis:
     def __bool__(self) -> bool:
         return bool(self.solutions)
 
+    def __getstate__(self) -> dict:
+        # Pickled with its solutions built, as the tuple they read as.
+        return {**self.__dict__, "solutions": tuple(self.solutions)}
+
 
 @dataclass(frozen=True)
 class _SideSolution:
@@ -205,11 +216,13 @@ class _SideSolution:
     series: MatchingElement
     shunt: MatchingElement
 
-    def rank_terms(self, f: float) -> tuple[tuple[float, float], tuple[str, str]]:
-        """The side's terms of the ranking key: the |X| at f of its series
-        and shunt elements, and their kinds, in that order."""
+    def rank_terms(self, f: float) -> tuple[int, tuple[float, float], tuple[str, str]]:
+        """The side's terms of the ranking key: its capacitor count, then the
+        |X| at f of its series and shunt elements, and their kinds, in that
+        order."""
         pair = (self.series, self.shunt)
-        return tuple(abs(e.reactance(f)) for e in pair), tuple(e.kind.value for e in pair)
+        return (sum(e.kind.is_capacitor for e in pair), tuple(abs(e.reactance(f)) for e in pair),
+                tuple(e.kind.value for e in pair))
 
 
 def _elements_from_xb(x: float, b: float, w: float) -> tuple[MatchingElement, MatchingElement] | None:
@@ -315,19 +328,32 @@ def simultaneous_match_targets(s: TwoPortMatrix) -> tuple[complex, complex]:
     return impedance_of(g_ms, s.zp1), impedance_of(g_ml, s.zp2)
 
 
-def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair, f0: float) -> ImnSynthesis:
+def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair | TwoPortMatrix,
+                   f0: float) -> ImnSynthesis:
     """Solve all 64 L-section variants that match both link ports at f0.
+
+    ``ports`` holds the port impedances: a PortPair, or the S matrix of
+    ``t_coil`` referred to them, as ``abcd_to_s(t_coil, zp1, zp2)`` gives
+    it, which a caller that has it passes so that it is not converted
+    again.
 
     Every emitted solution has all-positive element values and has been
     re-verified to drive |S11,link| and |S22,link| below the return-loss
     floor.  Ranking: capacitor-rich networks first (implants avoid bulky
     inductors), then by descending |S21,link|, then by smaller total
-    reactance at f0.
+    reactance at f0.  Variants are verified and ranked on the link's S
+    entries as plain numbers; a solution's LSectionIMN and validated S
+    matrix are built when it is read.
     """
     t_coil._expect(Representation.ABCD)
     if not f0 > 0:
         raise ValueError("design frequency must be > 0")
-    s = abcd_to_s(t_coil, ports.zp1, ports.zp2)
+    if isinstance(ports, TwoPortMatrix):
+        ports._expect(Representation.S)
+        s = ports
+    else:
+        s = abcd_to_s(t_coil, ports.zp1, ports.zp2)
+    zp1, zp2 = s.zp1, s.zp2
     z_ms, z_ml = simultaneous_match_targets(s)
 
     for name, z in (("source", z_ms), ("load", z_ml)):
@@ -335,43 +361,50 @@ def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair, f0: float) -> ImnSynt
             raise UnmatchableError(
                 f"{name}-side impedance at f0 is purely reactive ({z:.6g} ohm)")
 
-    gamma_s = netcore.reflection_of(z_ms, ports.zp1)
-    gamma_l = netcore.reflection_of(z_ml, ports.zp2)
+    gamma_s = netcore.reflection_of(z_ms, zp1)
+    gamma_l = netcore.reflection_of(z_ml, zp2)
     if abs(gamma_s) < 1e-9 and abs(gamma_l) < 1e-9:
         return ImnSynthesis((), True, z_ms, z_ml, f0)
 
-    zp1, zp2 = ports.zp1, ports.zp2
     tx_options = _solve_side(zp1, z_ms, f0)
     rx_options = _solve_side(zp2, z_ml, f0)
     # A variant's link is head * tail, as assemble_link builds it.
     tails = [(rx, _section(rx.series, rx.shunt, not rx.series_at_port, f0), *rx.rank_terms(f0))
              for rx in rx_options]
-    kept: list[tuple[tuple, ImnSolution]] = []
+    kept = []
     for tx in tx_options:
         head = _head(_section(tx.series, tx.shunt, tx.series_at_port, f0), t_coil)
-        tx_x, tx_kinds = tx.rank_terms(f0)
-        for rx, tail, rx_x, rx_kinds in tails:
+        tx_caps, tx_x, tx_kinds = tx.rank_terms(f0)
+        for rx, tail, rx_caps, rx_x, rx_kinds in tails:
             link = abcd_chain(head, tail)
             if not all(map(cmath.isfinite, link)):
                 netcore.abcd_matrix(*link)  # raises the validated matrix's ValueError
-            s_mat = netcore.s_matrix(*netcore.abcd_entries_to_s(*link, zp1, zp2), zp1, zp2)
-            if (_db(abs(s_mat.m11)) > RETURN_LOSS_FLOOR_DB
-                    or _db(abs(s_mat.m22)) > RETURN_LOSS_FLOOR_DB):
+            s_link = netcore.abcd_entries_to_s(*link, zp1, zp2)
+            if not all(map(cmath.isfinite, s_link)):
+                netcore.s_matrix(*s_link, zp1, zp2)  # likewise
+            if (_db(abs(s_link[0])) > RETURN_LOSS_FLOOR_DB
+                    or _db(abs(s_link[3])) > RETURN_LOSS_FLOOR_DB):
                 continue
-            imn = LSectionIMN(_case_of(tx.series_at_port, rx.series_at_port),
-                              tx.series, tx.shunt, rx.series, rx.shunt)
-            sol = ImnSolution(imn, s_mat)
+            case = _case_of(tx.series_at_port, rx.series_at_port)
             # |S21| quantized so numerically identical optima actually tie
             # and fall through to the total reactance at f0, summed from 0
-            # in the order of imn.elements.
+            # in the order of LSectionIMN.elements.
             key = (
-                -imn.capacitor_count,
-                -round(sol.s21_mag, 9),
+                -(tx_caps + rx_caps),
+                -round(_mag(_db(abs(s_link[2]))), 9),
                 sum(tx_x + rx_x),
-                imn.topology_case,
+                case,
                 tx_kinds + rx_kinds,
             )
-            kept.append((key, sol))
+            kept.append((key, (case, tx, rx), s_link))
 
     kept.sort(key=lambda item: item[0])
-    return ImnSynthesis(tuple(sol for _, sol in kept), False, z_ms, z_ml, f0)
+    solutions = BuiltOnRead(functools.partial(_solution, zp1, zp2),
+                            [item[1] for item in kept], [item[2] for item in kept])
+    return ImnSynthesis(solutions, False, z_ms, z_ml, f0)
+
+
+def _solution(zp1: float, zp2: float, variant: tuple, s_link: Entries) -> ImnSolution:
+    case, tx, rx = variant
+    return ImnSolution(LSectionIMN(case, tx.series, tx.shunt, rx.series, rx.shunt),
+                       netcore.s_matrix(*s_link, zp1, zp2))

@@ -74,6 +74,7 @@ import cmath
 import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -626,3 +627,33 @@ def impedance_of(gamma: complex, z0: float) -> complex:
     """Impedance corresponding to reflection coefficient gamma at z0."""
     den = _guard_denominator(1.0 - gamma, "impedance_of")
     return z0 * (1.0 + gamma) / den
+
+
+# -- results built on read ------------------------------------------------------
+
+
+class BuiltOnRead(Sequence):
+    """A read-only sequence whose items ``build(*fields)`` makes from the
+    i-th value of each of ``fields`` only when an index or slice reads
+    item i; slices give tuples.  Two such sequences are equal when their
+    items are, and hash as the tuple of their items."""
+
+    def __init__(self, build, *fields):
+        self._build = build
+        self._fields = fields
+
+    def __len__(self) -> int:
+        return len(self._fields[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        return self._build(*(field[index] for field in self._fields))
+
+    def __eq__(self, other):
+        if not isinstance(other, BuiltOnRead):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))

@@ -503,7 +503,7 @@ def run_design(spec: DesignSpec) -> DesignReport:
     extraction = coil.extract_params(s_eff, spec.f0)
 
     try:
-        synthesis = imn.synthesize_imn(t_eff, ports, spec.f0)
+        synthesis = imn.synthesize_imn(t_eff, s_eff, spec.f0)
     except UnmatchableError as exc:
         raise InfeasibleDesignError("imn synthesis", str(exc)) from exc
     if not synthesis.solutions and not synthesis.already_matched:

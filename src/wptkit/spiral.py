@@ -19,10 +19,11 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .netcore import check_frequency
+from .netcore import BuiltOnRead, check_frequency
 
 MU_0 = 4e-7 * math.pi          # H/m
 COPPER_RESISTIVITY = 1.68e-8   # ohm*m
@@ -37,7 +38,16 @@ TRACE_STEP = 50e-6   # m
 R_STEP = 100e-6      # m
 L_TOL = 0.01
 WHEELER_TOL = 0.05
-NEWTON_STEPS = 5  # per window edge, see _guess_edges
+NEWTON_STEPS = 3  # per window edge, see _guess_edges
+# Relative widening of each row's closed-form L bounds before synthesis
+# drops the rows whose bounds miss the L_TOL window: far above the
+# rounding that separates the closed form from the evaluated L (under
+# 5e-15 for the tabulated shapes, fab minima of 50-500 um and caps from
+# 1 mm^2 to 1e-2 m^2).
+PRUNE_MARGIN = 1e-6
+# Integrand points per block of the coupling sum (mutual_inductance): a
+# 512 KiB float64 block, which holds one pair at the largest quadrature.
+NEUMANN_BLOCK = 65536
 
 CIRCULAR_SEG = math.inf
 
@@ -178,23 +188,14 @@ class NearMiss:
     rel_error: float
 
 
-class RankedCandidates(Sequence):
+class RankedCandidates(BuiltOnRead):
     """The kept grid points of one synthesis, in rank order, as a read-only
     sequence of SpiralGeometry.  A geometry is built only when an index
     or slice reads it; slices give tuples."""
 
     def __init__(self, shape: ShapeCoefficients, n, r, dr, w):
+        super().__init__(functools.partial(_geometry, shape), n, r, dr, w)
         self._shape = shape
-        self._fields = n, r, dr, w
-
-    def __len__(self) -> int:
-        return len(self._fields[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        n, r, dr, w = (a[index] for a in self._fields)
-        return SpiralGeometry(self._shape, int(n), float(r), float(dr), float(w))
 
     def __eq__(self, other):
         if not isinstance(other, RankedCandidates):
@@ -204,6 +205,10 @@ class RankedCandidates(Sequence):
 
     def __repr__(self) -> str:
         return f"RankedCandidates({self._shape.name}, {len(self)} candidates)"
+
+
+def _geometry(shape: ShapeCoefficients, n, r, dr, w) -> SpiralGeometry:
+    return SpiralGeometry(shape, int(n), float(r), float(dr), float(w))
 
 
 @dataclass(frozen=True)
@@ -233,34 +238,152 @@ def _first_false(test, hi):
     return lo
 
 
-def _guess_edges(shape, targets, coef, w, ndr, counts):
+class _Rows(NamedTuple):
+    """Per-row arrays of a synthesis grid, one entry per (n, w, dr) row.
+
+    Row i has n[i] turns, width w[i], increment dr[i], ndr[i] = n dr and
+    the current-sheet factor coef[i] = C1 mu0 n^2 / 2, and its r run is
+    the first counts[i] points of the grid's.  Along the row, with
+    x = d_avg and k = w + n dr cos_factor, the closed form of L is
+    coef (x ln(c2 x / k) + c3 k + c4 k^2 / x); x_first is x at the row's
+    first point, form_first and form_top are the bracketed factor at its
+    first and top points, and slope is the inverse slope of the chord
+    between them, dx / d(form).
+    """
+
+    n: np.ndarray
+    w: np.ndarray
+    dr: np.ndarray
+    ndr: np.ndarray
+    coef: np.ndarray
+    k: np.ndarray
+    x_first: np.ndarray
+    form_first: np.ndarray
+    form_top: np.ndarray
+    slope: np.ndarray
+    counts: np.ndarray
+
+
+def _form_coefficients(shape: ShapeCoefficients, k: np.ndarray) -> tuple:
+    """c2 / k, c3 k and c4 k^2: the coefficients of the bracketed factor
+    x ln(c2 x / k) + c3 k + c4 k^2 / x of the closed form (see _Rows)."""
+    return shape.c2 / k, shape.c3 * k, shape.c4 * k * k
+
+
+def _guess_edges(shape: ShapeCoefficients, targets: tuple[float, float], rows: _Rows):
     """Newton's estimate, per target and row, of the first index of the
     row's r run at which the current-sheet L reaches the target: a
     ``(len(targets), rows)`` float array, not clipped to [0, count] and NaN
     where the iteration breaks down.
 
-    Along a row, with x = d_avg and K = w + n dr cos_factor,
-    L = coef (x ln(c2 x / K) + c3 K + c4 K^2 / x), which rises with x and,
-    for c4 >= 0, is convex; so NEWTON_STEPS steps from the row's top point
-    approach each root from above.  A row whose first point already
+    Along a row L rises with x = d_avg and, for c4 >= 0, is convex (see
+    _Rows for its closed form): the chord between the row's first and
+    top points reaches each target at or before its root, Newton's first
+    step from there lands above the root, and the next approach it from
+    above; NEWTON_STEPS steps in all.  A row whose first point already
     reaches a target gets 0 for it, one whose top point misses it its
     count; only the others iterate.
     """
-    cosf = shape.cos_factor
-    k = w + ndr * cosf
-    c2_k, c3_k, c4_kk = shape.c2 / k, shape.c3 * k, shape.c4 * k * k
-    goal = np.divide.outer(targets, coef)
+    goal = np.divide.outer(targets, rows.coef)
     with np.errstate(all="ignore"):
-        first, top = ((2.0 * R_STEP * m + ndr) * cosf for m in (1, counts))
-        l_first, l_top = (x * np.log(c2_k * x) + c3_k + c4_kk / x for x in (first, top))
-        guess = np.where(l_first >= goal, 0.0, counts.astype(float))
-        edge, row = np.nonzero((l_first < goal) & (l_top >= goal))
-        x, goal, c2_k, c3_k, c4_kk = top[row], goal[edge, row], c2_k[row], c3_k[row], c4_kk[row]
+        guess = np.where(rows.form_first >= goal, 0.0, rows.counts.astype(float))
+        # The (target, row) pairs to iterate, as flat indices into guess.
+        pair = np.flatnonzero((rows.form_first < goal) & (rows.form_top >= goal))
+        row, goal = pair % rows.counts.size, np.take(goal, pair)
+        x = rows.x_first[row] + (goal - rows.form_first[row]) * rows.slope[row]
+        c2_k, c3_k, c4_kk = _form_coefficients(shape, rows.k[row])
         for _ in range(NEWTON_STEPS):
             ln = np.log(c2_k * x)
             x = x - (x * ln + c3_k + c4_kk / x - goal) / (ln + 1.0 - c4_kk / (x * x))
-        guess[edge, row] = np.ceil((x / cosf - ndr[row]) / (2.0 * R_STEP)) - 1.0
+        np.put(guess, pair, np.ceil((x / shape.cos_factor - rows.ndr[row]) / (2.0 * R_STEP)) - 1.0)
     return guess
+
+
+class _Grid(NamedTuple):
+    """The part of synthesis that depends only on (fab, shape): the rows
+    whose r run holds a point inside the area cap, in grid order, and the
+    r run.  The arrays are read-only."""
+
+    rows: _Rows
+    r_run: np.ndarray
+
+    def select(self, keep) -> _Rows:
+        """The rows that ``keep`` indexes."""
+        return _Rows(*(a[keep] for a in self.rows))
+
+    @property
+    def l_first(self) -> np.ndarray:
+        """Each row's closed-form L at its first point."""
+        return self.rows.coef * self.rows.form_first
+
+    @property
+    def l_top(self) -> np.ndarray:
+        """Each row's closed-form L at its top point."""
+        return self.rows.coef * self.rows.form_top
+
+
+@functools.lru_cache(maxsize=2)
+def _grid(fab: FabConstraints, shape: ShapeCoefficients) -> _Grid:
+    """The grid of synthesize for one (fab, shape); the cache holds the two
+    a design's coil sides use."""
+    cosf = shape.cos_factor
+    edge_max = math.sqrt(fab.max_area)
+    area_cap = fab.max_area * (1.0 + 1e-12)
+
+    # (n, w, dr) rows in n-major, then w, then dr order: row i has
+    # n = i // (W_STEPS * DR_STEPS) + 1, w = w_step[iw], dr = dr_step[iw, idr].
+    n = np.arange(1, N_MAX + 1, dtype=float)
+    # Huge fabrication minima overflow to inf here.  Such rows lie outside
+    # the cap, and r_hi is clipped at 0, which changes no run (runs below
+    # R_STEP are empty), so their counts stay integers.
+    with np.errstate(over="ignore"):
+        w_step = fab.min_trace_width + np.arange(W_STEPS) * TRACE_STEP
+        dr_step = w_step[:, None] + fab.min_spacing + np.arange(DR_STEPS) * TRACE_STEP
+        ndr = (n[:, None, None] * dr_step).ravel()
+        # Each row's r run is np.arange(R_STEP, r_hi + R_STEP/2, R_STEP);
+        # all runs are prefixes of the longest one.
+        r_hi = np.maximum(
+            ((edge_max - w_step) / (2.0 * cosf))[:, None] - ndr.reshape(N_MAX, W_STEPS, DR_STEPS),
+            0.0).ravel()
+    counts = np.ceil((r_hi + 0.5 * R_STEP - R_STEP) / R_STEP).astype(np.intp)
+    counts[r_hi < R_STEP] = 0
+    r_run = np.arange(R_STEP, r_hi.max() + 0.5 * R_STEP, R_STEP)
+    # From here on the arrays hold the non-empty rows only.
+    rows = np.flatnonzero(counts)
+    col = rows % (W_STEPS * DR_STEPS)
+    counts, row_ndr, row_w = counts[rows], ndr[rows], np.repeat(w_step, DR_STEPS)[col]
+
+    def fits(row, k):
+        edge = row_w[row] + 2.0 * (r_run[k] + row_ndr[row]) * cosf
+        return edge * edge <= area_cap
+
+    # The area test holds on a prefix of each run, which the count above
+    # overshoots by at most its last point, unless rounding at extreme
+    # sizes is coarser than R_STEP (such rows are bisected): trim each
+    # count to that prefix.
+    overshot = ~fits(slice(None), counts - 1)
+    counts -= overshot
+    odd = np.flatnonzero(overshot & (counts > 0))
+    odd = odd[~fits(odd, counts[odd] - 1)]
+    if odd.size:
+        counts[odd] = _first_false(lambda lane, k: fits(odd[lane], k), counts[odd])
+    live = counts > 0
+    if not live.all():
+        rows, col, counts, row_ndr, row_w = (a[live] for a in (rows, col, counts, row_ndr, row_w))
+    row_n = n[rows // (W_STEPS * DR_STEPS)]
+    row_dr = dr_step.ravel()[col]
+    coef = 0.5 * shape.c1 * MU_0 * row_n * row_n
+    row_k = row_w + row_ndr * cosf
+    c2_k, c3_k, c4_kk = _form_coefficients(shape, row_k)
+    x_first, x_top = ((2.0 * R_STEP * m + row_ndr) * cosf for m in (1, counts))
+    with np.errstate(all="ignore"):
+        form_first, form_top = (x * np.log(c2_k * x) + c3_k + c4_kk / x for x in (x_first, x_top))
+        slope = (x_top - x_first) / (form_top - form_first)
+    grid = _Grid(_Rows(row_n, row_w, row_dr, row_ndr, coef, row_k, x_first, form_first, form_top,
+                       slope, counts), r_run)
+    for a in (*grid.rows, r_run):
+        a.flags.writeable = False
+    return grid
 
 
 def synthesize(l_target: float, fab: FabConstraints,
@@ -278,78 +401,69 @@ def synthesize(l_target: float, fab: FabConstraints,
     result carries the nearest miss: the first grid point, in
     (n, w, dr, r) order, with the smallest relative error outside L_TOL.
 
-    Along every (n, w, dr) row L rises strictly with r (dL/dd_avg > 0
-    wherever dr > w, which ShapeCoefficients enforces), and the area
-    grows with r.  Each row's run is first trimmed to the points inside
-    the cap; the rest is a run of points below the L_TOL window, the
-    window itself, then points above it.  Newton's method on the closed
-    form of L along the row guesses both window edges (_guess_edges),
-    and only the window and its two neighbours, the row's smallest
-    misses, are evaluated in full.  A guess is kept only where the exact
-    window tests hold at the edges: true just before each edge, false
-    at it; rows that fail are bisected and evaluated again.  Every
-    quantity is the same float expression as for one SpiralGeometry
-    (``inductance``, ``modified_wheeler``, ``area``), as the grid-scan
-    oracle in the tests evaluates it, so the result equals a full scan
-    of the grid whatever the guesses are.  The candidates are ranked in
-    numpy and built on access.
+    The rows, each trimmed to the points inside the cap, come from the
+    (fab, shape) grid (_grid), which a design builds once per coil side
+    it synthesizes: a side with the other's limits and shape, and the
+    second pass of a k estimate, reuse it.  Along every row L rises
+    strictly with r (dL/dd_avg > 0 wherever dr > w, which
+    ShapeCoefficients enforces), so its closed-form values at the row's
+    ends bound it, and the search runs on the rows whose bounds, widened
+    by PRUNE_MARGIN, reach the L_TOL window.  Only when none of them
+    holds a candidate does it run again on every row, for the nearest
+    miss.
     """
     # A subnormal target would overflow the relative error of every point.
     if not sys.float_info.min <= l_target < math.inf:
         raise ValueError(f"target inductance must be finite and >= {sys.float_info.min:g} H")
+    grid = _grid(fab, shape)
+    reach = ~((grid.l_top * (1.0 + PRUNE_MARGIN) < l_target * (1.0 - L_TOL))
+              | (grid.l_first * (1.0 - PRUNE_MARGIN) > l_target * (1.0 + L_TOL)))
+    if reach.any() and not reach.all():
+        result = _search(l_target, shape, grid.select(np.flatnonzero(reach)), grid.r_run)
+        if result:
+            return result
+    result = _search(l_target, shape, grid.rows, grid.r_run)
+    if result or result.nearest is not None:
+        return result
+    # Area cap excludes even the smallest one-turn coil; report that
+    # coil as the miss so the caller sees how far off the cap is.
+    w_min = fab.min_trace_width
+    g = SpiralGeometry(shape, 1, R_STEP, w_min + fab.min_spacing, w_min)
+    try:
+        l_min = inductance(g)
+        nearest = NearMiss(g, l_min, abs(l_min - l_target) / l_target)
+    except ValueError:
+        nearest = None
+    return SynthesisResult(l_target, (), nearest)
+
+
+def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
+            r_run: np.ndarray) -> SynthesisResult:
+    """The candidates among ``rows``, or else their nearest miss, if any.
+
+    Along each row the run is a stretch of points below the L_TOL window,
+    the window itself, then points above it.  Newton's method on the
+    closed form of L along the row guesses both window edges
+    (_guess_edges), and only the window and its two neighbours, the
+    row's smallest misses, are evaluated in full.  A guess is kept only
+    where the exact window tests hold at the edges: true just before each
+    edge, false at it; rows that fail are bisected and evaluated again.
+    Every quantity is the same float expression as for one SpiralGeometry
+    (``inductance``, ``modified_wheeler``, ``area``), as the grid-scan
+    oracle in the tests evaluates it, so the result equals a full scan
+    of the rows whatever the guesses are.  The candidates are ranked in
+    numpy and built on access.
+    """
+    row_n, row_w, row_dr, row_ndr, row_coef = rows[:5]
+    counts = rows.counts
     cosf = shape.cos_factor
-    edge_max = math.sqrt(fab.max_area)
-    area_cap = fab.max_area * (1.0 + 1e-12)
-
-    # (n, w, dr) rows in n-major, then w, then dr order: row i has
-    # n = i // (W_STEPS * DR_STEPS) + 1, w = w_step[iw], dr = dr_step[iw, idr].
-    n = np.arange(1, N_MAX + 1, dtype=float)
-    # Huge fabrication minima overflow to inf here.  Such rows lie outside
-    # the cap, and r_hi is clipped at 0, which changes no run (runs below
-    # R_STEP are empty), so their counts stay integers.
-    with np.errstate(over="ignore"):
-        w_step = fab.min_trace_width + np.arange(W_STEPS) * TRACE_STEP
-        dr_step = w_step[:, None] + fab.min_spacing + np.arange(DR_STEPS) * TRACE_STEP
-        row_w = np.broadcast_to(w_step[:, None], (N_MAX, W_STEPS, DR_STEPS)).ravel()
-        row_dr = np.broadcast_to(dr_step, (N_MAX, W_STEPS, DR_STEPS)).ravel()
-        row_ndr = (n[:, None, None] * dr_step).ravel()
-        # Each row's r run is np.arange(R_STEP, r_hi + R_STEP/2, R_STEP);
-        # all runs are prefixes of the longest one.
-        r_hi = np.maximum((edge_max - row_w) / (2.0 * cosf) - row_ndr, 0.0)
-    counts = np.ceil((r_hi + 0.5 * R_STEP - R_STEP) / R_STEP).astype(np.intp)
-    counts[r_hi < R_STEP] = 0
-    r_run = np.arange(R_STEP, r_hi.max() + 0.5 * R_STEP, R_STEP)
-
-    def edge_at(row, r):
-        return row_w[row] + 2.0 * (r + row_ndr[row]) * cosf
-
-    def fits(row, k):
-        edge = edge_at(row, r_run[k])
-        return edge * edge <= area_cap
-
-    # The area test holds on a prefix of each run, which the count above
-    # overshoots by at most its last point, unless rounding at extreme
-    # sizes is coarser than R_STEP (such rows are bisected): trim each
-    # count to that prefix.
-    rows = np.flatnonzero(counts)
-    last_fits = fits(rows, counts[rows] - 1)
-    counts[rows[~last_fits]] -= 1
-    odd = rows[~last_fits & (counts[rows] > 0)]
-    odd = odd[~fits(odd, counts[odd] - 1)]
-    counts[odd] = _first_false(lambda lane, k: fits(odd[lane], k), counts[odd])
-    # From here on the table holds the non-empty rows only, in grid order.
-    rows = np.flatnonzero(counts)
-    row_n = n[rows // (W_STEPS * DR_STEPS)]
-    row_w, row_dr, row_ndr, counts = (a[rows] for a in (row_w, row_dr, row_ndr, counts))
-    row_coef = 0.5 * shape.c1 * MU_0 * row_n * row_n
-    del r_hi, rows
 
     def evaluate(row, r):
         """Current-sheet L, edge and d_avg at the points, as SpiralGeometry
         and inductance evaluate them."""
         ndr = row_ndr[row]
         d_avg = (2.0 * r + ndr) * cosf
-        edge = edge_at(row, r)
+        edge = row_w[row] + 2.0 * (r + ndr) * cosf
         phi = edge / d_avg - 1.0
         with np.errstate(invalid="ignore"):
             bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
@@ -370,8 +484,7 @@ def synthesize(l_target: float, fab: FabConstraints,
         row = np.repeat(np.arange(counts.size), span)
         return row, base, r_run[np.arange(span.sum()) - np.repeat(base, span)]
 
-    guess = _guess_edges(shape, (l_target * (1.0 - L_TOL), l_target * (1.0 + L_TOL)),
-                         row_coef, row_w, row_ndr, counts)
+    guess = _guess_edges(shape, (l_target * (1.0 - L_TOL), l_target * (1.0 + L_TOL)), rows)
     proven = np.isfinite(guess).all(axis=0)
     first_not_below, first_above = np.where(proven, np.clip(guess, 0, counts), 0).astype(np.intp)
     first_not_below = np.minimum(first_not_below, first_above)
@@ -417,21 +530,12 @@ def synthesize(l_target: float, fab: FabConstraints,
         return SynthesisResult(l_target, RankedCandidates(
             shape, n_k[order], r_k[order], dr_k[order], w_k[order]), None)
     miss = np.flatnonzero(usable & ~within)
-    if miss.size:
-        i = miss[np.argmin(rel[miss])]
-        g = SpiralGeometry(shape, int(row_n[row[i]]), float(r[i]),
-                           float(row_dr[row[i]]), float(row_w[row[i]]))
-        return SynthesisResult(l_target, (), NearMiss(g, float(l_val[i]), float(rel[i])))
-    # Area cap excludes even the smallest one-turn coil; report that
-    # coil as the miss so the caller sees how far off the cap is.
-    w_min = fab.min_trace_width
-    g = SpiralGeometry(shape, 1, R_STEP, w_min + fab.min_spacing, w_min)
-    try:
-        l_min = inductance(g)
-        nearest = NearMiss(g, l_min, abs(l_min - l_target) / l_target)
-    except ValueError:
-        nearest = None
-    return SynthesisResult(l_target, (), nearest)
+    if not miss.size:
+        return SynthesisResult(l_target, (), None)
+    i = miss[np.argmin(rel[miss])]
+    g = SpiralGeometry(shape, int(row_n[row[i]]), float(r[i]),
+                       float(row_dr[row[i]]), float(row_w[row[i]]))
+    return SynthesisResult(l_target, (), NearMiss(g, float(l_val[i]), float(rel[i])))
 
 
 def trace_length(g: SpiralGeometry) -> float:
@@ -472,20 +576,11 @@ def _equivalent_loop_radius(shape: ShapeCoefficients, circumradius: float) -> fl
     return circumradius * math.sqrt(seg * math.sin(2.0 * math.pi / seg) / (2.0 * math.pi))
 
 
-def _loop_mutual(a: float, b: float, d: float) -> float:
-    """Neumann integral between coaxial circular filaments of radii a, b
-    separated axially by d:
-
-        M = (mu0 a b / 2) Int_0^2pi cos(psi) / sqrt(a^2+b^2+d^2-2ab cos psi) dpsi
-
-    evaluated by the periodic trapezoid rule (spectrally accurate for
-    the smooth separations this tool sees).
-    """
+def _quadrature_size(a: float, b: float, d: float) -> int:
+    """Trapezoid points for the Neumann integral of two loops: more the
+    closer the filaments come, relative to their size."""
     closeness = math.sqrt(a * b) / max(math.hypot(a - b, d), 1e-12)
-    npts = int(min(max(256, 64 * math.ceil(closeness) * 8), 65536))
-    cos_psi = _cos_grid(npts)
-    integrand = cos_psi / np.sqrt(a * a + b * b + d * d - 2.0 * a * b * cos_psi)
-    return float(0.5 * MU_0 * a * b * np.mean(integrand) * 2.0 * math.pi)
+    return int(min(max(256, 64 * math.ceil(closeness) * 8), 65536))
 
 
 @functools.lru_cache(maxsize=16)
@@ -497,17 +592,49 @@ def _cos_grid(npts: int) -> np.ndarray:
     return cos_psi
 
 
+def _pair_terms(a: np.ndarray, b: np.ndarray, d: float, npts: int) -> np.ndarray:
+    """Neumann integral between coaxial circular filaments of radii a, b
+    separated axially by d, per pair of the arrays a, b:
+
+        M = (mu0 a b / 2) Int_0^2pi cos(psi) / sqrt(a^2+b^2+d^2-2ab cos psi) dpsi
+
+    evaluated by the ``npts``-point periodic trapezoid rule (spectrally
+    accurate for the smooth separations this tool sees), one row of a
+    (pairs, npts) block per pair."""
+    cos_psi = _cos_grid(npts)
+    # One (pairs, npts) buffer, updated in place.
+    block = np.multiply((2.0 * a * b)[:, None], cos_psi)
+    np.subtract((a * a + b * b + d * d)[:, None], block, out=block)
+    np.divide(cos_psi, np.sqrt(block, out=block), out=block)
+    return 0.5 * MU_0 * a * b * np.mean(block, axis=1) * 2.0 * math.pi
+
+
 def mutual_inductance(tx: SpiralGeometry, rx: SpiralGeometry, distance: float) -> float:
     """Mutual inductance of two coaxially aligned spirals by per-turn
-    filament summation."""
+    filament summation.
+
+    The turn pairs that share a quadrature size are evaluated together,
+    in blocks of at most NEUMANN_BLOCK integrand points, and the pair
+    terms are summed from 0 in (TX turn, RX turn) order."""
     if not distance > 0:
         raise ValueError("distance must be > 0")
+    a = [_equivalent_loop_radius(tx.shape, tx.r + i * tx.dr) for i in range(tx.n)]
+    b = [_equivalent_loop_radius(rx.shape, rx.r + j * rx.dr) for j in range(rx.n)]
+    groups: dict[int, list[int]] = {}
+    for pair, npts in enumerate(_quadrature_size(ai, bj, distance) for ai in a for bj in b):
+        groups.setdefault(npts, []).append(pair)
+    pair_a, pair_b = np.repeat(a, rx.n), np.tile(b, tx.n)
+    terms = np.empty(pair_a.size)
+    for npts, pairs in groups.items():
+        step = NEUMANN_BLOCK // npts
+        for start in range(0, len(pairs), step):
+            block = pairs[start:start + step]
+            terms[block] = _pair_terms(pair_a[block], pair_b[block], distance, npts)
+    # One float addition at a time, as the per-pair loop summed them: from
+    # Python 3.12 on, sum() of floats compensates and would differ.
     total = 0.0
-    for i in range(tx.n):
-        a = _equivalent_loop_radius(tx.shape, tx.r + i * tx.dr)
-        for j in range(rx.n):
-            b = _equivalent_loop_radius(rx.shape, rx.r + j * rx.dr)
-            total += _loop_mutual(a, b, distance)
+    for term in terms.tolist():
+        total += term
     return total
 
 

@@ -331,6 +331,53 @@ class TestSharedChain:
         assert error in got[1]
 
 
+class TestBuiltOnRead:
+    """Solutions are ranked on plain numbers and built when read."""
+
+    def test_solutions_are_built_when_read(self, monkeypatch):
+        built = []
+
+        def counting(build):
+            def run(*args):
+                built.append(build.__name__)
+                return build(*args)
+            run.__name__ = build.__name__
+            return run
+
+        result = synthesize_imn(ref_abcd(), P50, F0)
+        monkeypatch.setattr(imn_module, "LSectionIMN", counting(LSectionIMN))
+        monkeypatch.setattr(netcore, "s_matrix", counting(netcore.s_matrix))
+        assert len(result.solutions) == 16 and not built
+        first = result.solutions[0]
+        assert built == ["LSectionIMN", "s_matrix"]
+        assert result.solutions[:3][0] == first and len(built) == 8
+        assert result.solutions[-1] == tuple(result.solutions)[-1]
+
+    def test_pickles_as_the_tuple_it_reads_as(self):
+        result = synthesize_imn(ref_abcd(), P50, F0)
+        back = pickle.loads(pickle.dumps(result))
+        assert back.solutions == tuple(result.solutions)
+        assert back == replace(result, solutions=tuple(result.solutions))
+        assert synthesize_imn(ref_abcd(), P50, F0) == result
+        assert hash(result) == hash(back)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(matching_problems())
+    def test_s_matrix_in_place_of_ports(self, problem):
+        # Handing the coil network's S matrix in place of the ports skips
+        # the conversion and changes nothing else.
+        t_coil, ports, f0 = problem
+        try:
+            s = netcore.abcd_to_s(t_coil, ports.zp1, ports.zp2)
+        except ValueError:
+            return
+        assert outcome(synthesize_imn, t_coil, s, f0) == outcome(synthesize_imn, *problem)
+
+    def test_s_matrix_in_place_of_ports_must_be_s(self):
+        with pytest.raises(ValueError, match="expected S matrix"):
+            synthesize_imn(ref_abcd(), ref_abcd(), F0)
+
+
 class TestVerifyMatch:
     def test_symmetric_prototype_return_loss(self):
         # Ideal synthesized networks beat the fabricated prototypes'

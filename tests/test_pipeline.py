@@ -588,3 +588,38 @@ class TestKEstimation:
         assert report.k_source == "estimated"
         assert 0.0 < report.link.coils.k < 1.0
         assert report.imn_synthesis.solutions
+
+
+class TestDesignWork:
+    """What one run_design builds: the f0 coil network converted to S once,
+    and a validated matrix only where a stage result is one."""
+
+    def test_matrices_built_in_one_design(self, monkeypatch):
+        built = []
+        post_init = netcore.TwoPortMatrix.__post_init__
+
+        def counting(matrix):
+            built.append(matrix.representation.value)
+            post_init(matrix)
+
+        monkeypatch.setattr(netcore.TwoPortMatrix, "__post_init__", counting)
+        report = run_design(spec_from_dict({"f0_hz": 20e6}))
+        # ABCD: the coil pair, the tissue ladder, their cascade and the
+        # extraction's S -> ABCD; S: the coil network at f0, the extraction's
+        # and the best solution's; Z: the extraction's.  None per variant.
+        assert sorted(built) == ["ABCD"] * 4 + ["S"] * 3 + ["Z"]
+        assert len(report.imn_synthesis.solutions) == 16
+
+    def test_coil_network_converted_to_s_once(self, monkeypatch):
+        calls = []
+        abcd_to_s = netcore.abcd_to_s
+
+        def counting(*args):
+            calls.append(args[0])
+            return abcd_to_s(*args)
+
+        monkeypatch.setattr(netcore, "abcd_to_s", counting)
+        monkeypatch.setattr(imn, "abcd_to_s", counting)
+        report = run_design(spec_from_dict({"f0_hz": 20e6, "k": "estimate", "distance_m": 15e-3}))
+        assert len(calls) == 1
+        assert calls[0] == report.link.coil_abcd_at(20e6)

@@ -4,13 +4,17 @@ The current-sheet inductance is cross-checked against an independently
 written modified-Wheeler evaluation, the synthesizer must hit the two
 reference targets (400.4 nH in 18x18 mm^2, 80 nH in 5x5 mm^2) within
 1 %, and the filament mutual-inductance sum is checked against the
-closed-form coaxial-loop elliptic-integral solution.
+closed-form coaxial-loop elliptic-integral solution and, bit for bit,
+against a per-turn-pair loop.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ellipe, ellipk
 
 from wptkit import spiral
@@ -269,7 +273,7 @@ def wrong_guesses(monkeypatch, errors=tuple(GUESS_ERRORS)):
     yield "newton"
     for name in errors:
         def wrong(*args, error=GUESS_ERRORS[name]):
-            return error(guess_edges(*args), args[-1])
+            return error(guess_edges(*args), args[-1].counts)
         monkeypatch.setattr(spiral, "_guess_edges", wrong)
         yield name
     monkeypatch.setattr(spiral, "_guess_edges", guess_edges)
@@ -394,7 +398,9 @@ class TestSynthesizeEquivalence:
     @pytest.mark.parametrize("error", GUESS_ERRORS)
     def test_wrong_guesses_are_bisected(self, monkeypatch, error):
         # Newton's guesses need no bisection at the reference targets; each
-        # wrong guess is caught on some rows, which are bisected.
+        # wrong guess is caught on some rows, which are bisected.  The area
+        # trim's bisection runs when a (fab, shape) grid is built, which a
+        # cached grid skips, so no "newton" lanes may mean no call at all.
         lanes = {}
         first_false = spiral._first_false
 
@@ -406,7 +412,7 @@ class TestSynthesizeEquivalence:
         for name in wrong_guesses(monkeypatch, (error,)):
             synthesize(400.4e-9, FabConstraints(max_area=(18e-3) ** 2), SQUARE)
             synthesize(80e-9, FabConstraints(max_area=(5e-3) ** 2), SQUARE)
-        assert lanes["newton"] == 0 and lanes[error] > 0
+        assert lanes.get("newton", 0) == 0 and lanes[error] > 0
 
     def test_cases_reach_every_outcome(self):
         # Candidates, a near miss from the grid and the one-turn fallback.
@@ -417,6 +423,105 @@ class TestSynthesizeEquivalence:
         assert fallback is not None
         assert (fallback.geometry.n, fallback.geometry.r) == (1, spiral.R_STEP)
         assert fallback.geometry.area > (0.5e-3) ** 2
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _row_geometry(grid, shape, i, k):
+    """The SpiralGeometry at run index k of row i of a _grid."""
+    rows = grid.rows
+    return SpiralGeometry(shape, int(rows.n[i]), float(grid.r_run[k]), float(rows.dr[i]),
+                          float(rows.w[i]))
+
+
+@st.composite
+def grid_cases(draw):
+    """(fab, shape): fab minima of 50-500 um, caps from 1 mm^2 to 1e-2 m^2."""
+    return (FabConstraints(draw(_log_uniform(50e-6, 500e-6)), draw(_log_uniform(50e-6, 500e-6)),
+                           draw(_log_uniform(1e-6, 1e-2))),
+            draw(st.sampled_from(SHAPE_LIST)))
+
+
+class TestGridPruning:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(grid_cases())
+    def test_closed_form_bounds_hold_every_row(self, case):
+        # Each live row's L, as inductance evaluates it, lies at its first
+        # and top grid points inside the row's closed-form range widened by
+        # PRUNE_MARGIN; in between it rises, so it lies there everywhere.
+        fab, shape = case
+        grid = spiral._grid(fab, shape)
+        counts = grid.rows.counts
+        assert (counts > 0).all()
+        low = grid.l_first * (1.0 - spiral.PRUNE_MARGIN)
+        high = grid.l_top * (1.0 + spiral.PRUNE_MARGIN)
+        for i, count in enumerate(counts.tolist()):
+            for k in (0, count - 1):
+                assert low[i] <= inductance(_row_geometry(grid, shape, i, k)) <= high[i], (i, k)
+
+    @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
+    def test_targets_at_a_rows_bounds_match_reference(self, shape, monkeypatch):
+        # Targets whose L_TOL window, or the target itself, sits at a row's
+        # closed-form end value, one ulp and one PRUNE_MARGIN either side:
+        # the row is kept on one side and dropped on the other.
+        fab = FabConstraints(max_area=(5e-3) ** 2)
+        grid = spiral._grid(fab, shape)
+        margin = spiral.PRUNE_MARGIN
+        row = int(np.argmax(grid.rows.counts))
+        for end, window_edge in ((float(grid.l_top[row]), 1.0 - spiral.L_TOL),
+                                 (float(grid.l_first[row]), 1.0 + spiral.L_TOL)):
+            widened = end * (1.0 + margin if window_edge < 1.0 else 1.0 - margin)
+            for centre in (end, widened / window_edge):
+                targets = {centre, math.nextafter(centre, 0.0), math.nextafter(centre, math.inf),
+                           centre * (1.0 - margin), centre * (1.0 + margin)}
+                for target in sorted(targets):
+                    assert_matches_reference(target, fab, shape, monkeypatch)
+
+    def test_search_reruns_on_every_row_only_without_candidates(self, monkeypatch):
+        # A reachable target searches the rows that reach it once; without
+        # a candidate there, every row is searched for the nearest miss.
+        searched = []
+        search = spiral._search
+
+        def counting(l_target, shape, rows, r_run):
+            searched.append(rows.counts.size)
+            return search(l_target, shape, rows, r_run)
+
+        monkeypatch.setattr(spiral, "_search", counting)
+        fab = FabConstraints(max_area=(5e-3) ** 2)
+        live = spiral._grid(fab, SQUARE).rows.counts.size
+        assert synthesize(80e-9, fab, SQUARE).candidates
+        assert len(searched) == 1 and 0 < searched[0] < live
+        searched.clear()
+        assert synthesize(1e-3, fab, SQUARE).nearest is not None
+        assert searched == [live]  # no row reaches 1 mH: one search of every row
+        searched.clear()
+        # Two rows reach 0.2653 nH, but none of their points is a candidate.
+        assert not synthesize(0.2653e-9, fab, SQUARE).candidates
+        assert searched == [2, live]
+
+    def test_cleared_cache_gives_the_same_result(self):
+        fab = FabConstraints(max_area=(5e-3) ** 2)
+        for shape in SHAPE_LIST:
+            for target in (80e-9, 1e-3):
+                warm = synthesize(target, fab, shape)
+                assert synthesize(target, fab, shape) == warm
+                spiral._grid.cache_clear()
+                cold = synthesize(target, fab, shape)
+                assert cold == warm
+                assert repr(tuple(cold.candidates)) == repr(tuple(warm.candidates))
+                assert repr(cold.nearest) == repr(warm.nearest)
+
+    def test_grid_is_cached_read_only(self):
+        fab = FabConstraints(max_area=(5e-3) ** 2)
+        grid = spiral._grid(fab, HEXAGONAL)
+        assert spiral._grid(FabConstraints(max_area=(5e-3) ** 2), HEXAGONAL) is grid
+        for array in (*grid.rows, grid.r_run):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            grid.rows.counts[0] = 0
 
 
 class TestRankedCandidates:
@@ -503,22 +608,93 @@ class TestCoupling:
     def test_cached_cosine_grid_keeps_the_integral(self):
         # The grid is built once per point count and shared read-only; the
         # integral equals, bit for bit, the one that builds its own grid.
-        def uncached(a, b, d):
-            closeness = math.sqrt(a * b) / max(math.hypot(a - b, d), 1e-12)
-            npts = int(min(max(256, 64 * math.ceil(closeness) * 8), 65536))
-            psi = np.linspace(0.0, 2.0 * math.pi, npts, endpoint=False)
-            integrand = np.cos(psi) / np.sqrt(a * a + b * b + d * d - 2.0 * a * b * np.cos(psi))
-            return float(0.5 * spiral.MU_0 * a * b * np.mean(integrand) * 2.0 * math.pi)
-
         cases = [(10e-3, 10e-3, d) for d in (1e-6, 2e-3, 40e-3)] + [(12e-3, 3e-3, 8e-3)]
         for _ in range(2):
-            assert [repr(spiral._loop_mutual(*c)) for c in cases] == \
-                [repr(uncached(*c)) for c in cases]
+            assert [repr(mutual_inductance(_loop(a), _loop(b), d)) for a, b, d in cases] == \
+                [repr(_reference_loop_mutual(*c)) for c in cases]
         grid = spiral._cos_grid(512)
         assert grid is spiral._cos_grid(512)
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 0.0
+
+
+def _loop(radius):
+    """A one-turn circular spiral: one filament loop of exactly ``radius``."""
+    return SpiralGeometry(CIRCULAR, 1, radius, 1e-3, 0.5e-3)
+
+
+def _reference_loop_mutual(a, b, d):
+    """The Neumann integral of one loop pair on its own uncached grid."""
+    closeness = math.sqrt(a * b) / max(math.hypot(a - b, d), 1e-12)
+    npts = int(min(max(256, 64 * math.ceil(closeness) * 8), 65536))
+    psi = np.linspace(0.0, 2.0 * math.pi, npts, endpoint=False)
+    integrand = np.cos(psi) / np.sqrt(a * a + b * b + d * d - 2.0 * a * b * np.cos(psi))
+    return float(0.5 * spiral.MU_0 * a * b * np.mean(integrand) * 2.0 * math.pi)
+
+
+def _reference_mutual_inductance(tx, rx, distance):
+    """The per-turn-pair loop: one integral per (TX turn, RX turn) pair,
+    summed from 0 in that order."""
+    total = 0.0
+    for i in range(tx.n):
+        a = spiral._equivalent_loop_radius(tx.shape, tx.r + i * tx.dr)
+        for j in range(rx.n):
+            b = spiral._equivalent_loop_radius(rx.shape, rx.r + j * rx.dr)
+            total += _reference_loop_mutual(a, b, distance)
+    return total
+
+
+@st.composite
+def coupled_spirals(draw):
+    """(tx, rx, distance): 1-40 turns a side, any shape, the two sides
+    often the same coil, which puts equal loops at the smallest distances
+    on the largest quadrature (65,536 points)."""
+    def side():
+        w = draw(_log_uniform(50e-6, 500e-6))
+        return SpiralGeometry(draw(st.sampled_from(SHAPE_LIST)), draw(st.integers(1, 40)),
+                              draw(_log_uniform(100e-6, 10e-3)),
+                              w + draw(_log_uniform(50e-6, 500e-6)), w)
+    tx = side()
+    rx = tx if draw(st.booleans()) else side()
+    return tx, rx, draw(_log_uniform(1e-5, 0.05))
+
+
+def _blocked_mutual(tx, rx, distance):
+    """mutual_inductance, and the (pairs, quadrature size) of each block."""
+    blocks = []
+    pair_terms = spiral._pair_terms
+
+    def recording(a, b, d, npts):
+        blocks.append((a.size, npts))
+        return pair_terms(a, b, d, npts)
+
+    with mock.patch.object(spiral, "_pair_terms", recording):
+        return mutual_inductance(tx, rx, distance), blocks
+
+
+class TestCouplingSum:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(coupled_spirals())
+    def test_equals_per_pair_loop(self, case):
+        got, blocks = _blocked_mutual(*case)
+        assert repr(got) == repr(_reference_mutual_inductance(*case))
+        assert all(pairs * npts <= spiral.NEUMANN_BLOCK for pairs, npts in blocks)
+        assert sum(pairs for pairs, _ in blocks) == case[0].n * case[1].n
+
+    def test_close_forty_turn_pair_stays_within_the_block_budget(self):
+        # Equal 40-turn coils 10 um apart: every diagonal pair takes the
+        # largest quadrature, and the 1,600 pairs' 12.8 million integrand
+        # points, 100 MB of float64 per array at once, go through blocks of
+        # NEUMANN_BLOCK points; some quadrature size is split across blocks.
+        g = SpiralGeometry(SQUARE, 40, 8e-3, 0.15e-3, 0.1e-3)
+        got, blocks = _blocked_mutual(g, g, 1e-5)
+        assert repr(got) == repr(_reference_mutual_inductance(g, g, 1e-5))
+        sizes = [npts for _, npts in blocks]
+        assert max(sizes) == 65536
+        assert sum(pairs * npts for pairs, npts in blocks) > 100 * spiral.NEUMANN_BLOCK
+        assert all(pairs * npts <= spiral.NEUMANN_BLOCK for pairs, npts in blocks)
+        assert any(sizes.count(npts) > 1 and npts < 65536 for npts in sizes)
 
 
 class TestShapeCoefficients:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
 
-from . import harvester, pipeline, spiral, tissue
+from . import harvester, imn, pipeline, spiral, tissue
 from .errors import InfeasibleDesignError, TouchstoneFormatError, UnmatchableError, WptError
 from .pipeline import si
 from .touchstone import read_touchstone, write_touchstone
@@ -28,9 +29,12 @@ DEFAULT_F0 = 20e6  # Hz, for commands that read no design spec
 
 def _write_out(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
-    else:
+        Path(out).write_text(text, encoding="utf-8")
+        return
+    try:
         sys.stdout.write(text)
+    except UnicodeEncodeError as exc:  # the locale's encoding cannot hold the text
+        raise OSError(f"standard output: {exc}") from None
 
 
 def _cmd_design(args) -> int:
@@ -82,12 +86,11 @@ def _cmd_match(args) -> int:
         lines.append("ports already matched; no finite L-section required")
     for rank, sol in enumerate(synthesis.solutions[: args.top], start=1):
         parts = [f"#{rank} case {sol.imn.topology_case}"]
-        for label, elem in zip(("tx-se", "tx-sh", "rx-se", "rx-sh"), sol.imn.elements):
-            unit = "F" if elem.kind.is_capacitor else "H"
-            parts.append(f"{label} {elem.kind.value} {si(elem.value, unit)}")
-        parts.append(f"S11 {sol.s11_db:.4g} dB")
-        parts.append(f"S22 {sol.s22_db:.4g} dB")
-        parts.append(f"S21 {sol.s21_db:.4g} dB")
+        for slot, elem in zip(imn.SLOTS, sol.imn.elements):
+            label = slot[:5].replace("_", "-")  # tx-se, tx-sh, rx-se, rx-sh
+            parts.append(f"{label} {elem.kind.value} {si(elem.value, elem.unit)}")
+        parts += [f"S11 {sol.s11_db:.4g} dB", f"S22 {sol.s22_db:.4g} dB",
+                  f"S21 {sol.s21_db:.4g} dB"]
         lines.append("  ".join(parts))
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -106,7 +109,6 @@ def _cmd_coil_synth(args) -> int:
     result = pipeline.synthesize_coil("coil synthesis", args.target_l, fab, shape)
     records = [spiral.candidate_record(g, args.f0) for g in result.candidates[: args.top]]
     if args.format == "csv":
-        import io
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
         writer.writeheader()
@@ -160,7 +162,6 @@ def _cmd_harvester_explore(args) -> int:
     result = harvester.design_space(
         args.v_rx, args.target_v, constraints,
         harvester.stage_scaling_model(args.r_stage, args.c_stage))
-    import io
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "q", "r_rect_ohm", "c_rect_f", "v_out_v",

@@ -88,11 +88,16 @@ def v_out(n: int, v_rx: float, v_t: float = BODY_THERMAL_VOLTAGE) -> float:
     """Rectified DC output of an n-stage chain fed v_rx peak amplitude."""
     if n < 1 or n != int(n):
         raise ValueError(f"stage count must be a positive integer, got {n}")
+    return 2.0 * n * v_t * _stage_log(v_rx, v_t)
+
+
+def _stage_log(v_rx: float, v_t: float) -> float:
+    """ln I0(v_rx / V_T), v_out's factor that does not depend on n."""
     if not 0 <= v_rx < math.inf:
         raise ValueError("input amplitude must be finite and >= 0")
     if not v_t > 0:
         raise ValueError("thermal voltage must be > 0")
-    return 2.0 * n * v_t * _log_i0(_drive(v_rx, v_t))
+    return _log_i0(_drive(v_rx, v_t))
 
 
 @dataclass(frozen=True)
@@ -231,18 +236,19 @@ def design_space(v_rx: float, target_v_out: float,
         raise ValueError("target output voltage must be > 0")
     model = z_in_model or stage_scaling_model(DEFAULT_STAGE_R, DEFAULT_STAGE_C)
 
+    v_t = constraints.v_t
     rows: list[DesignPoint] = []
-    for n in constraints.n_range:
-        z_in = complex(model(int(n), constraints.f0))
+    logs = None
+    for n in map(int, constraints.n_range):
+        z_in = complex(model(n, constraints.f0))
         rect = rect_input(z_in, constraints.f0)
-        tau = charge_time(int(n), constraints.v_t, constraints.i_load_avg,
-                          constraints.c_store)
+        tau = charge_time(n, v_t, constraints.i_load_avg, constraints.c_store)
         residual = abs(z_in - complex(constraints.tissue_z).conjugate())
         residual /= max(abs(constraints.tissue_z), 1e-300)
-        for q in constraints.q_range:
-            vout = v_out(int(n), q * v_rx, constraints.v_t)
-            rows.append(DesignPoint(int(n), float(q), rect.r_rect, rect.c_rect,
-                                    vout, tau, residual, z_in))
+        # ln I0 of each q's drive, found and checked at the first n, as v_out did.
+        logs = logs or [(float(q), _stage_log(q * v_rx, v_t)) for q in constraints.q_range]
+        rows += [DesignPoint(n, q, rect.r_rect, rect.c_rect, 2.0 * n * v_t * log_q,
+                             tau, residual, z_in) for q, log_q in logs]
 
     feasible = [p for p in rows
                 if p.v_out >= target_v_out and p.charge_time <= constraints.max_charge_time]

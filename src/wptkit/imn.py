@@ -31,6 +31,9 @@ from .netcore import (IDENTITY, BuiltOnRead, Entries, Representation, TwoPortMat
 # A synthesized ideal match must push both reflections at least this low.
 RETURN_LOSS_FLOOR_DB = -40.0
 
+# The four element slots of an L-section network, in LSectionIMN.elements order.
+SLOTS = ("tx_series", "tx_shunt", "rx_series", "rx_shunt")
+
 
 class ElementKind(Enum):
     SERIES_INDUCTOR = "series-L"
@@ -58,6 +61,11 @@ class MatchingElement:
     def __post_init__(self):
         if not (self.value > 0.0 and math.isfinite(self.value)):
             raise ValueError(f"element value must be positive and finite, got {self.value}")
+
+    @property
+    def unit(self) -> str:
+        """Unit of ``value``: "F" for a capacitor, "H" for an inductor."""
+        return "F" if self.kind.is_capacitor else "H"
 
     def reactance(self, f: float) -> float:
         """Reactance of the element at f: -1/(wC) for a capacitor, wL for

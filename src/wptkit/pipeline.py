@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -365,13 +365,6 @@ def synthesize_coil(stage: str, l_target: float, fab: spiral.FabConstraints,
     return result
 
 
-def _synthesize_side(name: str, l_target: float, side: CoilSideSpec,
-                     fab: spiral.FabConstraints) -> tuple[spiral.SpiralGeometry, int]:
-    result = synthesize_coil(f"{name} coil synthesis", l_target,
-                             replace(fab, max_area=side.max_area), side.shape)
-    return result.candidates[0], len(result.candidates)
-
-
 @dataclass(frozen=True)
 class CoilStage:
     geometry: spiral.SpiralGeometry
@@ -379,6 +372,23 @@ class CoilStage:
     r_ac: float
     candidate_count: int
     area_cap: float
+
+
+def _coil_stages(spec: DesignSpec, l1_target: float, l2_target: float) -> list[CoilStage]:
+    """The TX and RX coils, each the top synthesis candidate under its side's
+    area cap, with its inductance and AC resistance at f0.  Both sides are
+    synthesized before either R_ac is computed, so an infeasible RX target
+    is reported as such even at an f0 where R_ac would fail."""
+    sides = (("tx", l1_target, spec.tx), ("rx", l2_target, spec.rx))
+    results = [synthesize_coil(f"{name} coil synthesis", l_target,
+                               replace(spec.fab, max_area=side.max_area), side.shape)
+               for name, l_target, side in sides]
+    stages = []
+    for result, (_, _, side) in zip(results, sides):
+        geom = result.candidates[0]
+        stages.append(CoilStage(geom, spiral.inductance(geom), spiral.ac_resistance(geom, spec.f0),
+                                len(result.candidates), side.max_area))
+    return stages
 
 
 @dataclass(frozen=True)
@@ -395,64 +405,43 @@ class DesignReport:
     s21_bare_f0: float
     extraction: coil.ExtractedParams
     imn_synthesis: imn.ImnSynthesis
+    imn_solution: imn.ImnSolution | None  # the best of imn_synthesis.solutions, if any
     pte_report: efficiency.PteReport
     link: LinkModel
     sar: efficiency.SarBudget | None = None
     harvest_result: harvester.DesignSpaceResult | None = None
 
     def best_imn(self) -> imn.ImnSolution | None:
-        if self.imn_synthesis.solutions:
-            return self.imn_synthesis.solutions[0]
-        return None
+        return self.imn_solution
 
     def text(self) -> str:
         return render_report(self)
 
     def footer(self) -> dict[str, float | int | str]:
-        coils = self.link.coils
+        spec, coils, ex, p = self.spec, self.link.coils, self.extraction, self.pte_report
+        tx, rx = self.tx_stage.geometry, self.rx_stage.geometry
         out: dict[str, float | int | str] = {
-            "f0_hz": self.spec.f0,
-            "zp1_ohm": self.spec.ports.zp1,
-            "zp2_ohm": self.spec.ports.zp2,
-            "k": coils.k,
-            "k_source": self.k_source,
-            "l_opt_h": self.l_opt,
-            "l1_h": coils.l1,
-            "l2_h": coils.l2,
-            "r1_ohm": coils.r1,
-            "r2_ohm": coils.r2,
-            "f_opt_hz": self.f_opt,
-            "s_max": self.s_max_bare,
-            "tx_turns": self.tx_stage.geometry.n,
-            "rx_turns": self.rx_stage.geometry.n,
-            "tx_area_m2": self.tx_stage.geometry.area,
-            "rx_area_m2": self.rx_stage.geometry.area,
-            "l1_eff_h": self.extraction.l1, "l2_eff_h": self.extraction.l2,
-            "r1_eff_ohm": self.extraction.r1, "r2_eff_ohm": self.extraction.r2,
-            "k_eff": self.extraction.k,
+            "f0_hz": spec.f0, "zp1_ohm": spec.ports.zp1, "zp2_ohm": spec.ports.zp2,
+            "k": coils.k, "k_source": self.k_source, "l_opt_h": self.l_opt,
+            "l1_h": coils.l1, "l2_h": coils.l2, "r1_ohm": coils.r1, "r2_ohm": coils.r2,
+            "f_opt_hz": self.f_opt, "s_max": self.s_max_bare,
+            "tx_turns": tx.n, "rx_turns": rx.n, "tx_area_m2": tx.area, "rx_area_m2": rx.area,
+            "l1_eff_h": ex.l1, "l2_eff_h": ex.l2, "r1_eff_ohm": ex.r1, "r2_eff_ohm": ex.r2,
+            "k_eff": ex.k,
         }
-        best = self.best_imn()
+        best = self.imn_solution
         if best is not None:
-            for label, elem in zip(("tx_series", "tx_shunt", "rx_series", "rx_shunt"),
-                                   best.imn.elements):
-                unit = "f" if elem.kind.is_capacitor else "h"
-                out[f"imn_{label}_{unit}"] = elem.value
-                out[f"imn_{label}_kind"] = elem.kind.value
-            out["imn_case"] = best.imn.topology_case
-            out["s11_link_db"] = best.s11_db
-            out["s22_link_db"] = best.s22_db
-            out["s21_link_db"] = best.s21_db
-        out["pte"] = self.pte_report.pte
-        out["pte_max"] = self.pte_report.pte_max
-        out["k_r"] = self.pte_report.k_r
-        out["gamma"] = self.pte_report.gamma
+            for slot, elem in zip(imn.SLOTS, best.imn.elements):
+                out[f"imn_{slot}_{elem.unit.lower()}"] = elem.value
+                out[f"imn_{slot}_kind"] = elem.kind.value
+            out.update(imn_case=best.imn.topology_case, s11_link_db=best.s11_db,
+                       s22_link_db=best.s22_db, s21_link_db=best.s21_db)
+        out.update(pte=p.pte, pte_max=p.pte_max, k_r=p.k_r, gamma=p.gamma)
         if self.sar is not None:
-            out["p_tx_max_w"] = self.sar.p_tx_max
-            out["pdl_max_w"] = self.sar.pdl_max
-        if self.harvest_result is not None and self.harvest_result.chosen:
-            chosen = self.harvest_result.chosen
-            out["harvester_n"] = chosen.n
-            out["harvester_q"] = chosen.q
+            out.update(p_tx_max_w=self.sar.p_tx_max, pdl_max_w=self.sar.pdl_max)
+        harvest = self.harvest_result
+        if harvest is not None and harvest.chosen is not None:
+            out.update(harvester_n=harvest.chosen.n, harvester_q=harvest.chosen.q)
         return out
 
 
@@ -472,16 +461,9 @@ def run_design(spec: DesignSpec) -> DesignReport:
             l2_target = coil.asymmetric_partner(l_opt_val, l1_target)
         else:
             l1_target = l2_target = l_opt_val
-        tx_geom, tx_count = _synthesize_side("tx", l1_target, spec.tx, spec.fab)
-        rx_geom, rx_count = _synthesize_side("rx", l2_target, spec.rx, spec.fab)
-        tx_stage = CoilStage(tx_geom, spiral.inductance(tx_geom),
-                             spiral.ac_resistance(tx_geom, spec.f0), tx_count,
-                             spec.tx.max_area)
-        rx_stage = CoilStage(rx_geom, spiral.inductance(rx_geom),
-                             spiral.ac_resistance(rx_geom, spec.f0), rx_count,
-                             spec.rx.max_area)
+        tx_stage, rx_stage = _coil_stages(spec, l1_target, l2_target)
         if spec.k is None:
-            k_value = spiral.estimate_k(tx_geom, rx_geom, spec.distance)
+            k_value = spiral.estimate_k(tx_stage.geometry, rx_stage.geometry, spec.distance)
 
     coils = CoilPair(tx_stage.inductance, rx_stage.inductance,
                      tx_stage.r_ac, rx_stage.r_ac, k_value)
@@ -510,12 +492,11 @@ def run_design(spec: DesignSpec) -> DesignReport:
         raise InfeasibleDesignError(
             "imn synthesis", "no positive-element L-section matches both ports")
 
-    if synthesis.solutions:
-        best = synthesis.solutions[0]
+    best = synthesis.solutions[0] if synthesis.solutions else None
+    if best is not None:
         model = replace(model, matching=best.imn)
-        s21_link = best.s.m21
-    else:  # already matched: the bare network is the link
-        s21_link = s_eff.m21
+    # Already matched, without a network, the bare network is the link.
+    s21_link = s_eff.m21 if best is None else best.s.m21
 
     max_eff = efficiency.pte_max(s_eff)
     pte_val = efficiency.pte_link(s21_link, ports)
@@ -546,8 +527,8 @@ def run_design(spec: DesignSpec) -> DesignReport:
         spec=spec, l_opt=l_opt_val, l1_target=l1_target, l2_target=l2_target,
         tx_stage=tx_stage, rx_stage=rx_stage, k_source=k_source,
         f_opt=f_opt_val, s_max_bare=s_max_val, s21_bare_f0=s21_bare,
-        extraction=extraction, imn_synthesis=synthesis, pte_report=pte_rep,
-        link=model, sar=sar, harvest_result=harvest_result,
+        extraction=extraction, imn_synthesis=synthesis, imn_solution=best,
+        pte_report=pte_rep, link=model, sar=sar, harvest_result=harvest_result,
     )
 
 
@@ -555,112 +536,85 @@ def run_design(spec: DesignSpec) -> DesignReport:
 
 
 def render_report(report: DesignReport) -> str:
-    spec = report.spec
-    lines: list[str] = []
-    add = lines.append
-    add("inductive link design report")
-    add("============================")
-    add("")
-    add("[inputs]")
-    add(f"  design frequency     {si(spec.f0, 'Hz')}")
-    add(f"  port impedances      {si(spec.ports.zp1, 'ohm')} / {si(spec.ports.zp2, 'ohm')}")
-    add(f"  coupling coefficient {report.link.coils.k:.6g} ({report.k_source})")
-    add(f"  initial resistances  {si(spec.r1_init, 'ohm')} / {si(spec.r2_init, 'ohm')}")
-    add("")
-    add("[inductance]")
-    add(f"  L_opt                {si(report.l_opt, 'H')}")
-    if spec.l1_pinned is not None:
-        add(f"  L1 (pinned)          {si(report.l1_target, 'H')}")
-        add(f"  L2 = L_opt^2/L1      {si(report.l2_target, 'H')}")
-    else:
-        add(f"  L1 = L2 = L_opt      {si(report.l1_target, 'H')}")
-    add("")
-    for label, stage in (("tx coil", report.tx_stage), ("rx coil", report.rx_stage)):
+    """The text report: a title, then each section of ``_report_sections``
+    as a ``[title]`` line, its rows (labels in a 20-character column after a
+    two-space indent) and a blank line, then ``footer()`` as ``key=value``."""
+    lines = ["inductive link design report", "============================", ""]
+    for title, rows in _report_sections(report):
+        lines.append(f"[{title}]")
+        lines += [f"  {label}" if text is None else f"  {label:<20} {text}"
+                  for label, text in rows]
+        lines.append("")
+    lines.append("[footer]")
+    lines += [f"{key}={value:.12g}" if isinstance(value, float) else f"{key}={value}"
+              for key, value in report.footer().items()]
+    return "\n".join(lines) + "\n"
+
+
+def _report_sections(report: DesignReport) -> Iterator[tuple[str, list[tuple[str, str | None]]]]:
+    """The report's sections in order, each (title, [(label, text)]); a row
+    whose text is None prints its label alone."""
+    spec, ex, p = report.spec, report.extraction, report.pte_report
+    yield "inputs", [
+        ("design frequency", si(spec.f0, "Hz")),
+        ("port impedances", f"{si(spec.ports.zp1, 'ohm')} / {si(spec.ports.zp2, 'ohm')}"),
+        ("coupling coefficient", f"{report.link.coils.k:.6g} ({report.k_source})"),
+        ("initial resistances", f"{si(spec.r1_init, 'ohm')} / {si(spec.r2_init, 'ohm')}")]
+    split = ([("L1 (pinned)", si(report.l1_target, "H")),
+              ("L2 = L_opt^2/L1", si(report.l2_target, "H"))] if spec.l1_pinned is not None
+             else [("L1 = L2 = L_opt", si(report.l1_target, "H"))])
+    yield "inductance", [("L_opt", si(report.l_opt, "H")), *split]
+    for side, stage in (("tx", report.tx_stage), ("rx", report.rx_stage)):
         g = stage.geometry
-        add(f"[{label}]")
-        add(f"  shape                {g.shape.name}")
-        add(f"  turns                {g.n}")
-        add(f"  initial radius       {si(g.r, 'm')}")
-        add(f"  radius increment     {si(g.dr, 'm')}")
-        add(f"  trace width          {si(g.w, 'm')}")
-        add(f"  inductance           {si(stage.inductance, 'H')}")
-        add(f"  footprint            {stage.geometry.area * 1e6:.4g} mm^2 "
-            f"(cap {stage.area_cap * 1e6:.4g} mm^2)")
-        add(f"  AC resistance        {si(stage.r_ac, 'ohm')}")
-        add(f"  candidates in band   {stage.candidate_count}")
-        add("")
-    add("[bare link]")
-    add(f"  f_opt                {si(report.f_opt, 'Hz')}")
-    add(f"  peak |S21|           {report.s_max_bare:.6g} ({_db(report.s_max_bare):.4g} dB)")
-    add(f"  |S21| at f0          {report.s21_bare_f0:.6g} ({_db(report.s21_bare_f0):.4g} dB)")
-    add("")
+        yield f"{side} coil", [
+            ("shape", g.shape.name), ("turns", f"{g.n}"), ("initial radius", si(g.r, "m")),
+            ("radius increment", si(g.dr, "m")), ("trace width", si(g.w, "m")),
+            ("inductance", si(stage.inductance, "H")),
+            ("footprint", f"{g.area * 1e6:.4g} mm^2 (cap {stage.area_cap * 1e6:.4g} mm^2)"),
+            ("AC resistance", si(stage.r_ac, "ohm")),
+            ("candidates in band", f"{stage.candidate_count}")]
+    yield "bare link", [
+        ("f_opt", si(report.f_opt, "Hz")),
+        ("peak |S21|", f"{report.s_max_bare:.6g} ({_db(report.s_max_bare):.4g} dB)"),
+        ("|S21| at f0", f"{report.s21_bare_f0:.6g} ({_db(report.s21_bare_f0):.4g} dB)")]
     stack = report.link.stack
     if stack is not None:
-        add("[tissue channel]")
-        for layer in stack.layers:
-            add(f"  layer                {layer.name}: {si(layer.thickness, 'm')}, "
-                f"sigma {si(layer.sigma_static, 'S/m')}")
-        add(f"  sections per layer   {stack.sections_per_layer}")
-        add(f"  face area            {stack.face_area * 1e6:.4g} mm^2")
-        add("")
-    ex = report.extraction
-    add("[effective coil parameters (re-extracted)]")
-    add(f"  L1'                  {si(ex.l1, 'H')}")
-    add(f"  L2'                  {si(ex.l2, 'H')}")
-    add(f"  R1'                  {si(ex.r1, 'ohm')}")
-    add(f"  R2'                  {si(ex.r2, 'ohm')}")
-    add(f"  k'                   {ex.k:.6g}")
-    if not ex.valid:
-        add(f"  flagged non-physical: {', '.join(ex.issues)}")
-    add("")
-    best = report.best_imn()
+        yield "tissue channel", [
+            *(("layer", f"{layer.name}: {si(layer.thickness, 'm')}, "
+                        f"sigma {si(layer.sigma_static, 'S/m')}") for layer in stack.layers),
+            ("sections per layer", f"{stack.sections_per_layer}"),
+            ("face area", f"{stack.face_area * 1e6:.4g} mm^2")]
+    yield "effective coil parameters (re-extracted)", [
+        ("L1'", si(ex.l1, "H")), ("L2'", si(ex.l2, "H")),
+        ("R1'", si(ex.r1, "ohm")), ("R2'", si(ex.r2, "ohm")), ("k'", f"{ex.k:.6g}"),
+        *([] if ex.valid else [("flagged non-physical:", ", ".join(ex.issues))])]
+    best = report.imn_solution
     if best is not None:
-        add("[matching network]")
-        add(f"  topology case        {best.imn.topology_case}")
-        for label, elem in zip(("tx series", "tx shunt ", "rx series", "rx shunt "),
-                               best.imn.elements):
-            unit = "F" if elem.kind.is_capacitor else "H"
-            add(f"  {label}            {elem.kind.value}: {si(elem.value, unit)}")
-        add(f"  solutions found      {len(report.imn_synthesis.solutions)}")
-        add(f"  |S11| at f0          {best.s11_db:.4g} dB")
-        add(f"  |S22| at f0          {best.s22_db:.4g} dB")
-        add(f"  |S21| at f0          {best.s21_db:.4g} dB")
-        add("")
+        yield "matching network", [
+            ("topology case", f"{best.imn.topology_case}"),
+            *((slot.replace("_", " "), f"{elem.kind.value}: {si(elem.value, elem.unit)}")
+              for slot, elem in zip(imn.SLOTS, best.imn.elements)),
+            ("solutions found", f"{len(report.imn_synthesis.solutions)}"),
+            ("|S11| at f0", f"{best.s11_db:.4g} dB"), ("|S22| at f0", f"{best.s22_db:.4g} dB"),
+            ("|S21| at f0", f"{best.s21_db:.4g} dB")]
     elif report.imn_synthesis.already_matched:
-        add("[matching network]")
-        add("  ports already matched; no finite L-section required")
-        add("")
-    p = report.pte_report
-    add("[efficiency]")
-    add(f"  PTE at f0            {p.pte * 100:.4g} %")
-    add(f"  PTE_max              {p.pte_max * 100:.4g} %")
-    add(f"  K_r                  {p.k_r:.6g}")
-    add(f"  gamma                {p.gamma:.6g}")
-    add("")
+        yield "matching network", [("ports already matched; no finite L-section required", None)]
+    yield "efficiency", [
+        ("PTE at f0", f"{p.pte * 100:.4g} %"), ("PTE_max", f"{p.pte_max * 100:.4g} %"),
+        ("K_r", f"{p.k_r:.6g}"), ("gamma", f"{p.gamma:.6g}")]
     if report.sar is not None:
-        add("[sar budget]")
-        add(f"  SAR limit            {report.sar.sar_limit:.4g} W/kg")
-        add(f"  max TX power         {si(report.sar.p_tx_max, 'W')}")
-        add(f"  max delivered power  {si(report.sar.pdl_max, 'W')}")
-        add("")
-    if report.harvest_result is not None and report.harvest_result.chosen is not None:
-        point = report.harvest_result.chosen
-        add("[harvester]")
-        add(f"  stages               {point.n}")
-        add(f"  boost Q              {point.q:.4g}")
-        add(f"  V_out                {si(point.v_out, 'V')}")
-        add(f"  R_rect               {si(point.r_rect, 'ohm')}")
-        add(f"  C_rect               {si(point.c_rect, 'F')}")
-        add(f"  charge time          {si(point.charge_time, 's')}")
-        add(f"  grid points swept    {len(report.harvest_result.table)}")
-        add("")
-    add("[footer]")
-    for key, value in report.footer().items():
-        if isinstance(value, float):
-            add(f"{key}={value:.12g}")
-        else:
-            add(f"{key}={value}")
-    return "\n".join(lines) + "\n"
+        yield "sar budget", [
+            ("SAR limit", f"{report.sar.sar_limit:.4g} W/kg"),
+            ("max TX power", si(report.sar.p_tx_max, "W")),
+            ("max delivered power", si(report.sar.pdl_max, "W"))]
+    harvest = report.harvest_result
+    if harvest is not None and harvest.chosen is not None:
+        point = harvest.chosen
+        yield "harvester", [
+            ("stages", f"{point.n}"), ("boost Q", f"{point.q:.4g}"),
+            ("V_out", si(point.v_out, "V")), ("R_rect", si(point.r_rect, "ohm")),
+            ("C_rect", si(point.c_rect, "F")), ("charge time", si(point.charge_time, "s")),
+            ("grid points swept", f"{len(harvest.table)}")]
 
 
 # -- frequency sweeps ------------------------------------------------------

@@ -146,7 +146,7 @@ def format_touchstone(record: TouchstoneRecord) -> str:
 
 
 def write_touchstone(record: TouchstoneRecord, path: str | Path) -> None:
-    Path(path).write_text(format_touchstone(record))
+    Path(path).write_text(format_touchstone(record), encoding="utf-8")
 
 
 def record_from_matrices(frequencies, matrices, resistance: float = 50.0) -> TouchstoneRecord:

@@ -1,6 +1,7 @@
 """Byte-exact reference outputs.
 
-The reports of four specs, the three sweep CSVs of the default spec,
+The reports of four specs and of two branches no spec reaches, the
+three sweep CSVs of the default spec,
 two ``coil synth`` candidate lists, two ``match`` rankings and three
 ``harvester explore`` tables are compared byte for byte with files in
 ``tests/data``.  The references pin what a refactor must not move:
@@ -10,6 +11,7 @@ every synthesis candidate in rank order.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from wptkit import cli, netcore, pipeline, tissue
 from wptkit.touchstone import read_touchstone, record_from_matrices, write_touchstone
 
 DATA = Path(__file__).parent / "data"
+POOL = Path(__file__).parent.parent / "perfbench" / "pool.json"
 
 README_SAR = {"p_tx_max_w": 0.0846, "sar_limit_w_per_kg": 1.6}
 README_HARVESTER = {
@@ -75,6 +78,34 @@ def reference(filename: str) -> str:
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_report_matches_reference(name):
     assert report_text(name) == reference(f"report_{name}.txt")
+
+
+# Report branches no spec above reaches, made from the default spec's report:
+# ports that need no L-section, and an extraction flagged non-physical.
+BRANCHES = {
+    "already_matched": lambda r: replace(
+        r, imn_synthesis=replace(r.imn_synthesis, solutions=(), already_matched=True),
+        imn_solution=None),
+    "flagged_extraction": lambda r: replace(
+        r, extraction=replace(r.extraction, valid=False, issues=("k", "r2"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCHES))
+def test_report_branch_matches_reference(name):
+    report = BRANCHES[name](pipeline.run_design(pipeline.spec_from_dict(SPECS["default"])))
+    assert report.text() == reference(f"report_{name}.txt")
+
+
+def test_pool_footers_match_reference():
+    # Every feasible spec of the benchmark pool, with the footer stored
+    # beside it when the pool was built.
+    pool = json.loads(POOL.read_text(encoding="utf-8"))
+    for workload, data in sorted(pool.items()):
+        assert data["entries"], workload
+        for i, entry in enumerate(data["entries"]):
+            report = pipeline.run_design(pipeline.spec_from_dict(entry["spec"]))
+            assert report.footer() == entry["footer"], f"{workload} entry {i}"
 
 
 def test_default_sweeps_match_reference(tmp_path):

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -90,7 +91,7 @@ class TestSpecParsing:
     def test_readme_schema_is_accepted(self):
         # The README's schema block and layer record, with // comments
         # stripped, are specs the reader takes as they stand.
-        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Design spec schema", 1)[1]
         schema, layer = (json.loads(re.sub(r"//.*", "", block))
                          for block in re.findall(r"```jsonc\n(.*?)```", section, re.S))
@@ -120,7 +121,7 @@ class TestSpecParsing:
 
 def test_readme_library_use_runs():
     # The README's Library use block runs as it stands and reads what it says.
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block, = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)
@@ -347,6 +348,27 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 12
+
+    def test_output_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # A layer name outside ASCII: --out writes UTF-8 whatever the
+        # locale, and a stdout that cannot encode it is an i/o error.
+        layer = {"name": "m\u00fasculo", "eps_inf": 4.0, "dispersions": [[10.0, 1e-9, 0.1]],
+                 "sigma_s_per_m": 0.2, "thickness_m": 0.01}
+        data = {"f0_hz": 20e6, "tissue": {"layers": [layer]}}
+        spec, out = tmp_path / "spec.json", tmp_path / "report.txt"
+        spec.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "wptkit.cli", *args],
+                                  capture_output=True, text=True, encoding="utf-8", env=env)
+
+        proc = run("design", str(spec), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes().decode("utf-8") == pipeline.run_design(spec_from_dict(data)).text()
+        proc = run("design", str(spec))
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("i/o error: ")
 
     def test_validation_exit_code(self, tmp_path):
         spec = tmp_path / "bad.json"

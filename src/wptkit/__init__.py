@@ -49,7 +49,6 @@ from .harvester import (
     design_space,
     minimum_stage_count,
     rect_input,
-    stage_scaling_model,
     v_out,
 )
 from .imn import (

@@ -120,9 +120,8 @@ def _cmd_coil_synth(args) -> int:
             fields = [f"shape={rec['shape']}", f"n={rec['n']}",
                       f"r={si(rec['r_m'], 'm')}", f"dr={si(rec['dr_m'], 'm')}",
                       f"w={si(rec['w_m'], 'm')}", f"L={si(rec['l_h'], 'H')}",
-                      f"area={rec['area_m2'] * 1e6:.4g} mm^2"]
-            if "r_ac_ohm" in rec:
-                fields.append(f"R_ac={si(rec['r_ac_ohm'], 'ohm')}")
+                      f"area={rec['area_m2'] * 1e6:.4g} mm^2",
+                      f"R_ac={si(rec['r_ac_ohm'], 'ohm')}"]
             lines.append("  ".join(fields))
         _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -158,10 +157,10 @@ def _cmd_harvester_explore(args) -> int:
         c_store=args.c_store,
         i_load_avg=args.i_load,
         v_t=args.v_t,
+        r_stage=args.r_stage,
+        c_stage=args.c_stage,
     )
-    result = harvester.design_space(
-        args.v_rx, args.target_v, constraints,
-        harvester.stage_scaling_model(args.r_stage, args.c_stage))
+    result = harvester.design_space(args.v_rx, args.target_v, constraints)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "q", "r_rect_ohm", "c_rect_f", "v_out_v",
@@ -258,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-store", type=float, default=harvester.DEFAULT_STORE_CAPACITOR)
     p.add_argument("--i-load", type=float, default=box.i_load_avg)
     p.add_argument("--v-t", type=float, default=harvester.BODY_THERMAL_VOLTAGE)
-    p.add_argument("--r-stage", type=float, default=harvester.DEFAULT_STAGE_R)
-    p.add_argument("--c-stage", type=float, default=harvester.DEFAULT_STAGE_C)
+    p.add_argument("--r-stage", type=float, default=box.r_stage)
+    p.add_argument("--c-stage", type=float, default=box.c_stage)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_harvester_explore)
 

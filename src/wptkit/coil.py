@@ -81,9 +81,7 @@ def link_auxiliaries(coils: CoilPair, ports: PortPair) -> LinkAuxiliaries:
 def coil_z(coils: CoilPair, f: float) -> TwoPortMatrix:
     """Impedance matrix of the coupled pair at frequency f:
     Z11 = R1 + jwL1, Z12 = Z21 = jwM, Z22 = R2 + jwL2."""
-    if not f > 0:
-        raise ValueError("frequency must be > 0")
-    w = 2.0 * math.pi * f
+    w = 2.0 * math.pi * netcore.check_frequency(f)
     m = coils.mutual
     return z_matrix(
         coils.r1 + 1j * w * coils.l1,
@@ -112,10 +110,8 @@ def coil_abcd(coils: CoilPair, f) -> TwoPortMatrix:
 
 def s21_mag(coils: CoilPair, ports: PortPair, f: float) -> float:
     """|S21| of the bare link: w t1 / sqrt((t2 - t3 w^2)^2 + w^2 t4^2)."""
-    if not f > 0:
-        raise ValueError("frequency must be > 0")
+    w = 2.0 * math.pi * netcore.check_frequency(f)
     t = link_auxiliaries(coils, ports)
-    w = 2.0 * math.pi * f
     return w * t.t1 / math.sqrt((t.t2 - t.t3 * w * w) ** 2 + (w * t.t4) ** 2)
 
 
@@ -141,8 +137,7 @@ def l_opt(f_target: float, r1: float, r2: float, ports: PortPair, k: float) -> f
     For symmetric coils L1 = L2 = L_opt; for asymmetric coils pick L1
     and pair it via :func:`asymmetric_partner`.
     """
-    if not f_target > 0:
-        raise ValueError("target frequency must be > 0")
+    netcore.check_frequency(f_target)
     if not (0.0 <= k < 1.0):
         raise ValueError(f"coupling coefficient must be in [0, 1), got {k}")
     if r1 < 0 or r2 < 0:
@@ -196,8 +191,7 @@ def extract_params(s: TwoPortMatrix, f: float) -> ExtractedParams:
     transmission parameters give k = [Re{A} Re{D}]^(-1/2).
     """
     s._expect(Representation.S)
-    if not f > 0:
-        raise ValueError("frequency must be > 0")
+    w = 2.0 * math.pi * netcore.check_frequency(f)
     s12, s21 = s.m12, s.m21
     scale = max(abs(s12), abs(s21))
     if scale < 1e-300:
@@ -210,7 +204,6 @@ def extract_params(s: TwoPortMatrix, f: float) -> ExtractedParams:
     s_fwd = 0.5 * (s12 + s21)
     sym = netcore.s_matrix(s.m11, s_fwd, s_fwd, s.m22, s.zp1, s.zp2)
     z = netcore.s_to_z(sym)
-    w = 2.0 * math.pi * f
     l1, r1 = z.m11.imag / w, z.m11.real
     l2, r2 = z.m22.imag / w, z.m22.real
     abcd = netcore.s_to_abcd(sym)

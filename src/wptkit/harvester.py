@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+from .netcore import check_frequency
 
 # Thermal voltage at body temperature (310 K).
 BODY_THERMAL_VOLTAGE = 0.0267  # V
 DEFAULT_STORE_CAPACITOR = 0.47e-6  # F, external storage
-# Default stage-count range of the design-space sweep, and the calibration
-# point of stage_scaling_model when no measured model is given.
+# Default stage-count range of the design-space sweep, and the per-stage
+# resistance and capacitance of its stage model.
 DEFAULT_N_MIN = 1
 DEFAULT_N_MAX = 60
 DEFAULT_STAGE_R = 1e3  # ohm
@@ -124,38 +127,27 @@ def rect_input(z_in_eh: complex, f: float) -> RectifierInput:
     """Series-to-parallel conversion of the harvester input impedance:
 
         R_rect = |Z|^2 / Re{Z},   C_rect = -Im{Z} / (2 pi f |Z|^2)
+
+    Where |Z|^2 leaves the normal float range, |Z| divides twice instead.
     """
     z = complex(z_in_eh)
     if z.real <= 0:
         raise ValueError(f"harvester input must have Re(Z) > 0, got {z!r}")
-    if not f > 0:
-        raise ValueError("frequency must be > 0")
-    mag_sq = abs(z) ** 2
-    return RectifierInput(mag_sq / z.real, -z.imag / (2.0 * math.pi * f * mag_sq))
-
-
-def stage_scaling_model(r_stage: float, c_stage: float) -> Callable[[int, float], complex]:
-    """Default input-impedance rule, calibrated at one (R, C) point.
-
-    Models the chain input as n*r_stage in parallel with c_stage/n, so
-    the effective input resistance grows and the input capacitance
-    shrinks as stages are added; replace with a measured table when one
-    exists.
-    """
-    if not (r_stage > 0 and c_stage > 0):
-        raise ValueError("calibration point must be positive")
-
-    def z_in(n: int, f: float) -> complex:
-        w = 2.0 * math.pi * f
-        y = 1.0 / (n * r_stage) + 1j * w * c_stage / n
-        return 1.0 / y
-
-    return z_in
+    w = 2.0 * math.pi * check_frequency(f)
+    mag = abs(z)
+    try:
+        mag_sq = mag ** 2
+    except OverflowError:
+        mag_sq = 0.0
+    if mag_sq >= sys.float_info.min:
+        return RectifierInput(mag_sq / z.real, -z.imag / (w * mag_sq))
+    return RectifierInput(mag * (mag / z.real), -z.imag / (w * mag) / mag)
 
 
 @dataclass(frozen=True, kw_only=True)
 class HarvesterConstraints:
-    """Search box for the design-space sweep."""
+    """Search box for the design-space sweep, and its stage model: the
+    input of n stages is n r_stage in parallel with c_stage / n."""
 
     n_range: Sequence[int]
     q_range: Sequence[float] = (1.0,)
@@ -165,6 +157,8 @@ class HarvesterConstraints:
     c_store: float = DEFAULT_STORE_CAPACITOR
     i_load_avg: float = 1e-6  # A
     v_t: float = BODY_THERMAL_VOLTAGE
+    r_stage: float = DEFAULT_STAGE_R
+    c_stage: float = DEFAULT_STAGE_C
 
     def __post_init__(self):
         if not len(self.n_range) or not len(self.q_range):
@@ -175,7 +169,8 @@ class HarvesterConstraints:
             raise ValueError("boost Q values must be finite and >= 1")
         if not self.max_charge_time > 0:
             raise ValueError("max_charge_time must be > 0")
-        for name in ("f0", "c_store", "i_load_avg", "v_t"):
+        check_frequency(self.f0)
+        for name in ("c_store", "i_load_avg", "v_t", "r_stage", "c_stage"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if not cmath.isfinite(self.tissue_z):
@@ -220,9 +215,7 @@ def charge_time(n: int, v_t: float, i_load_avg: float, c_store: float) -> float:
 
 
 def design_space(v_rx: float, target_v_out: float,
-                 constraints: HarvesterConstraints,
-                 z_in_model: Callable[[int, float], complex] | None = None
-                 ) -> DesignSpaceResult:
+                 constraints: HarvesterConstraints) -> DesignSpaceResult:
     """Sweep the (n, q) grid and pick the smallest feasible stage count.
 
     Feasible means v_out >= target and charge time within bounds; ties
@@ -234,13 +227,15 @@ def design_space(v_rx: float, target_v_out: float,
         raise ValueError("received amplitude must be finite and >= 0")
     if not target_v_out > 0:
         raise ValueError("target output voltage must be > 0")
-    model = z_in_model or stage_scaling_model(DEFAULT_STAGE_R, DEFAULT_STAGE_C)
-
-    v_t = constraints.v_t
+    v_t, r_stage, c_stage = constraints.v_t, constraints.r_stage, constraints.c_stage
+    w = 2.0 * math.pi * constraints.f0
     rows: list[DesignPoint] = []
     logs = None
     for n in map(int, constraints.n_range):
-        z_in = complex(model(n, constraints.f0))
+        y_in = 1.0 / (n * r_stage) + 1j * w * c_stage / n
+        if not y_in:
+            raise ValueError(f"input admittance of {n} stages underflows to 0")
+        z_in = 1.0 / y_in
         rect = rect_input(z_in, constraints.f0)
         tau = charge_time(n, v_t, constraints.i_load_avg, constraints.c_store)
         residual = abs(z_in - complex(constraints.tissue_z).conjugate())

@@ -134,6 +134,7 @@ def assemble_link(imn: LSectionIMN, t_coil: TwoPortMatrix, f) -> TwoPortMatrix:
     """Full-link transmission matrix IMN_TX * T_coil * IMN_RX at f, or
     along an array of frequencies (see :mod:`netcore`)."""
     t_coil._expect(Representation.ABCD)
+    netcore.check_frequency(f)
     # The TX section runs from its external port toward the coil, the RX
     # section from the coil toward its external port.
     tx_abcd = _section(imn.tx_series, imn.tx_shunt, imn.tx_series_at_port, f)
@@ -160,9 +161,9 @@ def _db(mag: float) -> float:
 def series_resonance_capacitor(inductance: float, f: float) -> float:
     """Capacitance resonating a series inductance at f: C = 1/(w^2 L).
     This is the classic series-series compensation value."""
-    if not (inductance > 0 and f > 0):
-        raise ValueError("inductance and frequency must be > 0")
-    w = 2.0 * math.pi * f
+    w = 2.0 * math.pi * netcore.check_frequency(f)
+    if not inductance > 0:
+        raise ValueError("inductance must be > 0")
     return 1.0 / (w * w * inductance)
 
 
@@ -354,8 +355,7 @@ def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair | TwoPortMatrix,
     matrix are built when it is read.
     """
     t_coil._expect(Representation.ABCD)
-    if not f0 > 0:
-        raise ValueError("design frequency must be > 0")
+    netcore.check_frequency(f0)
     if isinstance(ports, TwoPortMatrix):
         ports._expect(Representation.S)
         s = ports

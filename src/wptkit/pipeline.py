@@ -87,8 +87,6 @@ class HarvesterSettings:
     v_rx: float
     target_v_out: float
     constraints: harvester.HarvesterConstraints
-    r_stage: float = harvester.DEFAULT_STAGE_R
-    c_stage: float = harvester.DEFAULT_STAGE_C
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,7 @@ class DesignSpec:
     harvest: HarvesterSettings | None = None
 
     def __post_init__(self):
-        if not self.f0 > 0:
-            raise ValueError("design frequency must be > 0")
+        netcore.check_frequency(self.f0)
         if self.k is not None and not (0.0 < self.k < 1.0):
             raise ValueError(f"coupling coefficient must be in (0, 1), got {self.k}")
         if self.k is None and (self.distance is None or not self.distance > 0):
@@ -511,9 +508,7 @@ def run_design(spec: DesignSpec) -> DesignReport:
     harvest_result = None
     if spec.harvest is not None:
         h = spec.harvest
-        harvest_result = harvester.design_space(
-            h.v_rx, h.target_v_out, h.constraints,
-            harvester.stage_scaling_model(h.r_stage, h.c_stage))
+        harvest_result = harvester.design_space(h.v_rx, h.target_v_out, h.constraints)
         if harvest_result.chosen is None:
             misses = "; ".join(
                 f"{label}: n={p.n} q={p.q:g} v_out={si(p.v_out, 'V')} "
@@ -636,8 +631,8 @@ SWEEP_HEADER = ("f_hz", "s11_db", "s21_db", "s22_db", "pte_pct", "pte_max_pct")
 
 
 def frequency_grid(f_start: float, f_stop: float, points: int, scale: str = "log") -> list[float]:
-    if not 0 < f_start < f_stop < math.inf:
-        raise ValueError("need 0 < f_start < f_stop < inf")
+    if not netcore.check_frequency(f_start) < netcore.check_frequency(f_stop):
+        raise ValueError("need f_start < f_stop")
     if points < 2:
         raise ValueError("need at least 2 sweep points")
     if scale == "log":

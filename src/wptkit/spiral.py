@@ -550,22 +550,21 @@ def trace_length(g: SpiralGeometry) -> float:
     return total
 
 
-def skin_depth(f: float, resistivity: float = COPPER_RESISTIVITY) -> float:
-    return math.sqrt(resistivity / (math.pi * check_frequency(f) * MU_0))
+def skin_depth(f: float) -> float:
+    return math.sqrt(COPPER_RESISTIVITY / (math.pi * check_frequency(f) * MU_0))
 
 
-def ac_resistance(g: SpiralGeometry, f: float,
-                  resistivity: float = COPPER_RESISTIVITY) -> float:
+def ac_resistance(g: SpiralGeometry, f: float) -> float:
     """Series trace resistance at f with single-sided skin-effect crowding:
-    R = rho l / (w t_eff), t_eff = delta (1 - exp(-t/delta))."""
-    if f < 0:
-        raise ValueError("frequency must be >= 0")
+    R = rho l / (w t_eff), t_eff = delta (1 - exp(-t/delta)); f = 0 is DC.
+    Below t/delta = 1e-3, where 1 - exp rounds away, t_eff = -delta expm1(-t/delta)."""
     length = trace_length(g)
     if f == 0.0:
-        return resistivity * length / (g.w * g.t)
-    delta = skin_depth(f, resistivity)
-    t_eff = delta * (1.0 - math.exp(-g.t / delta))
-    return resistivity * length / (g.w * t_eff)
+        return COPPER_RESISTIVITY * length / (g.w * g.t)
+    delta = skin_depth(f)
+    x = g.t / delta
+    t_eff = delta * (1.0 - math.exp(-x)) if x >= 1e-3 else -delta * math.expm1(-x)
+    return COPPER_RESISTIVITY * length / (g.w * t_eff)
 
 
 def _equivalent_loop_radius(shape: ShapeCoefficients, circumradius: float) -> float:
@@ -645,9 +644,10 @@ def estimate_k(tx: SpiralGeometry, rx: SpiralGeometry, distance: float) -> float
     return min(max(k, 0.0), 1.0 - 1e-12)
 
 
-def candidate_record(g: SpiralGeometry, f0: float | None = None) -> dict:
-    """Flat record of one candidate for export (lengths in metres)."""
-    rec = {
+def candidate_record(g: SpiralGeometry, f0: float) -> dict:
+    """Flat record of one candidate for export (lengths in metres), with
+    its AC resistance at f0."""
+    return {
         "shape": g.shape.name,
         "n": g.n,
         "r_m": g.r,
@@ -655,7 +655,5 @@ def candidate_record(g: SpiralGeometry, f0: float | None = None) -> dict:
         "w_m": g.w,
         "l_h": inductance(g),
         "area_m2": g.area,
+        "r_ac_ohm": ac_resistance(g, f0),
     }
-    if f0 is not None:
-        rec["r_ac_ohm"] = ac_resistance(g, f0)
-    return rec

@@ -21,12 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptkit import cli, netcore, pipeline, tissue
+from wptkit import cli, coil, harvester, imn, netcore, pipeline, spiral, tissue
 from wptkit.coil import CoilPair, PortPair, coil_abcd
 from wptkit.efficiency import gamma_factor
 from wptkit.imn import ElementKind, LSectionIMN, MatchingElement, _db, assemble_link
 from wptkit.netcore import TwoPortMatrix
 from wptkit.pipeline import run_design, spec_from_dict
+from wptkit.spiral import SQUARE, SpiralGeometry
 from wptkit.tissue import (
     EPS_0,
     TISSUE_LIBRARY,
@@ -428,6 +429,41 @@ def test_stages_reject_the_same_frequencies(f, capsys):
     # The smallest normal frequency and the largest with a finite 2 pi f pass.
     netcore.check_frequency(np.array([2.2250738585072014e-308, F0, netcore.F_MAX]))
     assert 2.0 * math.pi * netcore.F_MAX < math.inf
+
+
+_T_COIL = coil_abcd(REF_COIL, F0)
+_SPIRAL = SpiralGeometry(SQUARE, 5, 2e-3, 2e-4, 1e-4)
+FREQUENCY_INPUTS = {
+    "coil.coil_z": lambda f: coil.coil_z(REF_COIL, f),
+    "coil.s21_mag": lambda f: coil.s21_mag(REF_COIL, PortPair(), f),
+    "coil.l_opt": lambda f: coil.l_opt(f, 0.5, 0.5, PortPair(), 0.1),
+    "coil.extract_params": lambda f: coil.extract_params(coil.coil_s(REF_COIL, PortPair(), F0), f),
+    "imn.series_resonance_capacitor": lambda f: imn.series_resonance_capacitor(400e-9, f),
+    "imn.synthesize_imn": lambda f: imn.synthesize_imn(_T_COIL, PortPair(), f),
+    "imn.assemble_link": lambda f: assemble_link(LSectionIMN(
+        1, *(MatchingElement(ElementKind.SERIES_CAPACITOR, 1e-10),
+             MatchingElement(ElementKind.SHUNT_CAPACITOR, 1e-10)) * 2), _T_COIL, f),
+    "harvester.rect_input": lambda f: harvester.rect_input(50 - 5j, f),
+    "harvester.HarvesterConstraints.f0": lambda f: harvester.HarvesterConstraints(
+        n_range=(1,), tissue_z=50j, f0=f),
+    "pipeline.DesignSpec.f0": lambda f: pipeline.DesignSpec(f0=f),
+    "pipeline.frequency_grid start": lambda f: pipeline.frequency_grid(f, 1e9, 11),
+    "pipeline.frequency_grid stop": lambda f: pipeline.frequency_grid(1e3, f, 11),
+    "spiral.ac_resistance": lambda f: spiral.ac_resistance(_SPIRAL, f),
+}
+
+
+@pytest.mark.parametrize("f", [0.0, -1.0, 5e-324, math.nan, math.inf, 1e308])
+@pytest.mark.parametrize("name", FREQUENCY_INPUTS)
+def test_every_frequency_input_follows_check_frequency(name, f):
+    if name == "spiral.ac_resistance" and f == 0.0:
+        assert spiral.ac_resistance(_SPIRAL, f) == (
+            spiral.COPPER_RESISTIVITY * spiral.trace_length(_SPIRAL) / (_SPIRAL.w * _SPIRAL.t))
+        return
+    with pytest.raises(ValueError) as exc:
+        FREQUENCY_INPUTS[name](f)
+    assert str(exc.value) == f"frequency must be in [2.22507e-308, 2.86112e+307] Hz, got {f!r}"
+    FREQUENCY_INPUTS[name](F0)  # and F0 passes
 
 
 # -- split arithmetic is CPython's arithmetic ----------------------------------

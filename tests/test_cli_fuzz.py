@@ -23,7 +23,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wptkit import cli, pipeline
@@ -96,6 +96,18 @@ COIL = argv(("coil", "synth"), {
 
 TISSUE = argv(("tissue", "table"), {"--f": reals(1e5, 1e9)}, ("--f",))
 
+# Argument lists the draws above have missed: a tiny --f0 with a feasible
+# synthesis (the skin depth dwarfs the trace), a stage impedance whose
+# square overflows, and a stage admittance that underflows to 0.
+EXAMPLES = {
+    "harvester": [["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
+                   "--r-stage", "1e300", "--c-stage", "1e-300"],
+                  ["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
+                   "--r-stage", "1.7e308", "--c-stage", "5e-324", "--f0", "0.1", "--n-min", "2"]],
+    "coil": [["coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6", "--f0", "1e-30"]],
+    "tissue": [],
+}
+
 
 def sweep(s2p: str):
     return argv(("sweep", "--s2p", s2p), {
@@ -130,6 +142,8 @@ def test_flags_end_in_an_exit_code(command):
     def fuzz(args):
         check(args, nan_free=True)
 
+    for args in EXAMPLES[command]:
+        fuzz = example(args)(fuzz)
     fuzz()
 
 

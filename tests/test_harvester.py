@@ -19,7 +19,6 @@ from wptkit.harvester import (
     design_space,
     minimum_stage_count,
     rect_input,
-    stage_scaling_model,
     v_out,
 )
 
@@ -224,12 +223,31 @@ class TestDesignSpace:
 
 class TestScalingModel:
     def test_resistance_grows_capacitance_shrinks(self):
-        model = stage_scaling_model(1e3, 1e-12)
-        f = 50e6
-        r1 = rect_input(model(1, f), f)
-        r4 = rect_input(model(4, f), f)
+        table = design_space(0.05, 1.0, constraints(n_range=(1, 4), f0=50e6,
+                                                    r_stage=1e3, c_stage=1e-12)).table
+        r1, r4 = table
+        assert (r1.n, r4.n) == (1, 4)
         assert r4.r_rect == pytest.approx(4 * r1.r_rect, rel=1e-9)
         assert r4.c_rect == pytest.approx(r1.c_rect / 4, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["r_stage", "c_stage"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_stage_values_checked_when_built(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
+            constraints(**{name: value})
+
+    def test_huge_stage_impedance_does_not_overflow(self):
+        # |Z|^2 overflows past 1.3e154 ohm; R_rect is still n r_stage.
+        result = design_space(0.05, 1.0, constraints(r_stage=1e300, c_stage=1e-300))
+        assert result.table[-1].r_rect == pytest.approx(60 * 1e300, rel=1e-12)
+        assert rect_input(complex(1e200, -1e200), 1e6).r_rect == pytest.approx(2e200)
+        assert rect_input(complex(1e-200, 1e-200), 1e6).r_rect == pytest.approx(2e-200)
+
+    def test_vanishing_stage_admittance_is_a_value_error(self):
+        # 1 / (2 r_stage) underflows to 0, and so does w c_stage / 2 at 0.1 Hz.
+        with pytest.raises(ValueError, match="input admittance of 2 stages underflows to 0"):
+            design_space(0.05, 1.0, constraints(n_range=(2,), f0=0.1,
+                                                r_stage=1.7e308, c_stage=5e-324))
 
     def test_charge_time_linear_in_stages(self):
         assert charge_time(10, 0.026, 1e-6, 0.47e-6) == pytest.approx(

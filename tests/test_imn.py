@@ -67,8 +67,7 @@ def _reference_synthesize_imn(t_coil, ports, f0):
     assemble_link and one abcd_to_s per variant, and the same ranking key
     with the total reactance summed over the assembled network's elements."""
     t_coil._expect(netcore.Representation.ABCD)
-    if not f0 > 0:
-        raise ValueError("design frequency must be > 0")
+    netcore.check_frequency(f0)
     s = netcore.abcd_to_s(t_coil, ports.zp1, ports.zp2)
     z_ms, z_ml = simultaneous_match_targets(s)
     for name, z in (("source", z_ms), ("load", z_ml)):

@@ -115,8 +115,15 @@ class TestSpecParsing:
         c = spec.harvest.constraints
         assert c.n_range == tuple(range(harvester.DEFAULT_N_MIN, harvester.DEFAULT_N_MAX + 1))
         assert c.tissue_z == complex(75.0, 0.0) and c.f0 == 20e6
-        assert (spec.harvest.r_stage, spec.harvest.c_stage) == (
-            harvester.DEFAULT_STAGE_R, harvester.DEFAULT_STAGE_C)
+        assert (c.r_stage, c.c_stage) == (harvester.DEFAULT_STAGE_R, harvester.DEFAULT_STAGE_C)
+
+    def test_stage_model_checked_when_the_spec_is_read(self):
+        with pytest.raises(ValueError, match="^harvester: r_stage must be finite and > 0$"):
+            spec_from_dict({"f0_hz": 20e6, "harvester": {
+                "v_rx_v": 0.05, "target_v_out_v": 1.0, "r_stage_ohm": -1}})
+        spec = spec_from_dict({"f0_hz": 20e6, "harvester": {
+            "v_rx_v": 0.05, "target_v_out_v": 1.0, "r_stage_ohm": 5e3, "c_stage_f": 3e-13}})
+        assert (spec.harvest.constraints.r_stage, spec.harvest.constraints.c_stage) == (5e3, 3e-13)
 
 
 def test_readme_library_use_runs():
@@ -577,6 +584,26 @@ class TestCli:
                        "--max-area", "25e-6", "--top", "2")
         assert proc.returncode == 0, proc.stderr
         assert "L=" in proc.stdout and "area=" in proc.stdout
+
+    def test_coil_synth_far_below_the_skin_effect(self):
+        # At 1e-30 Hz the skin depth dwarfs the trace: R_ac is the DC value.
+        proc = run_cli("coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6",
+                       "--f0", "1e-30", "--top", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "R_ac=73.7 mohm" in proc.stdout, proc.stdout
+
+    def test_harvester_huge_stage_impedance(self, tmp_path):
+        # |Z|^2 overflows past 1.3e154 ohm; the table still reads R_rect = n r_stage.
+        proc = run_cli("harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
+                       "--r-stage", "1e300", "--c-stage", "1e-300")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[60].startswith("60,1,6e+301,"), proc.stdout
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(SYMMETRIC, harvester={
+            "v_rx_v": 0.05, "target_v_out_v": 1.0, "r_stage_ohm": 1e300, "c_stage_f": 1e-300})))
+        proc = run_cli("design", str(spec))
+        assert proc.returncode == 0, proc.stderr
+        assert "harvester_n=26\n" in proc.stdout
 
     def test_harvester_explore_command(self):
         proc = run_cli("harvester", "explore", "--v-rx", "0.05",

@@ -557,7 +557,9 @@ class TestAcResistance:
     def test_dc_value(self):
         rho = 1.68e-8
         expected = rho * trace_length(self.GEOM) / (0.3e-3 * 35e-6)
-        assert ac_resistance(self.GEOM, 0.0, rho) == pytest.approx(expected)
+        assert ac_resistance(self.GEOM, 0.0) == pytest.approx(expected)
+        # Far below the skin effect t_eff is the whole thickness, not 0.
+        assert ac_resistance(self.GEOM, 1e-30) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_frequency(self):
         freqs = [0.0, 1e5, 1e6, 1e7, 2e7, 1e8, 1e9]
@@ -568,7 +570,7 @@ class TestAcResistance:
         # Copper at 20 MHz: sqrt(rho / (pi f mu0)) evaluated directly.
         rho = 1.68e-8
         expected = math.sqrt(rho / (math.pi * 20e6 * MU0))
-        assert skin_depth(20e6, rho) == pytest.approx(expected, rel=1e-12)
+        assert skin_depth(20e6) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(14.7e-6, rel=0.02)
 
     def test_trace_length_square(self):

@@ -112,7 +112,7 @@ def s21_mag(coils: CoilPair, ports: PortPair, f: float) -> float:
     """|S21| of the bare link: w t1 / sqrt((t2 - t3 w^2)^2 + w^2 t4^2)."""
     w = 2.0 * math.pi * netcore.check_frequency(f)
     t = link_auxiliaries(coils, ports)
-    return w * t.t1 / math.sqrt((t.t2 - t.t3 * w * w) ** 2 + (w * t.t4) ** 2)
+    return w * t.t1 / math.sqrt(netcore.square(t.t2 - t.t3 * w * w) + netcore.square(w * t.t4))
 
 
 def f_opt(coils: CoilPair, ports: PortPair) -> float:
@@ -144,8 +144,8 @@ def l_opt(f_target: float, r1: float, r2: float, ports: PortPair, k: float) -> f
         raise ValueError("coil resistances must be >= 0")
     num = (r1 + ports.zp1) * (r2 + ports.zp2)
     try:
-        value = math.sqrt(num / ((2.0 * math.pi * f_target) ** 2 * (1.0 - k * k)))
-    except (OverflowError, ZeroDivisionError):  # f_target near the ends of the float range
+        value = math.sqrt(num / (netcore.square(2.0 * math.pi * f_target) * (1.0 - k * k)))
+    except ZeroDivisionError:  # f_target near the bottom of the float range
         value = math.nan
     if not 0.0 < value < math.inf:
         raise ValueError(f"L_opt at {f_target:g} Hz lies outside the float range")

@@ -32,10 +32,11 @@ def pte_two_port(s: TwoPortMatrix, gamma_load: complex) -> float:
     if abs(den_term) < 1e-300:
         raise ZeroDivisionError("1 - S22*gamma_load vanished")
     g_in = input_reflection(s, gamma_load)
-    input_factor = 1.0 - abs(g_in) ** 2
+    input_factor = 1.0 - square(abs(g_in))
     if abs(input_factor) < 1e-300:
         raise ZeroDivisionError("input is totally reflective (|Gamma_in| = 1)")
-    return (abs(s.m21) ** 2) * (1.0 - abs(gamma_load) ** 2) / (input_factor * abs(den_term) ** 2)
+    return (square(abs(s.m21)) * (1.0 - square(abs(gamma_load)))
+            / (input_factor * square(abs(den_term))))
 
 
 class MaxEfficiency(NamedTuple):

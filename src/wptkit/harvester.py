@@ -91,7 +91,15 @@ def v_out(n: int, v_rx: float, v_t: float = BODY_THERMAL_VOLTAGE) -> float:
     """Rectified DC output of an n-stage chain fed v_rx peak amplitude."""
     if n < 1 or n != int(n):
         raise ValueError(f"stage count must be a positive integer, got {n}")
-    return 2.0 * n * v_t * _stage_log(v_rx, v_t)
+    return _output_scale(n, v_t) * _stage_log(v_rx, v_t)
+
+
+def _output_scale(n: int, v_t: float) -> float:
+    """2 n V_T, rejected where it overflows (times ln I0(0) = 0 it is NaN)."""
+    scale = 2.0 * n * v_t
+    if scale == math.inf:
+        raise ValueError(f"2 n v_t overflows at n = {n}, v_t = {v_t!r} V")
+    return scale
 
 
 def _stage_log(v_rx: float, v_t: float) -> float:
@@ -135,11 +143,8 @@ def rect_input(z_in_eh: complex, f: float) -> RectifierInput:
         raise ValueError(f"harvester input must have Re(Z) > 0, got {z!r}")
     w = 2.0 * math.pi * check_frequency(f)
     mag = abs(z)
-    try:
-        mag_sq = mag ** 2
-    except OverflowError:
-        mag_sq = 0.0
-    if mag_sq >= sys.float_info.min:
+    mag_sq = mag * mag
+    if sys.float_info.min <= mag_sq < math.inf:
         return RectifierInput(mag_sq / z.real, -z.imag / (w * mag_sq))
     return RectifierInput(mag * (mag / z.real), -z.imag / (w * mag) / mag)
 
@@ -173,6 +178,7 @@ class HarvesterConstraints:
         for name in ("c_store", "i_load_avg", "v_t", "r_stage", "c_stage"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        _output_scale(max(self.n_range), self.v_t)
         if not cmath.isfinite(self.tissue_z):
             raise ValueError(f"tissue_z must be finite, got {self.tissue_z!r}")
         # Callers pass a range: a bad n_min fails the checks above before a

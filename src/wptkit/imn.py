@@ -26,7 +26,7 @@ from . import netcore
 from .coil import PortPair
 from .errors import UnmatchableError
 from .netcore import (IDENTITY, BuiltOnRead, Entries, Representation, TwoPortMatrix, abcd_chain,
-                      abcd_to_s, impedance_of, promote)
+                      abcd_to_s, impedance_of, promote, square)
 
 # A synthesized ideal match must push both reflections at least this low.
 RETURN_LOSS_FLOOR_DB = -40.0
@@ -305,8 +305,8 @@ def simultaneous_match_targets(s: TwoPortMatrix) -> tuple[complex, complex]:
     if abs(s12 * s21) < 1e-300:
         raise UnmatchableError("no transmission path: S12*S21 = 0")
     delta = s.det
-    b1 = 1.0 + abs(s11) ** 2 - abs(s22) ** 2 - abs(delta) ** 2
-    b2 = 1.0 + abs(s22) ** 2 - abs(s11) ** 2 - abs(delta) ** 2
+    b1 = 1.0 + square(abs(s11)) - square(abs(s22)) - square(abs(delta))
+    b2 = 1.0 + square(abs(s22)) - square(abs(s11)) - square(abs(delta))
     c1 = s11 - delta * s22.conjugate()
     c2 = s22 - delta * s11.conjugate()
 
@@ -318,7 +318,7 @@ def simultaneous_match_targets(s: TwoPortMatrix) -> tuple[complex, complex]:
             # point "matches"), not a centred match.
             raise UnmatchableError(
                 "match target at f0 is purely reactive (lossless network)")
-        disc = b * b - 4.0 * abs(c) ** 2
+        disc = b * b - 4.0 * square(abs(c))
         if disc < 0.0:
             raise UnmatchableError(
                 "no simultaneous conjugate match exists (stability factor < 1)")

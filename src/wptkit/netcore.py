@@ -60,12 +60,11 @@ numpy's own complex ufuncs are not used on this path: its complex
 product differs from CPython's in the last bit for about a quarter of
 random operands (and ``@`` on stacked 2x2 matrices for most).  Nor are
 ``np.log10`` and ``np.power``, which may run vectorised library kernels
-that differ from libm's ``log10`` and ``pow``, nor ``x * x`` in place of
-``x ** 2``, which CPython computes with libm ``pow``: :func:`square`
-calls Python's ``**`` per point.  ``np.hypot`` and ``np.sqrt`` are the
-libm ``hypot`` and the correctly rounded square root that ``abs`` of a
-complex number and ``math.sqrt`` use.  ``tests/test_chain.py`` checks
-these identities on random, signed-zero, subnormal and huge operands.
+that differ from libm's ``log10`` and ``pow``.  A square is ``x * x``,
+never ``x ** 2``.  ``np.hypot`` and ``np.sqrt`` are the libm ``hypot``
+and the correctly rounded square root that ``abs`` of a complex number
+and ``math.sqrt`` use.  ``tests/test_chain.py`` checks these identities
+on random, signed-zero, subnormal and huge operands.
 """
 
 from __future__ import annotations
@@ -247,24 +246,10 @@ def join(re, im):
     return complex(re, im)
 
 
-def per_point(fn, x):
-    """``fn`` applied to each point of ``x``; ``fn(x)`` for one point."""
-    if on_axis(x):
-        return np.array([fn(v) for v in x.tolist()])
-    return fn(x)
-
-
-def _pow2(x: float) -> float:
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 def square(x):
-    """``x ** 2`` as CPython computes it (libm ``pow``, which ``x * x``
-    does not match in the last bit); inf where it overflows."""
-    return per_point(_pow2, x)
+    """``x * x`` of a float or an array: correctly rounded, inf where it
+    overflows."""
+    return x * x
 
 
 # The argument of ``1j * x`` for x >= 0: CPython's ``atan2(x, +0.0)``.

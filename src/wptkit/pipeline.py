@@ -48,8 +48,8 @@ _PREFIXES = (
 
 def si(value: float, unit: str, digits: int = 4) -> str:
     """Format a value with an SI prefix and unit, deterministically."""
-    if value != value:  # NaN
-        return f"nan {unit}"
+    if not math.isfinite(value):  # nan, inf or -inf, without a prefix
+        return f"{value} {unit}"
     if value == 0.0:
         return f"0 {unit}"
     mag = abs(value)

@@ -466,7 +466,7 @@ def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
         edge = row_w[row] + 2.0 * (r + ndr) * cosf
         phi = edge / d_avg - 1.0
         with np.errstate(invalid="ignore"):
-            bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
+            bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi * phi
         return row_coef[row] * d_avg * bracket, edge, d_avg
 
     def window_tests(l_val):

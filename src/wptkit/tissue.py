@@ -181,10 +181,10 @@ def effective_conductivity(layer: ColeColeLayer, f: float) -> float:
 def loss_scaling(sigma: float, omega: float) -> float:
     """Tissue eddy-loss proportionality sigma * w^2 (geometry constant
     is the caller's)."""
-    if sigma < 0.0:
-        raise ValueError("conductivity must be >= 0")
-    if not omega > 0:
-        raise ValueError("angular frequency must be > 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"conductivity must be finite and >= 0, got {sigma!r}")
+    if not netcore.F_MIN <= omega < math.inf:
+        raise ValueError(f"angular frequency must be in [{netcore.F_MIN:g}, inf), got {omega!r}")
     return sigma * omega * omega
 
 

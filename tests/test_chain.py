@@ -66,7 +66,7 @@ def _reference_ladder(stack, f):
     for layer in stack.layers:
         sigma_eff = 1j * w * EPS_0 * complex_permittivity(layer, f)
         t_s = layer.thickness / stack.sections_per_layer
-        z = (w * coupling) ** 2 * sigma_eff * t_s
+        z = (w * coupling) * (w * coupling) * sigma_eff * t_s
         y = sigma_eff * t_s
         half = 0.5 * z
         a = 1.0 + half * y
@@ -164,9 +164,9 @@ def _reference_pte_max_pct(s):
     mag = abs(s21_sq)
     if mag < 1e-300:
         return math.nan
-    a = abs(s.m11 * s.m22 - s21_sq) ** 2
-    b = -abs(s.m11) ** 2
-    c = -abs(s.m22) ** 2
+    a = abs(s.m11 * s.m22 - s21_sq) * abs(s.m11 * s.m22 - s21_sq)
+    b = -abs(s.m11) * abs(s.m11)
+    c = -abs(s.m22) * abs(s.m22)
     k_r = (1.0 + a + b + c) / (2.0 * mag)
     if k_r < 1.0:
         return math.nan
@@ -174,7 +174,7 @@ def _reference_pte_max_pct(s):
 
 
 def _reference_row(f, s, ports):
-    pte = gamma_factor(ports) * abs(complex(s.m21)) ** 2
+    pte = gamma_factor(ports) * (abs(complex(s.m21)) * abs(complex(s.m21)))
     return pipeline.SweepRow(f, _db(abs(s.m11)), _db(abs(s.m21)), _db(abs(s.m22)),
                              pte * 100.0, _reference_pte_max_pct(s))
 
@@ -546,7 +546,7 @@ def test_split_arithmetic_is_cpython_arithmetic():
         _same_parts((1 + 0j) * sb + 0j * sa, [(1 + 0j) * q + 0j * p for p, q in zip(a, b)])
         reals = {
             "abs": (abs(sa), _cpython(abs, a)),
-            "square": (netcore.square(x), _cpython(lambda v: v ** 2, xs)),
+            "square": (netcore.square(x), [v * v for v in xs]),
             "sqrt": (netcore.sqrt(np.abs(x)), [math.sqrt(abs(v)) for v in xs]),
         }
     for name, (got, want) in reals.items():

@@ -98,12 +98,15 @@ TISSUE = argv(("tissue", "table"), {"--f": reals(1e5, 1e9)}, ("--f",))
 
 # Argument lists the draws above have missed: a tiny --f0 with a feasible
 # synthesis (the skin depth dwarfs the trace), a stage impedance whose
-# square overflows, and a stage admittance that underflows to 0.
+# square overflows, a stage admittance that underflows to 0, and zero drive
+# with a V_T at which 2 n V_T overflows.
 EXAMPLES = {
     "harvester": [["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
                    "--r-stage", "1e300", "--c-stage", "1e-300"],
                   ["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
-                   "--r-stage", "1.7e308", "--c-stage", "5e-324", "--f0", "0.1", "--n-min", "2"]],
+                   "--r-stage", "1.7e308", "--c-stage", "5e-324", "--f0", "0.1", "--n-min", "2"],
+                  ["harvester", "explore", "--v-rx", "0", "--target-v", "1", "--v-t", "1.7e308",
+                   "--n-max", "2"]],
     "coil": [["coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6", "--f0", "1e-30"]],
     "tissue": [],
 }

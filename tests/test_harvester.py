@@ -89,6 +89,9 @@ class TestVOut:
             v_out(0, 0.05, 0.026)
         with pytest.raises(ValueError):
             v_out(10, 0.05, 0.0)
+        # 2 n V_T overflows: times ln I0(0) = 0 it would be NaN.
+        with pytest.raises(ValueError, match="^2 n v_t overflows"):
+            v_out(2, 0.0, 1.7e308)
 
 
 class TestRectInput:
@@ -197,6 +200,11 @@ class TestDesignSpace:
                 design_space(v_rx, 1.0, constraints())
             with pytest.raises(ValueError):
                 v_out(3, v_rx)
+
+    def test_thermal_voltage_judged_at_the_largest_stage_count(self):
+        assert constraints(n_range=range(1, 9), v_t=1e307).v_t == 1e307
+        with pytest.raises(ValueError, match="^2 n v_t overflows at n = 9"):
+            constraints(n_range=range(1, 10), v_t=1e307)
 
     def test_stage_range_checked_before_it_is_expanded(self):
         # A range starting below 1 fails at once; it would not fit in memory as a tuple.

@@ -163,6 +163,9 @@ BAD_SPECS = [
     ('{"f0_hz": 2e7, "rx": {"max_area_m2": 0.0101}}', "rx.max_area_m2"),
     (json.dumps({"f0_hz": 2e7, "harvester": {"v_rx_v": 0.05, "target_v_out_v": 1.0,
                                              "n_max": 10001}}), "harvester.n_max"),
+    # 2 n_max v_t overflows.
+    (json.dumps({"f0_hz": 2e7, "harvester": {"v_rx_v": 0.05, "target_v_out_v": 1.0,
+                                             "v_t_v": 1.7e308, "n_max": 2}}), "harvester"),
 ]
 
 
@@ -262,6 +265,9 @@ class TestReport:
         assert si(20e6, "Hz") == "20 MHz"
         assert si(0.0, "V") == "0 V"
         assert si(52.7e-12, "F") == "52.7 pF"
+        assert si(math.inf, "s") == "inf s"
+        assert si(-math.inf, "V") == "-inf V"
+        assert si(math.nan, "V") == "nan V"
 
 
 class TestSweep:
@@ -604,6 +610,12 @@ class TestCli:
         proc = run_cli("design", str(spec))
         assert proc.returncode == 0, proc.stderr
         assert "harvester_n=26\n" in proc.stdout
+
+    def test_harvester_infinite_charge_time_has_no_prefix(self):
+        proc = run_cli("harvester", "explore", "--v-rx", "0.1", "--target-v", "1",
+                       "--i-load", "5e-324", "--n-max", "3")
+        assert proc.returncode == 3, proc.stderr
+        assert "charge_time=inf s\n" in proc.stdout and "inf G" not in proc.stdout
 
     def test_harvester_explore_command(self):
         proc = run_cli("harvester", "explore", "--v-rx", "0.05",

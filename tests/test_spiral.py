@@ -199,13 +199,13 @@ def _grid_rows(fab, shape):
 
 def _row_inductance(shape, n, w, dr, r):
     """Current-sheet L and footprint edge along one row's r run, in the
-    array form: np.log and phi**2 over the whole run."""
+    array form: np.log and phi * phi over the whole run."""
     cosf = shape.cos_factor
     d_avg = (2.0 * r + n * dr) * cosf
     edge = w + 2.0 * (r + n * dr) * cosf
     phi = edge / d_avg - 1.0
     with np.errstate(invalid="ignore"):
-        bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi**2
+        bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi * phi
     return 0.5 * shape.c1 * spiral.MU_0 * n * n * d_avg * bracket, edge
 
 

@@ -114,6 +114,17 @@ class TestLossScaling:
     def test_zero_conductivity(self):
         assert loss_scaling(0.0, 1e8) == 0.0
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 5e-324, 0.0, -1.0])
+    def test_inputs_checked(self, value):
+        # omega follows the frequency rule; sigma must be finite and >= 0.
+        with pytest.raises(ValueError, match="^angular frequency must be in"):
+            loss_scaling(0.5, value)
+        if 0.0 <= value < math.inf:
+            assert loss_scaling(value, 1e8) == value * 1e8 * 1e8
+        else:
+            with pytest.raises(ValueError, match="^conductivity must be finite and >= 0"):
+                loss_scaling(value, 1e8)
+
     def test_muscle_ratio_exceeds_four(self):
         # sigma rises with frequency, so the 40 vs 20 MHz loss ratio
         # beats the bare w^2 factor.

@@ -37,7 +37,8 @@ frequency and on :class:`Split` values along an axis:
 - A complex power has one form, :func:`jpow`, for the purely imaginary
   bases of the Cole-Cole terms: at one frequency it is Python's ``**``,
   and along an axis it runs CPython's ``complex_pow`` for such a base
-  with a constant phase, calling libm ``pow`` per point.
+  with a constant phase, calling libm ``pow`` per point.  Such libm calls
+  (``pow``, ``log10``) run through ``map`` in C, never a frame per point.
 - At one frequency the operands are Python floats and complex numbers,
   so a single-frequency caller runs the same lines at Python's own
   speed and pays no numpy per-call cost.
@@ -76,6 +77,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -259,19 +261,19 @@ _HALF_PI = math.atan2(1.0, 0.0)
 def jpow(x, e):
     """``(1j * x) ** e`` for x >= 0 and 0 < e <= 1, as CPython computes it.
 
-    Along an axis only libm ``pow`` runs per point, through Python's
-    ``**``.  For this base ``complex_pow`` takes one of two paths: e == 1
-    is ``c_powi``, the product ``1 * (1j * x)``, which is ``(+0.0, x)``;
-    any other e is ``_Py_c_pow`` with ``hypot(+0.0, x) = x`` and argument
-    pi/2, so the result is ``x ** e * (cos(phi), sin(phi))`` with the
-    constant phase phi = (pi/2) e.  inf where x is inf, where CPython
-    raises OverflowError."""
+    Along an axis only libm ``pow`` runs per point, as ``math.pow`` (here
+    float ``**``, also at 0 and inf).  For this base ``complex_pow`` takes
+    one of two paths: e == 1 is ``c_powi``, the product ``1 * (1j * x)``,
+    which is ``(+0.0, x)``; any other e is ``_Py_c_pow`` with
+    ``hypot(+0.0, x) = x`` and argument pi/2, so the result is
+    ``x ** e * (cos(phi), sin(phi))`` with the constant phase phi = (pi/2) e.
+    inf where x is inf, where CPython raises OverflowError."""
     if not on_axis(x):
         return (1j * x) ** e
     if e == 1.0:
         return Split(np.zeros_like(x), x)
     phi = _HALF_PI * e
-    size = np.array([v ** e for v in x.tolist()])
+    size = np.fromiter(map(math.pow, x.tolist(), repeat(e)), float, x.size)
     return Split(size * math.cos(phi), size * math.sin(phi))
 
 

@@ -10,6 +10,7 @@ with the stage name and its nearest-miss data.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -636,9 +637,9 @@ def frequency_grid(f_start: float, f_stop: float, points: int, scale: str = "log
     if points < 2:
         raise ValueError("need at least 2 sweep points")
     if scale == "log":
-        return [float(f) for f in np.geomspace(f_start, f_stop, points)]
+        return np.geomspace(f_start, f_stop, points).tolist()
     if scale == "linear":
-        return [float(f) for f in np.linspace(f_start, f_stop, points)]
+        return np.linspace(f_start, f_stop, points).tolist()
     raise ValueError(f"scale must be 'log' or 'linear', got {scale!r}")
 
 
@@ -654,10 +655,11 @@ def _s_along(frequencies: list, s_at) -> TwoPortMatrix:
 @netcore.quiet
 def _sweep_rows(frequencies: list, s: TwoPortMatrix, ports: PortPair) -> list[SweepRow]:
     """One row per frequency from the S matrix along the sweep's axis,
-    built from its columns."""
+    built from its columns in C (``tuple.__new__``, no frame per row)."""
     columns = [_db_column(abs(netcore.lift(m))) for m in (s.m11, s.m21, s.m22)]
     columns += [efficiency.pte_link(s.m21, ports) * 100.0, efficiency.pte_max(s).pte_max * 100.0]
-    return list(map(SweepRow, frequencies, *(c.tolist() for c in columns)))
+    return list(map(functools.partial(tuple.__new__, SweepRow),
+                    zip(frequencies, *(c.tolist() for c in columns))))
 
 
 def _db_column(mag: np.ndarray) -> np.ndarray:

@@ -164,10 +164,15 @@ def _check_dispersions(layers, f, w) -> None:
 
 def _permittivity_at(layer: ColeColeLayer, w):
     """complex_permittivity at the angular frequency w = 2 pi f of a
-    checked frequency f, or along an axis of them (a Split)."""
+    checked frequency f, or along an axis of them (a Split).  A term with
+    d_eps == +-0.0 is skipped, keeping every bit: over a divisor of real
+    part >= 1 and imaginary part >= 0 ``_Py_c_quot`` gives it (+0.0, +0.0),
+    which alters only a -0.0, and eps holds none (its real part is >= 1,
+    and a sum from +0.0 is -0.0 only when both operands are)."""
     eps = complex(layer.eps_inf, 0.0)
     for d_eps, tau, alpha in layer.dispersions:
-        eps += d_eps / (1.0 + netcore.jpow(w * tau, 1.0 - alpha))
+        if d_eps != 0.0:
+            eps += d_eps / (1.0 + netcore.jpow(w * tau, 1.0 - alpha))
     if layer.sigma_static > 0.0:
         eps += layer.sigma_static / (1j * netcore.promote(w) * EPS_0)
     return eps
@@ -268,11 +273,12 @@ def import_override(record) -> NetworkTable:
     """Build an interpolable network table from a parsed Touchstone
     record (at least two rows on a strictly increasing axis), rejecting
     non-reciprocal rows (the row index is named in the error)."""
-    for i, (_, b, c, _) in enumerate(record.s):
-        scale = max(abs(b), abs(c), 1e-300)
-        if abs(b - c) > netcore.RECIPROCITY_TOL * scale:
-            raise ValueError(
-                f"row {i}: |S12 - S21| = {abs(b - c):.3g} exceeds reciprocity "
-                f"tolerance {netcore.RECIPROCITY_TOL:g}")
-    return NetworkTable(record.frequencies, record.s, record.resistance)
+    table = NetworkTable(record.frequencies, record.s, record.resistance)
+    b, c = map(netcore.Split, table._re[1:3], table._im[1:3])  # S12, S21
+    dist, scale = abs(b - c), np.maximum(np.maximum(abs(b), abs(c)), 1e-300)
+    i = netcore.first_point(dist > netcore.RECIPROCITY_TOL * scale)
+    if i is not None:
+        raise ValueError(f"row {i}: |S12 - S21| = {float(dist[i]):.3g} exceeds reciprocity "
+                         f"tolerance {netcore.RECIPROCITY_TOL:g}")
+    return table
 

@@ -9,7 +9,9 @@ format with the frequency in Hz.  Errors carry 1-based line numbers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -40,15 +42,13 @@ class TouchstoneRecord:
             raise ValueError("frequency and data row counts differ")
         if len(self.frequencies) < 2:
             raise ValueError("need at least two rows for interpolation")
-        if any(b <= a for a, b in zip(self.frequencies, self.frequencies[1:])):
+        if any(map(operator.le, self.frequencies[1:], self.frequencies)):
             raise ValueError("frequencies must be strictly increasing")
         if not self.resistance > 0:
             raise ValueError("reference resistance must be > 0")
 
 
 def _complex_from(fmt: TouchstoneFormat, a: float, b: float) -> complex:
-    if fmt is TouchstoneFormat.RI:
-        return complex(a, b)
     if fmt is TouchstoneFormat.MA:
         return cmath.rect(a, math.radians(b))
     return cmath.rect(10.0 ** (a / 20.0), math.radians(b))
@@ -89,6 +89,7 @@ def parse_touchstone(text: str) -> TouchstoneRecord:
                 raise TouchstoneFormatError(line_no, "reference resistance must be finite and > 0")
             unit_scale = _FREQ_UNITS[unit]
             fmt = TouchstoneFormat[fmt_token]
+            convert = complex if fmt is TouchstoneFormat.RI else functools.partial(_complex_from, fmt)
             continue
         if fmt is None:
             raise TouchstoneFormatError(line_no, "data before option line")
@@ -97,7 +98,7 @@ def parse_touchstone(text: str) -> TouchstoneRecord:
             raise TouchstoneFormatError(
                 line_no, f"expected 9 columns (freq + 8 values), got {len(fields)}")
         try:
-            values = [float(tok) for tok in fields]
+            values = list(map(float, fields))
         except ValueError:
             raise TouchstoneFormatError(line_no, f"non-numeric data in {line!r}")
         f = values[0] * unit_scale
@@ -105,9 +106,8 @@ def parse_touchstone(text: str) -> TouchstoneRecord:
             raise TouchstoneFormatError(line_no, "frequency axis not strictly increasing")
         try:
             # v1 two-port column order: S11, S21, S12, S22.
-            s11, s21, s12, s22 = (_complex_from(fmt, values[i], values[i + 1])
-                                  for i in (1, 3, 5, 7))
-            finite = all(map(cmath.isfinite, (f, s11, s12, s21, s22)))
+            s11, s21, s12, s22 = map(convert, values[1::2], values[2::2])
+            finite = all(map(math.isfinite, map(abs, (f, s11, s12, s21, s22))))
         except (OverflowError, ValueError):  # a magnitude or angle past the float range
             finite = False
         if not finite:

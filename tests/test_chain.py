@@ -41,7 +41,12 @@ from wptkit.tissue import (
     modified_coil_abcd,
     muscle,
 )
-from wptkit.touchstone import record_from_matrices, write_touchstone
+from wptkit.touchstone import (
+    format_touchstone,
+    parse_touchstone,
+    record_from_matrices,
+    write_touchstone,
+)
 
 F0 = 20e6
 FREQS = [float(f) for f in np.geomspace(F0 / 10, F0 * 10, 9)]
@@ -58,13 +63,24 @@ def _reference_cascade(a, b):
     )
 
 
-def _reference_ladder(stack, f):
+def _reference_permittivity(layer, f):
+    """The Cole-Cole sum at one frequency, every term evaluated."""
+    w = 2.0 * math.pi * f
+    eps = complex(layer.eps_inf, 0.0)
+    for d_eps, tau, alpha in layer.dispersions:
+        eps += d_eps / (1.0 + (1j * (w * tau)) ** (1.0 - alpha))
+    if layer.sigma_static > 0.0:
+        eps += layer.sigma_static / (1j * w * EPS_0)
+    return eps
+
+
+def _reference_ladder(stack, f, permittivity=complex_permittivity):
     w = 2.0 * math.pi * f
     mu0 = 4e-7 * math.pi
     coupling = mu0 * math.sqrt(stack.face_area)
     out = netcore.abcd_matrix(1.0, 0.0, 0.0, 1.0)
     for layer in stack.layers:
-        sigma_eff = 1j * w * EPS_0 * complex_permittivity(layer, f)
+        sigma_eff = 1j * w * EPS_0 * permittivity(layer, f)
         t_s = layer.thickness / stack.sections_per_layer
         z = (w * coupling) * (w * coupling) * sigma_eff * t_s
         y = sigma_eff * t_s
@@ -388,6 +404,43 @@ def test_sweep_builds_a_fixed_number_of_matrices(links, matrices_built):
         assert got == want, points
 
 
+def _python_calls(run) -> int:
+    """Python frames ``run()`` enters: ``sys.setprofile`` "call" events."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        calls[0] += event == "call"
+
+    run()  # first-call work (imports, caches) is not counted
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def test_sweep_runs_no_python_frame_per_point(links):
+    # A sweep's per-point work runs in C or whole-array: the same number of
+    # Python calls at 101 points as at 1,001.  So does reading a table.
+    def sweeps(points):
+        freqs = pipeline.frequency_grid(F0 / 10, F0 * 10, points)
+        return [_python_calls(lambda: pipeline.sweep_csv_text(
+                    pipeline.sweep_link(links["analytic"], freqs, with_imn=with_imn)))
+                for with_imn in (True, False)] + \
+            [_python_calls(lambda: pipeline.sweep_csv_text(
+                pipeline.sweep_table(links["override"].override, freqs)))]
+
+    def table_read(rows):
+        freqs = pipeline.frequency_grid(F0 / 10, F0 * 10, rows)
+        s = [netcore.abcd_to_s(links["analytic"].coil_abcd_at(f), 50.0, 50.0) for f in freqs]
+        text = format_touchstone(record_from_matrices(freqs, s, 50.0))
+        return _python_calls(lambda: tissue.import_override(parse_touchstone(text)))
+
+    assert sweeps(101) == sweeps(1001)
+    assert table_read(51) == table_read(201)
+
+
 def test_axis_errors_name_the_first_failing_point():
     # From about 80 GHz the ladder's products overflow; the stage raises,
     # for the whole axis, the error of its first failing point.
@@ -585,6 +638,57 @@ def test_jpow_is_cpython_complex_power(e):
        st.floats(0.0, 1.0, exclude_min=True))
 def test_jpow_property(bases, e):
     assert _jpow_reprs(np.array(bases), e) == [repr((1j * v) ** e) for v in bases]
+
+
+def _layer_with_zero_terms(data, sigma_static):
+    """A random layer whose dispersions hold terms with d_eps = +0.0 or
+    -0.0 at random places among ordinary ones."""
+    def term(d_eps):
+        return (d_eps, data.draw(st.floats(1e-13, 1e-1)), data.draw(st.floats(0.0, 0.99)))
+
+    terms = [term(data.draw(st.floats(1e-3, 1e7))) for _ in range(data.draw(st.integers(0, 4)))]
+    for _ in range(data.draw(st.integers(1, 4))):
+        terms.insert(data.draw(st.integers(0, len(terms))), term(data.draw(st.sampled_from([0.0, -0.0]))))
+    return ColeColeLayer("zeros", data.draw(st.floats(1.0, 100.0)), tuple(terms), sigma_static,
+                         data.draw(st.floats(1e-4, 1e-2)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_zero_terms_leave_every_bit(data):
+    # A term with d_eps == 0.0 is skipped; the permittivity and the ladder
+    # equal the per-point sum over every term, at single frequencies and
+    # along an axis, with and without static conductivity.
+    layers = tuple(_layer_with_zero_terms(data, data.draw(st.sampled_from([0.0, 0.5])))
+                   for _ in range(data.draw(st.integers(1, 3))))
+    stack = TissueStack(layers, data.draw(st.integers(1, 3)), 1e-4)
+    axis = np.geomspace(data.draw(st.floats(1e3, 1e6)), data.draw(st.floats(1e7, 1e10)), 21)
+    freqs = axis.tolist()
+    for layer in layers:
+        want = [repr(_reference_permittivity(layer, f)) for f in freqs]
+        assert [repr(complex_permittivity(layer, f)) for f in freqs] == want
+        eps = complex_permittivity(layer, axis)
+        assert [repr(complex(netcore.point(eps, i))) for i in range(axis.size)] == want
+    want = [_reference_ladder(stack, f, _reference_permittivity) for f in freqs]
+    for f, w in zip(freqs, want):
+        assert_same(ladder_two_port(stack, f), w)
+    assert_axis_same(ladder_two_port(stack, axis), want)
+
+
+def test_layer_of_zero_terms_makes_no_power(monkeypatch):
+    calls = []
+    jpow = netcore.jpow
+    monkeypatch.setattr(netcore, "jpow", lambda x, e: calls.append(e) or jpow(x, e))
+    terms = ((0.0, 7.23e-12, 0.0), (-0.0, 32.48e-9, 0.2), (0.0, 159.15e-6, 0.5))
+    axis = AXIS[::100]
+    for sigma in (0.0, 0.2):
+        stack = TissueStack((ColeColeLayer("zeros", 4.0, terms, sigma, 2e-3),), 3, 1e-4)
+        complex_permittivity(stack.layers[0], F0)
+        complex_permittivity(stack.layers[0], axis)
+        assert_same(ladder_two_port(stack, F0), _reference_ladder(stack, F0, _reference_permittivity))
+        assert_axis_same(ladder_two_port(stack, axis),
+                         [_reference_ladder(stack, f, _reference_permittivity) for f in axis.tolist()])
+    assert calls == []
 
 
 def test_overflowing_dispersion_names_the_first_failing_point():

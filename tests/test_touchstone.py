@@ -158,6 +158,7 @@ class TestRejection:
         ("RI R 50", "inf 0 0 1 0 1 0 0 0"),
         ("MA R 50", "2e6 1 inf 1 0 1 0 0 0"),
         ("DB R 50", "2e6 0 0 7000 0 0 0 0 0"),  # 10^350 overflows
+        ("RI R 50", "2e6 0 0 1.5e308 1.5e308 1.5e308 1.5e308 0 0"),  # |S21| overflows
     ])
     def test_non_finite_value(self, option, row):
         text = f"# HZ S {option}\n1e6 0 0 0 0 0 0 0 0\n{row}\n"

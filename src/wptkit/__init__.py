@@ -68,7 +68,6 @@ from .netcore import (
     abcd_to_s,
     abcd_to_z,
     cascade,
-    cascade_all,
     input_reflection,
     s_matrix,
     s_to_abcd,

@@ -192,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wptkit",
         description="Design toolkit for two-coil inductive power links")
-    parser.add_argument("--seedless", action="store_true",
-                        help="assert the run uses no randomness (always true; "
-                             "the pipeline is deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="run the full design pipeline on a spec file")

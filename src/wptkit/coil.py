@@ -176,11 +176,6 @@ class ExtractedParams:
     valid: bool
     issues: tuple[str, ...] = ()
 
-    def as_coil_pair(self) -> CoilPair:
-        if not self.valid:
-            raise ValueError(f"extraction is non-physical: {', '.join(self.issues)}")
-        return CoilPair(self.l1, self.l2, self.r1, self.r2, self.k)
-
 
 def extract_params(s: TwoPortMatrix, f: float) -> ExtractedParams:
     """Recover (L1, L2, R1, R2, k) from a reciprocal S matrix at f.

@@ -16,8 +16,6 @@ from . import netcore
 from .coil import PortPair
 from .netcore import Representation, TwoPortMatrix, input_reflection, lift, square, where
 
-SAR_LIMIT = 1.6  # W/kg, default SAR limit of the power budget
-
 
 def pte_two_port(s: TwoPortMatrix, gamma_load: complex) -> float:
     """Operating power efficiency of a two-port terminated by gamma_load:
@@ -114,14 +112,12 @@ class PteReport:
     pte_max: float
     k_r: float
     gamma: float
-    f0: float
 
 
 @dataclass(frozen=True)
 class SarBudget:
     """Deliverable-power budget under a SAR-capped transmit power."""
 
-    sar_limit: float
     p_tx_max: float
     pte: float
 
@@ -136,8 +132,7 @@ class SarBudget:
         return self.p_tx_max * self.pte
 
 
-def sar_constrained_pdl(p_tx_max: float, pte: float,
-                        sar_limit: float = SAR_LIMIT) -> SarBudget:
+def sar_constrained_pdl(p_tx_max: float, pte: float) -> SarBudget:
     """Budget arithmetic only: pdl_max = p_tx_max * pte.  The SAR-capped
     transmit power itself comes from field simulation, outside this tool."""
-    return SarBudget(sar_limit, p_tx_max, pte)
+    return SarBudget(p_tx_max, pte)

@@ -115,8 +115,7 @@ def _stage_log(v_rx: float, v_t: float) -> float:
 class RectifierInput:
     """Parallel-equivalent input of the harvester.
 
-    A negative c_rect means the input is inductive at this frequency;
-    ``capacitive`` flags the usual regime.
+    A negative c_rect means the input is inductive at this frequency.
     """
 
     r_rect: float
@@ -125,10 +124,6 @@ class RectifierInput:
     def __post_init__(self):
         if not self.r_rect > 0:
             raise ValueError("effective input resistance must be > 0")
-
-    @property
-    def capacitive(self) -> bool:
-        return self.c_rect >= 0.0
 
 
 def rect_input(z_in_eh: complex, f: float) -> RectifierInput:
@@ -197,7 +192,6 @@ class DesignPoint:
     v_out: float
     charge_time: float
     match_residual: float
-    z_in_eh: complex
 
 
 @dataclass(frozen=True)
@@ -249,7 +243,7 @@ def design_space(v_rx: float, target_v_out: float,
         # ln I0 of each q's drive, found and checked at the first n, as v_out did.
         logs = logs or [(float(q), _stage_log(q * v_rx, v_t)) for q in constraints.q_range]
         rows += [DesignPoint(n, q, rect.r_rect, rect.c_rect, 2.0 * n * v_t * log_q,
-                             tau, residual, z_in) for q, log_q in logs]
+                             tau, residual) for q, log_q in logs]
 
     feasible = [p for p in rows
                 if p.v_out >= target_v_out and p.charge_time <= constraints.max_charge_time]

@@ -207,9 +207,6 @@ class ImnSynthesis:
 
     solutions: Sequence[ImnSolution]
     already_matched: bool
-    z_source_target: complex
-    z_load_target: complex
-    f0: float
 
     def __bool__(self) -> bool:
         return bool(self.solutions)
@@ -372,7 +369,7 @@ def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair | TwoPortMatrix,
     gamma_s = netcore.reflection_of(z_ms, zp1)
     gamma_l = netcore.reflection_of(z_ml, zp2)
     if abs(gamma_s) < 1e-9 and abs(gamma_l) < 1e-9:
-        return ImnSynthesis((), True, z_ms, z_ml, f0)
+        return ImnSynthesis((), True)
 
     tx_options = _solve_side(zp1, z_ms, f0)
     rx_options = _solve_side(zp2, z_ml, f0)
@@ -409,7 +406,7 @@ def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair | TwoPortMatrix,
     kept.sort(key=lambda item: item[0])
     solutions = BuiltOnRead(functools.partial(_solution, zp1, zp2),
                             [item[1] for item in kept], [item[2] for item in kept])
-    return ImnSynthesis(solutions, False, z_ms, z_ml, f0)
+    return ImnSynthesis(solutions, False)
 
 
 def _solution(zp1: float, zp2: float, variant: tuple, s_link: Entries) -> ImnSolution:

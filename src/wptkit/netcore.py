@@ -583,13 +583,6 @@ def cascade(a: TwoPortMatrix, b: TwoPortMatrix) -> TwoPortMatrix:
     return abcd_matrix(*abcd_chain(a.operands, b.operands))
 
 
-@quiet
-def cascade_all(*nets: TwoPortMatrix) -> TwoPortMatrix:
-    for net in nets:
-        net._expect(Representation.ABCD)
-    return abcd_matrix(*abcd_chain(IDENTITY, *(net.operands for net in nets)))
-
-
 def input_reflection(s: TwoPortMatrix, gamma_load: complex) -> complex:
     """Reflection looking into port 1 with port 2 terminated by gamma_load.
 

@@ -47,8 +47,9 @@ _PREFIXES = (
 )
 
 
-def si(value: float, unit: str, digits: int = 4) -> str:
-    """Format a value with an SI prefix and unit, deterministically."""
+def si(value: float, unit: str) -> str:
+    """Format a value to 4 significant digits with an SI prefix and unit,
+    deterministically."""
     if not math.isfinite(value):  # nan, inf or -inf, without a prefix
         return f"{value} {unit}"
     if value == 0.0:
@@ -56,9 +57,9 @@ def si(value: float, unit: str, digits: int = 4) -> str:
     mag = abs(value)
     for scale, prefix in _PREFIXES:
         if mag >= scale:
-            return f"{value / scale:.{digits}g} {prefix}{unit}"
+            return f"{value / scale:.4g} {prefix}{unit}"
     scale, prefix = _PREFIXES[-1]
-    return f"{value / scale:.{digits}g} {prefix}{unit}"
+    return f"{value / scale:.4g} {prefix}{unit}"
 
 
 # -- design spec ----------------------------------------------------------
@@ -106,7 +107,6 @@ class DesignSpec:
     fab: spiral.FabConstraints = spiral.FabConstraints()
     tissue: TissueSettings = TissueSettings()
     sar_p_tx_max: float | None = None
-    sar_limit: float = efficiency.SAR_LIMIT
     harvest: HarvesterSettings | None = None
 
     def __post_init__(self):
@@ -276,8 +276,7 @@ _SPEC_KEYS = {
                              "min_spacing_m": ("min_spacing", _number)},
                             spiral.FabConstraints)),
     "tissue": ("tissue", _section(_TISSUE_KEYS, TissueSettings)),
-    "sar": {"p_tx_max_w": ("sar_p_tx_max", _optional(_number)),
-            "sar_limit_w_per_kg": ("sar_limit", _number)},
+    "sar": {"p_tx_max_w": ("sar_p_tx_max", _optional(_number))},
     "harvester": ("harvest", _optional(
         lambda value, path: _read(value, _HARVESTER_KEYS, path, HarvesterSettings))),
 }
@@ -308,7 +307,13 @@ def spec_from_dict(data) -> DesignSpec:
 
 def load_design_spec(path: str | Path) -> DesignSpec:
     with open(path, encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except RecursionError:  # arrays or objects nested past the decoder's depth
+        start = len(text) - len(text.lstrip())
+        raise json.JSONDecodeError("value nested too deeply", text, start) from None
+    return spec_from_dict(data)
 
 
 # -- link model (single source of truth for design and sweeps) ------------
@@ -499,12 +504,11 @@ def run_design(spec: DesignSpec) -> DesignReport:
     max_eff = efficiency.pte_max(s_eff)
     pte_val = efficiency.pte_link(s21_link, ports)
     pte_rep = efficiency.PteReport(pte_val, max_eff.pte_max, max_eff.k_r,
-                                   efficiency.gamma_factor(ports), spec.f0)
+                                   efficiency.gamma_factor(ports))
 
     sar = None
     if spec.sar_p_tx_max is not None:
-        sar = efficiency.sar_constrained_pdl(spec.sar_p_tx_max, min(pte_val, 1.0),
-                                             spec.sar_limit)
+        sar = efficiency.sar_constrained_pdl(spec.sar_p_tx_max, min(pte_val, 1.0))
 
     harvest_result = None
     if spec.harvest is not None:
@@ -600,7 +604,6 @@ def _report_sections(report: DesignReport) -> Iterator[tuple[str, list[tuple[str
         ("K_r", f"{p.k_r:.6g}"), ("gamma", f"{p.gamma:.6g}")]
     if report.sar is not None:
         yield "sar budget", [
-            ("SAR limit", f"{report.sar.sar_limit:.4g} W/kg"),
             ("max TX power", si(report.sar.p_tx_max, "W")),
             ("max delivered power", si(report.sar.pdl_max, "W"))]
     harvest = report.harvest_result

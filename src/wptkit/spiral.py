@@ -27,7 +27,7 @@ from .netcore import BuiltOnRead, check_frequency
 
 MU_0 = 4e-7 * math.pi          # H/m
 COPPER_RESISTIVITY = 1.68e-8   # ohm*m
-DEFAULT_TRACE_THICKNESS = 35e-6  # m, 1 oz copper
+TRACE_THICKNESS = 35e-6        # m, 1 oz copper
 DEFAULT_MAX_AREA = (18e-3) ** 2  # m^2, an 18 mm x 18 mm footprint
 
 # Synthesis grid and acceptance tolerances (see synthesize).
@@ -103,14 +103,14 @@ SHAPES = {s.name: s for s in (SQUARE, HEXAGONAL, OCTAGONAL, CIRCULAR)}
 @dataclass(frozen=True)
 class SpiralGeometry:
     """Layout of one planar spiral: shape, turn count n, initial radius
-    r, per-turn radius increment dr, trace width w and thickness t."""
+    r, per-turn radius increment dr and trace width w; every trace is
+    TRACE_THICKNESS thick."""
 
     shape: ShapeCoefficients
     n: int
     r: float
     dr: float
     w: float
-    t: float = DEFAULT_TRACE_THICKNESS
 
     def __post_init__(self):
         if self.n < 1 or self.n != int(self.n):
@@ -121,8 +121,6 @@ class SpiralGeometry:
             raise ValueError(f"radius increment {self.dr} overlaps trace width {self.w}")
         if not self.r > 0:
             raise ValueError("initial radius must be > 0")
-        if not self.t > 0:
-            raise ValueError("trace thickness must be > 0")
 
     @property
     def avg_diameter(self) -> float:
@@ -213,7 +211,6 @@ def _geometry(shape: ShapeCoefficients, n, r, dr, w) -> SpiralGeometry:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    l_target: float
     # RankedCandidates when any point is kept, else ().
     candidates: Sequence[SpiralGeometry]
     nearest: NearMiss | None
@@ -434,7 +431,7 @@ def synthesize(l_target: float, fab: FabConstraints,
         nearest = NearMiss(g, l_min, abs(l_min - l_target) / l_target)
     except ValueError:
         nearest = None
-    return SynthesisResult(l_target, (), nearest)
+    return SynthesisResult((), nearest)
 
 
 def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
@@ -527,15 +524,15 @@ def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
         n_k, r_k, dr_k, w_k = row_n[kept], r[hit], row_dr[kept], row_w[kept]
         # Descending area, as SpiralGeometry.area evaluates it, then n, w, dr, r.
         order = np.lexsort((r_k, dr_k, w_k, n_k, -(edge[hit] * edge[hit])))
-        return SynthesisResult(l_target, RankedCandidates(
+        return SynthesisResult(RankedCandidates(
             shape, n_k[order], r_k[order], dr_k[order], w_k[order]), None)
     miss = np.flatnonzero(usable & ~within)
     if not miss.size:
-        return SynthesisResult(l_target, (), None)
+        return SynthesisResult((), None)
     i = miss[np.argmin(rel[miss])]
     g = SpiralGeometry(shape, int(row_n[row[i]]), float(r[i]),
                        float(row_dr[row[i]]), float(row_w[row[i]]))
-    return SynthesisResult(l_target, (), NearMiss(g, float(l_val[i]), float(rel[i])))
+    return SynthesisResult((), NearMiss(g, float(l_val[i]), float(rel[i])))
 
 
 def trace_length(g: SpiralGeometry) -> float:
@@ -556,13 +553,14 @@ def skin_depth(f: float) -> float:
 
 def ac_resistance(g: SpiralGeometry, f: float) -> float:
     """Series trace resistance at f with single-sided skin-effect crowding:
-    R = rho l / (w t_eff), t_eff = delta (1 - exp(-t/delta)); f = 0 is DC.
+    R = rho l / (w t_eff), t_eff = delta (1 - exp(-t/delta)) with
+    t = TRACE_THICKNESS; f = 0 is DC.
     Below t/delta = 1e-3, where 1 - exp rounds away, t_eff = -delta expm1(-t/delta)."""
     length = trace_length(g)
     if f == 0.0:
-        return COPPER_RESISTIVITY * length / (g.w * g.t)
+        return COPPER_RESISTIVITY * length / (g.w * TRACE_THICKNESS)
     delta = skin_depth(f)
-    x = g.t / delta
+    x = TRACE_THICKNESS / delta
     t_eff = delta * (1.0 - math.exp(-x)) if x >= 1e-3 else -delta * math.expm1(-x)
     return COPPER_RESISTIVITY * length / (g.w * t_eff)
 

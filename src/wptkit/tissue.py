@@ -75,31 +75,31 @@ class ColeColeLayer:
 
 # Gabriel-style four-term dispersion parameters (literature values);
 # any layer can be overridden by the user.
-def skin_dry(thickness: float = 2e-3) -> ColeColeLayer:
+def skin_dry() -> ColeColeLayer:
     return ColeColeLayer("skin (dry)", 4.0, (
         (32.0, 7.23e-12, 0.00),
         (1100.0, 32.48e-9, 0.20),
         (0.0, 159.15e-6, 0.20),
         (0.0, 15.915e-3, 0.20),
-    ), 0.0002, thickness)
+    ), 0.0002, 2e-3)
 
 
-def fat(thickness: float = 2e-3) -> ColeColeLayer:
+def fat() -> ColeColeLayer:
     return ColeColeLayer("fat", 2.5, (
         (3.0, 7.96e-12, 0.20),
         (15.0, 15.92e-9, 0.10),
         (3.3e4, 159.15e-6, 0.05),
         (1.0e7, 15.915e-3, 0.01),
-    ), 0.01, thickness)
+    ), 0.01, 2e-3)
 
 
-def muscle(thickness: float = 10e-3) -> ColeColeLayer:
+def muscle() -> ColeColeLayer:
     return ColeColeLayer("muscle", 4.0, (
         (50.0, 7.23e-12, 0.10),
         (7000.0, 353.68e-9, 0.10),
         (1.2e6, 318.31e-6, 0.10),
         (2.5e7, 2.274e-3, 0.00),
-    ), 0.2, thickness)
+    ), 0.2, 10e-3)
 
 
 TISSUE_LIBRARY = {
@@ -127,10 +127,6 @@ class TissueStack:
         if not self.face_area > 0:
             raise ValueError("face_area must be > 0")
 
-    @property
-    def total_thickness(self) -> float:
-        return sum(layer.thickness for layer in self.layers)
-
     def with_sections(self, sections: int) -> "TissueStack":
         return TissueStack(self.layers, sections, self.face_area)
 
@@ -138,15 +134,18 @@ class TissueStack:
 def default_implant_stack(face_area: float = (18e-3) ** 2,
                           sections_per_layer: int = DEFAULT_SECTIONS) -> TissueStack:
     """2 mm skin / 2 mm fat / 10 mm muscle evaluation stack."""
-    return TissueStack((skin_dry(2e-3), fat(2e-3), muscle(10e-3)),
-                       sections_per_layer, face_area)
+    return TissueStack((skin_dry(), fat(), muscle()), sections_per_layer, face_area)
 
 
-def complex_permittivity(layer: ColeColeLayer, f: float) -> complex:
-    """Relative complex permittivity of the layer at frequency f."""
+def complex_permittivity(layer: ColeColeLayer, f):
+    """Relative complex permittivity of the layer at frequency f, or a
+    complex array of it along an array of frequencies."""
     w = 2.0 * math.pi * netcore.check_frequency(f)
     _check_dispersions((layer,), f, w)
-    return _permittivity_at(layer, w)
+    eps = _permittivity_at(layer, w)
+    if netcore.on_axis(w):  # a Split, or one complex for a layer without loss terms
+        return netcore.join(np.broadcast_to(eps.real, w.shape), eps.imag)
+    return eps
 
 
 def _check_dispersions(layers, f, w) -> None:

@@ -263,8 +263,7 @@ def test_cascades_equal_the_object_cascade():
     assert_same(netcore.cascade(a, b), _reference_cascade(a, b))
     chained = _reference_cascade(_reference_cascade(_reference_cascade(
         netcore.abcd_matrix(1.0, 0.0, 0.0, 1.0), a), b), c)
-    assert_same(netcore.cascade_all(a, b, c), chained)
-    assert_same(netcore.cascade_all(), netcore.abcd_matrix(1.0, 0.0, 0.0, 1.0))
+    assert_same(netcore.cascade(netcore.cascade(a, b), c), chained)
 
 
 def test_each_stage_builds_one_matrix(matrices_built):
@@ -306,7 +305,7 @@ def test_non_finite_product_raises_at_the_result():
     with pytest.raises(ValueError, match="must be finite"):
         assemble_link(imn, coil_abcd(REF_COIL, F0), F0)
     with pytest.raises(ValueError, match="expected ABCD"):
-        netcore.cascade_all(coil_abcd(REF_COIL, F0), netcore.abcd_to_s(coil_abcd(REF_COIL, F0), 50, 50))
+        netcore.cascade(coil_abcd(REF_COIL, F0), netcore.abcd_to_s(coil_abcd(REF_COIL, F0), 50, 50))
 
 
 # -- the frequency axis ------------------------------------------------------
@@ -510,8 +509,9 @@ FREQUENCY_INPUTS = {
 @pytest.mark.parametrize("name", FREQUENCY_INPUTS)
 def test_every_frequency_input_follows_check_frequency(name, f):
     if name == "spiral.ac_resistance" and f == 0.0:
-        assert spiral.ac_resistance(_SPIRAL, f) == (
-            spiral.COPPER_RESISTIVITY * spiral.trace_length(_SPIRAL) / (_SPIRAL.w * _SPIRAL.t))
+        assert spiral.ac_resistance(_SPIRAL, f) == (spiral.COPPER_RESISTIVITY
+                                                    * spiral.trace_length(_SPIRAL)
+                                                    / (_SPIRAL.w * spiral.TRACE_THICKNESS))
         return
     with pytest.raises(ValueError) as exc:
         FREQUENCY_INPUTS[name](f)
@@ -666,9 +666,12 @@ def test_zero_terms_leave_every_bit(data):
     freqs = axis.tolist()
     for layer in layers:
         want = [repr(_reference_permittivity(layer, f)) for f in freqs]
-        assert [repr(complex_permittivity(layer, f)) for f in freqs] == want
+        at_points = [complex_permittivity(layer, f) for f in freqs]
+        assert {type(eps) for eps in at_points} == {complex}
+        assert [repr(eps) for eps in at_points] == want
         eps = complex_permittivity(layer, axis)
-        assert [repr(complex(netcore.point(eps, i))) for i in range(axis.size)] == want
+        assert type(eps) is np.ndarray and eps.dtype == complex and eps.shape == axis.shape
+        assert [repr(complex(eps[i])) for i in range(axis.size)] == want
     want = [_reference_ladder(stack, f, _reference_permittivity) for f in freqs]
     for f, w in zip(freqs, want):
         assert_same(ladder_two_port(stack, f), w)
@@ -683,8 +686,10 @@ def test_layer_of_zero_terms_makes_no_power(monkeypatch):
     axis = AXIS[::100]
     for sigma in (0.0, 0.2):
         stack = TissueStack((ColeColeLayer("zeros", 4.0, terms, sigma, 2e-3),), 3, 1e-4)
-        complex_permittivity(stack.layers[0], F0)
-        complex_permittivity(stack.layers[0], axis)
+        assert type(complex_permittivity(stack.layers[0], F0)) is complex
+        eps = complex_permittivity(stack.layers[0], axis)
+        assert type(eps) is np.ndarray and eps.dtype == complex and eps.shape == axis.shape
+        assert eps.tolist() == [complex_permittivity(stack.layers[0], f) for f in axis.tolist()]
         assert_same(ladder_two_port(stack, F0), _reference_ladder(stack, F0, _reference_permittivity))
         assert_axis_same(ladder_two_port(stack, axis),
                          [_reference_ladder(stack, f, _reference_permittivity) for f in axis.tolist()])

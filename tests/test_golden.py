@@ -22,7 +22,7 @@ from wptkit.touchstone import read_touchstone, record_from_matrices, write_touch
 DATA = Path(__file__).parent / "data"
 POOL = Path(__file__).parent.parent / "perfbench" / "pool.json"
 
-README_SAR = {"p_tx_max_w": 0.0846, "sar_limit_w_per_kg": 1.6}
+README_SAR = {"p_tx_max_w": 0.0846}
 README_HARVESTER = {
     "v_rx_v": 0.05, "target_v_out_v": 1.0,
     "n_min": 1, "n_max": 60, "q_values": [1.0, 2.0],

@@ -99,7 +99,6 @@ class TestRectInput:
         rect = rect_input(complex(120.0, 0.0), 20e6)
         assert rect.r_rect == pytest.approx(120.0)
         assert rect.c_rect == 0.0
-        assert rect.capacitive
 
     def test_series_rc_to_parallel_oracle(self):
         # Series R - 1/(jwC) converted by hand with the classic
@@ -125,7 +124,6 @@ class TestRectInput:
     def test_inductive_input_flagged(self):
         rect = rect_input(complex(50.0, 40.0), 20e6)
         assert rect.c_rect < 0
-        assert not rect.capacitive
 
     def test_rejects_nonpositive_real_part(self):
         with pytest.raises(ValueError):

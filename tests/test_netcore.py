@@ -19,7 +19,6 @@ from wptkit.netcore import (
     abcd_to_s,
     abcd_to_z,
     cascade,
-    cascade_all,
     input_reflection,
     s_matrix,
     s_to_abcd,
@@ -195,11 +194,6 @@ class TestCascade:
     def test_cascade_requires_abcd(self):
         with pytest.raises(ValueError):
             cascade(IDENTITY, s_matrix(0, 1, 1, 0, 50, 50))
-
-    def test_cascade_all(self):
-        y = abcd_matrix(1.0, 0.0, 0.01j, 1.0)
-        out = cascade_all(y, IDENTITY, y)
-        assert close(out.m21, 0.02j)
 
 
 class TestInputReflection:

@@ -155,6 +155,7 @@ BAD_SPECS = [
     ('{"f0_hz": 2e7, "tissue": {"sections_per_layer": 2.7}}', "tissue.sections_per_layer"),
     ('{"f0_hz": 2e7, "tissue": {"enabled": "no"}}', "tissue.enabled"),
     ('{"f0_hz": 2e7, "fab": {"substrate_thickness_m": 1e-4}}', "fab.substrate_thickness_m"),
+    ('{"f0_hz": 2e7, "sar": {"sar_limit_w_per_kg": 1.6}}', "sar.sar_limit_w_per_kg"),
     (json.dumps({"f0_hz": 2e7, "tissue": {"layers": [LAYER, dict(LAYER, thickness_m="1 cm")]}}),
      "tissue.layers[1].thickness_m"),
     (json.dumps({"f0_hz": 2e7, "harvester": {"v_rx_v": 0.05}}), "harvester.target_v_out_v"),
@@ -555,6 +556,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      ' {"a":' * 100_000 + "1" + "}" * 100_000],
+                             ids=["arrays", "objects"])
+    def test_spec_nested_past_the_decoder_is_an_io_error(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        for args in (["design", str(spec)], ["match", str(spec)], ["sweep", "--spec", str(spec)]):
+            assert cli.main(args) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1, err
+            assert err.startswith("i/o error: value nested too deeply: "), err
+
     def test_override_within_import_tolerance_designs(self, tmp_path, capsys):
         # S12 off S21 by 1e-4 relative passes the import check (1e-3), so
         # the design that reads the same table must accept it too.
@@ -579,11 +592,13 @@ class TestCli:
         assert run_cli("s2p", "convert", str(src), str(dst)).returncode == 0
         assert dst.read_text().startswith("# HZ S RI R 50")
 
-    def test_seedless_flag_accepted(self, tmp_path):
+    def test_seedless_flag_is_gone(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(SYMMETRIC))
-        proc = run_cli("--seedless", "design", str(spec))
-        assert proc.returncode == 0
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--seedless", "design", str(spec)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seedless" in capsys.readouterr().err
 
     def test_coil_synth_command(self):
         proc = run_cli("coil", "synth", "--target-l", "80e-9",

@@ -128,8 +128,7 @@ def spec_documents(s2p_paths: list[str]):
         "fab": maybe(objects({"min_trace_width_m": maybe(numbers(1e-5, 1e-3)),
                               "min_spacing_m": maybe(numbers(1e-5, 1e-3))})),
         "tissue": maybe(tissue),
-        "sar": maybe(objects({"p_tx_max_w": maybe(st.none() | numbers(1e-3, 1.0)),
-                              "sar_limit_w_per_kg": maybe(numbers(0.1, 10.0))})),
+        "sar": maybe(objects({"p_tx_max_w": maybe(st.none() | numbers(1e-3, 1.0))})),
         "harvester": maybe(st.none() | harvester),
     }, ("f0_hz",))
 

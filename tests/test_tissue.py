@@ -98,7 +98,7 @@ class TestColeCole:
         assert "\n" not in str(err.value)
 
     def test_layer_dict_round_trip(self):
-        layer = fat(3e-3)
+        layer = fat()
         data = {"name": layer.name, "eps_inf": layer.eps_inf,
                 "dispersions": [list(term) for term in layer.dispersions],
                 "sigma_s_per_m": layer.sigma_static, "thickness_m": layer.thickness}
@@ -272,7 +272,7 @@ class TestStackValidation:
 
     def test_total_thickness(self):
         stack = default_implant_stack()
-        assert stack.total_thickness == pytest.approx(14e-3)
+        assert sum(layer.thickness for layer in stack.layers) == pytest.approx(14e-3)
         assert [l.name for l in stack.layers] == ["skin (dry)", "fat", "muscle"]
 
     def test_library_layers_have_four_terms(self):

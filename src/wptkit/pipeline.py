@@ -305,14 +305,45 @@ def spec_from_dict(data) -> DesignSpec:
                                         "harvester"))
 
 
+def _repeat_path(data, repeats: dict) -> str:
+    """The dotted path of a repeated key in decoded JSON: repeats maps the
+    id of each object that holds a key twice to that key."""
+    todo = [("", data)]
+    for path, value in todo:  # breadth first; the loop reaches what it appends
+        if type(value) is dict:
+            if id(value) in repeats:
+                return path + repeats[id(value)]
+            todo += ((f"{path}{key}.", item) for key, item in value.items())
+        elif type(value) is list:
+            todo += ((f"{path[:-1]}[{i}].", item) for i, item in enumerate(value))
+
+
 def load_design_spec(path: str | Path) -> DesignSpec:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
+    repeats = []  # (object, the first key it holds twice); holding it keeps its id unique
+
+    def pairs_hook(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            repeats.append((obj, next(key for key, _ in pairs if key in seen or seen.add(key))))
+        return obj
+
     try:
-        data = json.loads(text)
-    except RecursionError:  # arrays or objects nested past the decoder's depth
+        data = json.loads(text, object_pairs_hook=pairs_hook)
+    except (RecursionError, ValueError) as exc:
+        if isinstance(exc, json.JSONDecodeError):
+            raise
+        # Arrays or objects nested past the decoder's depth, or an integer
+        # literal past int's digit limit: undecodable, as malformed JSON is.
+        reason = "value nested too deeply" if isinstance(exc, RecursionError) \
+            else str(exc).partition(";")[0]
         start = len(text) - len(text.lstrip())
-        raise json.JSONDecodeError("value nested too deeply", text, start) from None
+        raise json.JSONDecodeError(reason, text, start) from None
+    if repeats:
+        path = _repeat_path(data, {id(obj): key for obj, key in repeats})
+        raise ValueError(f"{path}: duplicate key")
     return spec_from_dict(data)
 
 

@@ -223,9 +223,9 @@ def _first_false(test, hi):
     """Per lane, the first index in [0, hi) at which ``test`` is false, or
     hi: a vectorised bisection, for tests true on a prefix of each lane.
     ``test(lanes, k)`` evaluates the lanes at their indices k."""
-    lo = np.zeros_like(hi)
+    lo = np.zeros(hi.size, hi.dtype)
     hi = hi.copy()
-    live = np.flatnonzero(hi > 0)
+    live = (hi > 0).nonzero()[0]
     while live.size:
         mid = (lo[live] + hi[live]) // 2
         ok = test(live, mid)
@@ -285,14 +285,14 @@ def _guess_edges(shape: ShapeCoefficients, targets: tuple[float, float], rows: _
     with np.errstate(all="ignore"):
         guess = np.where(rows.form_first >= goal, 0.0, rows.counts.astype(float))
         # The (target, row) pairs to iterate, as flat indices into guess.
-        pair = np.flatnonzero((rows.form_first < goal) & (rows.form_top >= goal))
-        row, goal = pair % rows.counts.size, np.take(goal, pair)
-        x = rows.x_first[row] + (goal - rows.form_first[row]) * rows.slope[row]
-        c2_k, c3_k, c4_kk = _form_coefficients(shape, rows.k[row])
+        pair = ((rows.form_first < goal) & (rows.form_top >= goal)).ravel().nonzero()[0]
+        row, goal = pair % rows.counts.size, goal.take(pair)
+        x = rows.x_first.take(row) + (goal - rows.form_first.take(row)) * rows.slope.take(row)
+        c2_k, c3_k, c4_kk = _form_coefficients(shape, rows.k.take(row))
         for _ in range(NEWTON_STEPS):
             ln = np.log(c2_k * x)
             x = x - (x * ln + c3_k + c4_kk / x - goal) / (ln + 1.0 - c4_kk / (x * x))
-        np.put(guess, pair, np.ceil((x / shape.cos_factor - rows.ndr[row]) / (2.0 * R_STEP)) - 1.0)
+        guess.put(pair, np.ceil((x / shape.cos_factor - rows.ndr.take(row)) / (2.0 * R_STEP)) - 1.0)
     return guess
 
 
@@ -303,10 +303,6 @@ class _Grid(NamedTuple):
 
     rows: _Rows
     r_run: np.ndarray
-
-    def select(self, keep) -> _Rows:
-        """The rows that ``keep`` indexes."""
-        return _Rows(*(a[keep] for a in self.rows))
 
     @property
     def l_first(self) -> np.ndarray:
@@ -344,14 +340,14 @@ def _grid(fab: FabConstraints, shape: ShapeCoefficients) -> _Grid:
             0.0).ravel()
     counts = np.ceil((r_hi + 0.5 * R_STEP - R_STEP) / R_STEP).astype(np.intp)
     counts[r_hi < R_STEP] = 0
-    r_run = np.arange(R_STEP, r_hi.max() + 0.5 * R_STEP, R_STEP)
+    r_run = np.arange(R_STEP, np.maximum.reduce(r_hi) + 0.5 * R_STEP, R_STEP)
     # From here on the arrays hold the non-empty rows only.
-    rows = np.flatnonzero(counts)
+    rows = counts.nonzero()[0]
     col = rows % (W_STEPS * DR_STEPS)
-    counts, row_ndr, row_w = counts[rows], ndr[rows], np.repeat(w_step, DR_STEPS)[col]
+    counts, row_ndr, row_w = counts.take(rows), ndr.take(rows), w_step.repeat(DR_STEPS).take(col)
 
     def fits(row, k):
-        edge = row_w[row] + 2.0 * (r_run[k] + row_ndr[row]) * cosf
+        edge = row_w[row] + 2.0 * (r_run.take(k) + row_ndr[row]) * cosf
         return edge * edge <= area_cap
 
     # The area test holds on a prefix of each run, which the count above
@@ -360,15 +356,16 @@ def _grid(fab: FabConstraints, shape: ShapeCoefficients) -> _Grid:
     # count to that prefix.
     overshot = ~fits(slice(None), counts - 1)
     counts -= overshot
-    odd = np.flatnonzero(overshot & (counts > 0))
-    odd = odd[~fits(odd, counts[odd] - 1)]
+    odd = (overshot & (counts > 0)).nonzero()[0]
+    odd = odd[~fits(odd, counts.take(odd) - 1)]
     if odd.size:
         counts[odd] = _first_false(lambda lane, k: fits(odd[lane], k), counts[odd])
-    live = counts > 0
-    if not live.all():
-        rows, col, counts, row_ndr, row_w = (a[live] for a in (rows, col, counts, row_ndr, row_w))
-    row_n = n[rows // (W_STEPS * DR_STEPS)]
-    row_dr = dr_step.ravel()[col]
+    live = counts.nonzero()[0]
+    if live.size < counts.size:
+        rows, col, counts, row_ndr, row_w = (
+            a.take(live) for a in (rows, col, counts, row_ndr, row_w))
+    row_n = n.take(rows // (W_STEPS * DR_STEPS))
+    row_dr = dr_step.ravel().take(col)
     coef = 0.5 * shape.c1 * MU_0 * row_n * row_n
     row_k = row_w + row_ndr * cosf
     c2_k, c3_k, c4_kk = _form_coefficients(shape, row_k)
@@ -413,10 +410,10 @@ def synthesize(l_target: float, fab: FabConstraints,
     if not sys.float_info.min <= l_target < math.inf:
         raise ValueError(f"target inductance must be finite and >= {sys.float_info.min:g} H")
     grid = _grid(fab, shape)
-    reach = ~((grid.l_top * (1.0 + PRUNE_MARGIN) < l_target * (1.0 - L_TOL))
-              | (grid.l_first * (1.0 - PRUNE_MARGIN) > l_target * (1.0 + L_TOL)))
-    if reach.any() and not reach.all():
-        result = _search(l_target, shape, grid.select(np.flatnonzero(reach)), grid.r_run)
+    reach = (~((grid.l_top * (1.0 + PRUNE_MARGIN) < l_target * (1.0 - L_TOL))
+               | (grid.l_first * (1.0 - PRUNE_MARGIN) > l_target * (1.0 + L_TOL)))).nonzero()[0]
+    if 0 < reach.size < grid.rows.counts.size:
+        result = _search(l_target, shape, _Rows(*(a.take(reach) for a in grid.rows)), grid.r_run)
         if result:
             return result
     result = _search(l_target, shape, grid.rows, grid.r_run)
@@ -458,13 +455,13 @@ def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
     def evaluate(row, r):
         """Current-sheet L, edge and d_avg at the points, as SpiralGeometry
         and inductance evaluate them."""
-        ndr = row_ndr[row]
+        ndr = row_ndr.take(row)
         d_avg = (2.0 * r + ndr) * cosf
-        edge = row_w[row] + 2.0 * (r + ndr) * cosf
+        edge = row_w.take(row) + 2.0 * (r + ndr) * cosf
         phi = edge / d_avg - 1.0
         with np.errstate(invalid="ignore"):
             bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi * phi
-        return row_coef[row] * d_avg * bracket, edge, d_avg
+        return row_coef.take(row) * d_avg * bracket, edge, d_avg
 
     def window_tests(l_val):
         """Per point: below the window; not above it.  Along a row each
@@ -477,30 +474,31 @@ def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
         row's offset: run index k of a row sits at position base + k."""
         lo = np.maximum(first_not_below - 1, 0)
         span = np.minimum(first_above + 1, counts) - lo
-        base = np.cumsum(span) - span - lo
-        row = np.repeat(np.arange(counts.size), span)
-        return row, base, r_run[np.arange(span.sum()) - np.repeat(base, span)]
+        base = span.cumsum() - span - lo
+        row = np.arange(counts.size).repeat(span)
+        return row, base, r_run.take(np.arange(row.size) - base.repeat(span))
 
     guess = _guess_edges(shape, (l_target * (1.0 - L_TOL), l_target * (1.0 + L_TOL)), rows)
-    proven = np.isfinite(guess).all(axis=0)
-    first_not_below, first_above = np.where(proven, np.clip(guess, 0, counts), 0).astype(np.intp)
+    proven = np.logical_and.reduce(np.isfinite(guess))
+    first_not_below, first_above = np.where(
+        proven, np.minimum(np.maximum(guess, 0.0), counts), 0).astype(np.intp)
     first_not_below = np.minimum(first_not_below, first_above)
     row, base, r = window(first_not_below, first_above)
     l_val, edge, d_avg = evaluate(row, r)
     # An edge is proven where its test holds just before it and fails at it.
     for first, test in zip((first_not_below, first_above), window_tests(l_val)):
-        proven &= (first == 0) | np.take(test, base + first - 1, mode="clip")
-        proven &= (first == counts) | ~np.take(test, base + first, mode="clip")
-    wrong = np.flatnonzero(~proven)
+        proven &= (first == 0) | test.take(base + first - 1, mode="clip")
+        proven &= (first == counts) | ~test.take(base + first, mode="clip")
+    wrong = (~proven).nonzero()[0]
     if wrong.size:
-        lanes = np.tile(wrong, 2)
+        lanes = np.concatenate((wrong, wrong))
 
         def in_run(lane, k):
             below, not_above = window_tests(evaluate(lanes[lane], r_run[k])[0])
             return np.where(lane < wrong.size, below, not_above)
 
-        first_not_below[wrong], first_above[wrong] = np.split(
-            _first_false(in_run, np.tile(counts[wrong], 2)), 2)
+        first_not_below[wrong], first_above[wrong] = _first_false(
+            in_run, counts.take(lanes)).reshape(2, wrong.size)
         row, base, r = window(first_not_below, first_above)
         l_val, edge, d_avg = evaluate(row, r)
     usable = l_val > 0.0
@@ -508,28 +506,30 @@ def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
     within = rel <= L_TOL
 
     # Modified-Wheeler gate, as modified_wheeler evaluates it.
-    hit = np.flatnonzero(usable & within)
-    d_out = np.sqrt(edge[hit] * edge[hit])
-    d_in = 2.0 * d_avg[hit] - d_out
+    hit = (usable & within).nonzero()[0]
+    edge_hit = edge.take(hit)
+    d_out = np.sqrt(edge_hit * edge_hit)
+    d_in = 2.0 * d_avg.take(hit) - d_out
     valid = d_in > 0.0
     hit, d_out, d_in = hit[valid], d_out[valid], d_in[valid]
     rho = (d_out - d_in) / (d_out + d_in)
-    n_hit = row_n[row[hit]]
-    l_mw = shape.k1 * MU_0 * n_hit * n_hit * d_avg[hit] / (1.0 + shape.k2 * rho)
-    l_cs = l_val[hit]
+    n_hit = row_n.take(row.take(hit))
+    l_mw = shape.k1 * MU_0 * n_hit * n_hit * d_avg.take(hit) / (1.0 + shape.k2 * rho)
+    l_cs = l_val.take(hit)
     hit = hit[~(np.abs(l_cs - l_mw) / l_cs > WHEELER_TOL)]
 
     if hit.size:
-        kept = row[hit]
-        n_k, r_k, dr_k, w_k = row_n[kept], r[hit], row_dr[kept], row_w[kept]
-        # Descending area, as SpiralGeometry.area evaluates it, then n, w, dr, r.
-        order = np.lexsort((r_k, dr_k, w_k, n_k, -(edge[hit] * edge[hit])))
+        # Descending area, as SpiralGeometry.area evaluates it, then n, w, dr, r:
+        # a stable sort keeps the points' (row, r) order, rows in grid order.
+        edge_hit = edge.take(hit)
+        hit = hit.take((-(edge_hit * edge_hit)).argsort(kind="stable"))
+        kept = row.take(hit)
         return SynthesisResult(RankedCandidates(
-            shape, n_k[order], r_k[order], dr_k[order], w_k[order]), None)
-    miss = np.flatnonzero(usable & ~within)
+            shape, row_n.take(kept), r.take(hit), row_dr.take(kept), row_w.take(kept)), None)
+    miss = (usable & ~within).nonzero()[0]
     if not miss.size:
         return SynthesisResult((), None)
-    i = miss[np.argmin(rel[miss])]
+    i = miss[rel.take(miss).argmin()]
     g = SpiralGeometry(shape, int(row_n[row[i]]), float(r[i]),
                        float(row_dr[row[i]]), float(row_w[row[i]]))
     return SynthesisResult((), NearMiss(g, float(l_val[i]), float(rel[i])))

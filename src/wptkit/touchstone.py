@@ -19,6 +19,8 @@ from pathlib import Path
 from .errors import TouchstoneFormatError
 
 _FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
+# An RI pair whose parts lie within this bound has a finite magnitude.
+_RI_BOUND = 2.0 ** 1022
 
 
 class TouchstoneFormat(Enum):
@@ -61,14 +63,16 @@ def parse_touchstone(text: str) -> TouchstoneRecord:
     freqs: list[float] = []
     rows: list[tuple[complex, complex, complex, complex]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("!", 1)[0].strip()
-        if not line:
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "!" in line:
+            line = line[:line.index("!")]
+        fields = line.split()
+        if not fields:
             continue
-        if line.startswith("#"):
+        if fields[0].startswith("#"):
             if fmt is not None:
                 raise TouchstoneFormatError(line_no, "duplicate option line")
-            tokens = line[1:].split()
+            tokens = line.strip()[1:].split()
             if len(tokens) != 5:
                 raise TouchstoneFormatError(
                     line_no, "option line must read '# <freq-unit> S <RI|MA|DB> R <ohms>'")
@@ -93,25 +97,25 @@ def parse_touchstone(text: str) -> TouchstoneRecord:
             continue
         if fmt is None:
             raise TouchstoneFormatError(line_no, "data before option line")
-        fields = line.split()
         if len(fields) != 9:
             raise TouchstoneFormatError(
                 line_no, f"expected 9 columns (freq + 8 values), got {len(fields)}")
         try:
             values = list(map(float, fields))
         except ValueError:
-            raise TouchstoneFormatError(line_no, f"non-numeric data in {line!r}")
+            raise TouchstoneFormatError(line_no, f"non-numeric data in {line.strip()!r}")
         f = values[0] * unit_scale
         if freqs and f <= freqs[-1]:
             raise TouchstoneFormatError(line_no, "frequency axis not strictly increasing")
         try:
             # v1 two-port column order: S11, S21, S12, S22.
             s11, s21, s12, s22 = map(convert, values[1::2], values[2::2])
-            finite = all(map(math.isfinite, map(abs, (f, s11, s12, s21, s22))))
+            finite = (convert is complex and math.isfinite(f) and math.hypot(*values) <= _RI_BOUND
+                      or all(map(math.isfinite, map(abs, (f, s11, s12, s21, s22)))))
         except (OverflowError, ValueError):  # a magnitude or angle past the float range
             finite = False
         if not finite:
-            raise TouchstoneFormatError(line_no, f"non-finite value in {line!r}")
+            raise TouchstoneFormatError(line_no, f"non-finite value in {line.strip()!r}")
         freqs.append(f)
         rows.append((s11, s12, s21, s22))
 

@@ -568,6 +568,29 @@ class TestCli:
             assert out == "" and len(err.splitlines()) == 1, err
             assert err.startswith("i/o error: value nested too deeply: "), err
 
+    @pytest.mark.parametrize("text, path", [
+        ('{"f0_hz": 2e7, "f0_hz": 3e7}', "f0_hz"),
+        ('{"f0_hz": 2e7, "tx": {"shape": "square", "shape": "square"}}', "tx.shape"),
+        ('{"f0_hz": 2e7, "tissue": {"layers": [{}, {"name": "fat", "name": "skin"}]}}',
+         "tissue.layers[1].name"),
+    ], ids=["top-level", "nested", "in-array"])
+    def test_repeated_spec_key_exits_2_naming_it(self, tmp_path, capsys, text, path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        for args in (["design", str(spec)], ["match", str(spec)], ["sweep", "--spec", str(spec)]):
+            assert cli.main(args) == 2
+            assert capsys.readouterr() == ("", f"validation error: {path}: duplicate key\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integer literals of any length")
+    def test_integer_past_the_digit_limit_is_an_io_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"f0_hz": ' + "1" * (sys.get_int_max_str_digits() + 700) + "}")
+        assert cli.main(["design", str(spec)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("i/o error: "), err
+
     def test_override_within_import_tolerance_designs(self, tmp_path, capsys):
         # S12 off S21 by 1e-4 relative passes the import check (1e-3), so
         # the design that reads the same table must accept it too.

@@ -372,6 +372,15 @@ class TestSynthesizeEquivalence:
             kept = _kept_at_edge(target, g, lambda t: synthesize(t, fab, shape))
             assert kept[1] and kept.count(False) == 1
 
+    def test_equal_areas_keep_grid_order(self, monkeypatch):
+        # A benchmark-pool case whose candidates hold equal areas, so the
+        # (n, w, dr, r) tie-break decides their order: with Newton's
+        # windows and with every wrong guess's bisected ones.
+        fab = FabConstraints(max_area=5.313518700922677e-04)
+        want = assert_matches_reference(3.082310571729168e-07, fab, HEXAGONAL, monkeypatch)
+        areas = [g.area for g in want.candidates]
+        assert any(a == b for a, b in zip(areas, areas[1:]))
+
     def test_random_cases_match_reference(self):
         rng = np.random.default_rng(20251018)
         for _ in range(12):

@@ -24,14 +24,14 @@ from . import coil, efficiency, harvester, imn, netcore, spiral, tissue, touchst
 from .coil import CoilPair, PortPair
 from .errors import InfeasibleDesignError, UnmatchableError
 from .imn import _db
-from .netcore import TwoPortMatrix
+from .netcore import BuiltOnRead, TwoPortMatrix
 from .tissue import NetworkTable, TissueStack
 
 DEFAULT_SWEEP_POINTS = 1001
 
 # Upper limits on the sizes a run's work grows with: ladder sections per
 # tissue layer, the harvester's largest stage count, a coil's area cap (m^2;
-# synthesis at 1e-2 m^2 takes about 0.2 s) and sweep points.  The spec
+# one synthesis at 1e-2 m^2 takes 1-3 ms) and sweep points.  The spec
 # reader and the CLI reject larger values, naming the key or the flag.
 MAX_SECTIONS = 1_000
 MAX_STAGES = 10_000
@@ -133,9 +133,16 @@ class DesignSpec:
 _JSON_TYPES = {type(None): "null", bool: "boolean", str: "string", list: "array", dict: "object"}
 
 
+def _echo(number) -> str:
+    """repr of a number from the spec; an integer longer than a float's
+    longest repr shows its first 20 characters and its length in digits."""
+    text = repr(number)
+    return text if len(text) <= 24 else f"{text[:20]}... ({len(text.lstrip('-'))} digits)"
+
+
 def _reject(value, path: str, expected: str):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    got = repr(value) if number else _JSON_TYPES.get(type(value), type(value).__name__)
+    got = _echo(value) if number else _JSON_TYPES.get(type(value), type(value).__name__)
     raise ValueError(f"{path}: expected {expected}, got {got}")
 
 
@@ -157,7 +164,7 @@ def _at_most(limit, convert):
     def read(value, path: str):
         out = convert(value, path)
         if out > limit:
-            raise ValueError(f"{path}: must be <= {limit!r}, got {out!r}")
+            raise ValueError(f"{path}: must be <= {limit!r}, got {_echo(out)}")
         return out
     return read
 
@@ -652,7 +659,7 @@ def _report_sections(report: DesignReport) -> Iterator[tuple[str, list[tuple[str
 
 class SweepRow(NamedTuple):
     """One sweep point: |S11|, |S21| and |S22| in dB, PTE and PTE_max in
-    percent.  A tuple, so a CSV line is one ``%`` format."""
+    percent."""
 
     f: float
     s11_db: float
@@ -663,6 +670,19 @@ class SweepRow(NamedTuple):
 
 
 SWEEP_HEADER = ("f_hz", "s11_db", "s21_db", "s22_db", "pte_pct", "pte_max_pct")
+
+
+class SweepRows(BuiltOnRead):
+    """A sweep's rows as a read-only sequence of SweepRow, built from an
+    (n, 6) float64 table when read; iterating builds them all at once,
+    in C (``tuple.__new__``, no frame per row)."""
+
+    def __init__(self, table: np.ndarray):
+        super().__init__(lambda *values: SweepRow(*map(float, values)), *table.T)
+        self._table = table
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        return map(functools.partial(tuple.__new__, SweepRow), zip(*self._table.T.tolist()))
 
 
 def frequency_grid(f_start: float, f_stop: float, points: int, scale: str = "log") -> list[float]:
@@ -677,23 +697,21 @@ def frequency_grid(f_start: float, f_stop: float, points: int, scale: str = "log
     raise ValueError(f"scale must be 'log' or 'linear', got {scale!r}")
 
 
-def _s_along(frequencies: list, s_at) -> TwoPortMatrix:
+def _s_along(frequencies: np.ndarray, s_at) -> TwoPortMatrix:
     """``s_at`` along the sweep's frequency axis; a point that fails
     validation is named by its frequency."""
     try:
-        return s_at(np.array(frequencies, dtype=float))
+        return s_at(frequencies)
     except netcore.PointError as exc:
         raise ValueError(f"{exc} at f = {float(frequencies[exc.index])!r} Hz") from None
 
 
 @netcore.quiet
-def _sweep_rows(frequencies: list, s: TwoPortMatrix, ports: PortPair) -> list[SweepRow]:
-    """One row per frequency from the S matrix along the sweep's axis,
-    built from its columns in C (``tuple.__new__``, no frame per row)."""
-    columns = [_db_column(abs(netcore.lift(m))) for m in (s.m11, s.m21, s.m22)]
+def _sweep_rows(frequencies: np.ndarray, s: TwoPortMatrix, ports: PortPair) -> SweepRows:
+    """The rows of the S matrix along the sweep's frequency axis."""
+    columns = [frequencies] + [_db_column(abs(netcore.lift(m))) for m in (s.m11, s.m21, s.m22)]
     columns += [efficiency.pte_link(s.m21, ports) * 100.0, efficiency.pte_max(s).pte_max * 100.0]
-    return list(map(functools.partial(tuple.__new__, SweepRow),
-                    zip(frequencies, *(c.tolist() for c in columns))))
+    return SweepRows(np.array(columns).T.copy())
 
 
 def _db_column(mag: np.ndarray) -> np.ndarray:
@@ -702,24 +720,93 @@ def _db_column(mag: np.ndarray) -> np.ndarray:
 
 
 def sweep_link(model: LinkModel, frequencies: Sequence[float],
-               with_imn: bool = True) -> list[SweepRow]:
+               with_imn: bool = True) -> SweepRows:
     """Rows of the link over ``frequencies``, each stage run once for all."""
-    freqs = list(frequencies)
+    freqs = np.array(frequencies, dtype=float)
     return _sweep_rows(freqs, _s_along(freqs, lambda f: model.s_at(f, with_imn=with_imn)),
                        model.ports)
 
 
-def sweep_table(table: NetworkTable, frequencies: Sequence[float] | None = None) -> list[SweepRow]:
+def sweep_table(table: NetworkTable, frequencies: Sequence[float] | None = None) -> SweepRows:
     ports = PortPair(table.zp, table.zp)
-    freqs = list(frequencies) if frequencies is not None else list(table.frequencies)
+    freqs = np.array(table.frequencies if frequencies is None else frequencies, dtype=float)
     return _sweep_rows(freqs, _s_along(freqs, table.at), ports)
 
 
-# One CSV row: no field needs quoting, and lines end in "\r\n" as csv.writer ends them.
-_SWEEP_ROW = ",".join(["%.12g"] * len(SWEEP_HEADER)) + "\r\n"
+# -- sweep CSV: '%.12g' fields written from the float64 table ---------------
+#
+# A field in fixed notation (decimal exponent X in [-4, 11]) prints the
+# 12-digit mantissa m = rint(y), y = |x| * 10**(11 - X) in [1e11, 1e12).  y
+# is one correctly rounded multiply by an exact power of ten, and rounding
+# is monotonic, so unless y is a half-integer (every one below 2**52 is a
+# float), m is the exact product rounded: the mantissa '%.12g' prints.
+# np.log10 only picks X; where y falls outside that range, or m reaches
+# 1e12, the field takes the fallback.  Each field fills a 33-byte template
+#     "-", m's 12 digits, "0.000", m's 12 digits, ",\r\n"
+# and a mask looked up by (X, significant digits, sign, last column) keeps
+# its text; the other bytes become NUL, and NULs are deleted.  Zero,
+# non-finite values, exponent notation and half-integers y take
+# '%-20.12g' % x in the template's first 20 bytes, its padding deleted too.
+
+_POW10 = np.array([float(10 ** k) for k in range(16)])
+_GROUP = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # the digits of 0..9999, m's groups
+_GROUP_DIGITS = np.add(_GROUP.T, 48, order="C").view("V4").ravel()
+_GROUP_ZEROS = ((_GROUP[3] == 0) * (1 + (_GROUP[2] == 0) * (  # trailing zeros
+    1 + (_GROUP[1] == 0) * (1 + (_GROUP[0] == 0))))).astype(np.uint8)
+_TEMPLATE = np.frombuffer(b"-" + b"0" * 12 + b"0.000" + b"0" * 12 + b",\r\n", "V33")[0]
+_FIELD = np.dtype({"names": ["a", "b", "head"], "formats": ["V12", "V12", "V20"],
+                   "offsets": [1, 18, 0], "itemsize": 33})
+_CSV_BLOCK = 512  # rows; each array of a block stays under glibc's 128 kB mmap threshold
+
+
+def _keep_masks() -> np.ndarray:
+    """Row (((X + 4) * 12 + digits - 1) * 2 + negative) * 2 + last of the
+    template's keep masks; rows 768 and 769 keep a fallback's 20 bytes."""
+    x, digits, negative, last = (a.reshape(-1, 1) for a in np.indices((16, 12, 2, 2)))
+    x, digits, col = x - 4, digits + 1, np.arange(33)
+    a, b = col - 1, col - 18
+    sep = (col == 30) & (last == 0) | (col > 30) & (last == 1)
+    keep = ((col == 0) & (negative == 1) | (a >= 0) & (a <= x) | (col == 13) & (x < 0)
+            | (col == 14) & ((x < 0) | (digits > x + 1)) | (col >= 15) & (col - 15 < -x - 1)
+            | (b >= 0) & (b < digits) & (b > x) | sep)
+    fallback = [(col < 20) | (col == 30), (col < 20) | (col > 30)]
+    return (np.vstack([keep, *fallback]) * np.uint8(255)).view("V33").ravel()
+
+
+_KEEP = _keep_masks()
 
 
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
-    """Sweep rows as CSV with a header, '.' decimals, no locale."""
-    return ",".join(SWEEP_HEADER) + "\r\n" + "".join([
-        _SWEEP_ROW % row for row in rows])
+    """Sweep rows as CSV: a header, then each field as '%.12g' formats it
+    ('.' decimals, no locale, nan and inf as Python spells them), lines
+    ending in "\r\n" as csv.writer ends them."""
+    table = rows._table if isinstance(rows, SweepRows) else \
+        np.array(rows, dtype=float).reshape(len(rows), len(SWEEP_HEADER))
+    out = [",".join(SWEEP_HEADER) + "\r\n"]
+    with np.errstate(all="ignore"):
+        for start in range(0, len(table), _CSV_BLOCK):
+            v = table[start:start + _CSV_BLOCK]
+            mag = np.abs(v)
+            x = np.fmax(np.fmin(np.floor(np.log10(mag)), 11.0), -4.0)
+            y = mag * _POW10.take((11.0 - x).astype(np.intp))
+            m = np.rint(y)
+            fallback = ~((y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.5))
+            m[fallback] = 1e11
+            hi, mid = np.floor(m / 1e8), np.floor(m / 1e4)
+            groups = np.array([hi, mid - 1e4 * hi, m - 1e4 * mid]).astype(np.intp)
+            zeros = _GROUP_ZEROS.take(groups)
+            zeros = zeros[2] + (groups[2] == 0) * (zeros[1] + (groups[1] == 0) * zeros[0])
+            key = (x.astype(np.intp) * 12 - zeros) * 4 + (v < 0) * 2 + 236
+            key[fallback] = 768
+            key[:, -1] += 1
+            text = np.empty(v.shape, "V33")
+            text[...] = _TEMPLATE
+            parts = np.ndarray(v.shape, _FIELD, text)  # not .view, which runs Python code
+            parts["a"] = parts["b"] = \
+                _GROUP_DIGITS.take(groups.transpose(1, 2, 0)).view("V12")[..., 0]
+            parts["head"][fallback] = np.frombuffer(
+                "".join(map("%-20.12g".__mod__, v[fallback].tolist())).encode(), "V20")
+            text = text.view(np.uint8)
+            text &= _KEEP.take(key).view(np.uint8)
+            out.append(text.tobytes().translate(None, b"\0 ").decode("ascii"))
+    return "".join(out)

@@ -422,13 +422,19 @@ def _python_calls(run) -> int:
 def test_sweep_runs_no_python_frame_per_point(links):
     # A sweep's per-point work runs in C or whole-array: the same number of
     # Python calls at 101 points as at 1,001.  So does reading a table.
+    # S21 = 0 in the last table gives a zero PTE and a NaN PTE_max, CSV
+    # fields the array writer leaves to '%.12g', on every row.
+    dead = NetworkTable((F0 / 20, F0 * 20), ((0.5, 0.0, 0.0, 0.5),) * 2, 50.0)
+    assert pipeline.sweep_csv_text(pipeline.sweep_table(dead)).endswith(
+        ",-6.02059991328,-6000,-6.02059991328,0,nan\r\n")
+
     def sweeps(points):
         freqs = pipeline.frequency_grid(F0 / 10, F0 * 10, points)
         return [_python_calls(lambda: pipeline.sweep_csv_text(
                     pipeline.sweep_link(links["analytic"], freqs, with_imn=with_imn)))
                 for with_imn in (True, False)] + \
-            [_python_calls(lambda: pipeline.sweep_csv_text(
-                pipeline.sweep_table(links["override"].override, freqs)))]
+            [_python_calls(lambda: pipeline.sweep_csv_text(pipeline.sweep_table(table, freqs)))
+             for table in (links["override"].override, dead)]
 
     def table_read(rows):
         freqs = pipeline.frequency_grid(F0 / 10, F0 * 10, rows)

@@ -16,7 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptkit import cli, harvester, imn, netcore, pipeline, tissue
 from wptkit.coil import PortPair
@@ -50,6 +53,26 @@ ASYMMETRIC = {
     "rx": {"shape": "square", "max_area_m2": 25e-6},
     "tissue": {"enabled": False},
 }
+
+
+def _csv_writer_text(rows) -> str:
+    """The sweep CSV as csv.writer writes each field's '%.12g' text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(pipeline.SWEEP_HEADER)
+    for row in rows:
+        writer.writerow([f"{getattr(row, name):.12g}" for name in
+                         ("f", "s11_db", "s21_db", "s22_db", "pte_pct", "pte_max_pct")])
+    return buf.getvalue()
+
+
+def _assert_same_lines(got: str, want: str):
+    """got == want, naming the first line that differs: a diff of two
+    megabyte texts would take minutes."""
+    got, want = got.split("\r\n"), want.split("\r\n")
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    assert got[i:i + 1] == want[i:i + 1], f"line {i}"
+    assert len(got) == len(want)
 
 
 @pytest.fixture(scope="module")
@@ -297,22 +320,55 @@ class TestSweep:
         assert "," in lines[1] and "." in lines[1]
 
     def test_csv_bytes_match_csv_writer_on_edge_rows(self, symmetric_report):
-        def reference(rows):
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(pipeline.SWEEP_HEADER)
-            for row in rows:
-                writer.writerow([f"{getattr(row, name):.12g}" for name in
-                                 ("f", "s11_db", "s21_db", "s22_db", "pte_pct", "pte_max_pct")])
-            return buf.getvalue()
-
         edges = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                  sys.float_info.max, -sys.float_info.max, 1e16, -1e16, 1.0, 123456789012.5]
         rows = [pipeline.SweepRow(*(edges[(i + k) % len(edges)] for k in range(6)))
                 for i in range(len(edges))]
         rows += sweep_link(symmetric_report.link, frequency_grid(1e7, 4e7, 11, "linear"))
-        assert sweep_csv_text(rows) == reference(rows)
-        assert sweep_csv_text([]) == reference([])
+        assert sweep_csv_text(rows) == _csv_writer_text(rows)
+        assert sweep_csv_text([]) == _csv_writer_text([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats()] * 6), max_size=8))
+    def test_csv_bytes_match_csv_writer_on_any_floats(self, rows):
+        # NaN, infinities, signed zeros and subnormals included.
+        rows = [pipeline.SweepRow(*row) for row in rows]
+        assert sweep_csv_text(rows) == _csv_writer_text(rows)
+
+    def test_csv_fields_match_percent_g_on_a_million_values(self):
+        # The array writer against the per-row '%' format it replaced, on
+        # every magnitude, near-ties at the 13th digit, neighbours of
+        # powers of ten and arbitrary bit patterns.
+        rng = np.random.default_rng(23)
+        n = 144_000  # 7 * n values
+        ties = (rng.integers(10 ** 11, 10 ** 12, n) + 0.5) * 10.0 ** rng.integers(-15, 1, n)
+        powers = 10.0 ** rng.integers(-8, 16, n)
+        values = np.concatenate([
+            10.0 ** rng.uniform(-8, 16, n), ties, np.nextafter(ties, 0.0),
+            np.nextafter(ties, np.inf), np.nextafter(np.nextafter(powers, 0.0), 0.0),
+            np.nextafter(powers, np.inf)]) * rng.choice([-1.0, 1.0], 6 * n)
+        table = np.concatenate([values, rng.integers(-2 ** 63, 2 ** 63 - 1, n).view(float)])
+        rng.shuffle(table)
+        table = table.reshape(-1, 6)
+        line = ",".join(["%.12g"] * 6) + "\r\n"
+        want = ",".join(pipeline.SWEEP_HEADER) + "\r\n" + "".join(
+            [line % tuple(row) for row in table.tolist()])
+        _assert_same_lines(sweep_csv_text(pipeline.SweepRows(table)), want)
+
+    def test_csv_of_the_largest_sweep_matches_csv_writer(self, symmetric_report):
+        rows = sweep_link(symmetric_report.link,
+                          frequency_grid(1e6, 4e8, pipeline.MAX_SWEEP_POINTS))
+        _assert_same_lines(sweep_csv_text(rows), _csv_writer_text(rows))
+
+    def test_rows_are_built_on_read(self, symmetric_report):
+        rows = sweep_link(symmetric_report.link, frequency_grid(1e7, 4e7, 11, "linear"))
+        built = list(rows)
+        assert [rows[i] for i in range(len(rows))] == built
+        assert rows[-1] == built[-1] and rows[2:5] == tuple(built[2:5])
+        assert all(type(value) is float for row in built for value in row)
+        assert all(type(value) is float for value in rows[3])
+        with pytest.raises(TypeError):
+            rows[0] = built[1]
 
     def test_imported_sweep_equals_rows(self, tmp_path, symmetric_report):
         freqs = [10e6, 20e6, 30e6]
@@ -590,6 +646,20 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, err
         assert err.startswith("i/o error: "), err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"f0_hz": ' + "1" * 4300 + "}",
+         "f0_hz: expected a finite number, got 11111111111111111111... (4300 digits)"),
+        ('{"f0_hz": 2e7, "tissue": {"sections_per_layer": ' + "9" * 4000 + "}}",
+         "tissue.sections_per_layer: must be <= 1000, got 99999999999999999999... (4000 digits)"),
+        ('{"f0_hz": 2e7, "tissue": {"sections_per_layer": 1001}}',
+         "tissue.sections_per_layer: must be <= 1000, got 1001"),
+    ], ids=["wrong-type", "over-the-cap", "short"])
+    def test_long_integers_are_cut_short_in_errors(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert cli.main(["design", str(spec)]) == 2
+        assert capsys.readouterr() == ("", f"validation error: {message}\n")
 
     def test_override_within_import_tolerance_designs(self, tmp_path, capsys):
         # S12 off S21 by 1e-4 relative passes the import check (1e-3), so

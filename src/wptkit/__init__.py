@@ -91,6 +91,7 @@ from .spiral import (
     modified_wheeler,
     mutual_inductance,
     synthesize,
+    synthesize_all,
 )
 from .tissue import (
     ColeColeLayer,

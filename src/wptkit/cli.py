@@ -100,13 +100,11 @@ def _cmd_coil_synth(args) -> int:
     _require_top(args)
     if args.max_area > pipeline.MAX_AREA:
         raise ValueError(f"--max-area must be <= {pipeline.MAX_AREA!r} m^2, got {args.max_area!r}")
-    shape = spiral.SHAPES.get(args.shape)
-    if shape is None:
-        raise ValueError(f"unknown shape {args.shape!r}; choose from {sorted(spiral.SHAPES)}")
+    shape = pipeline.coil_shape(args.shape, "--shape")
     fab = spiral.FabConstraints(
         min_trace_width=args.min_width, min_spacing=args.min_spacing,
         max_area=args.max_area)
-    result = pipeline.synthesize_coil("coil synthesis", args.target_l, fab, shape)
+    result, = pipeline.synthesize_coils([("coil synthesis", args.target_l, fab, shape)])
     records = [spiral.candidate_record(g, args.f0) for g in result.candidates[: args.top]]
     if args.format == "csv":
         buf = io.StringIO()

@@ -133,11 +133,16 @@ class DesignSpec:
 _JSON_TYPES = {type(None): "null", bool: "boolean", str: "string", list: "array", dict: "object"}
 
 
-def _echo(number) -> str:
-    """repr of a number from the spec; an integer longer than a float's
-    longest repr shows its first 20 characters and its length in digits."""
-    text = repr(number)
-    return text if len(text) <= 24 else f"{text[:20]}... ({len(text.lstrip('-'))} digits)"
+def _echo(value) -> str:
+    """A number (by its repr) or a string from the input as a one-line error
+    shows it: beyond 24 characters, a float's longest repr, as its first
+    20 characters and its length in digits or in characters."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 24:
+        return text
+    length = f"{len(text)} characters" if isinstance(value, str) \
+        else f"{len(text.lstrip('-'))} digits"
+    return f"{text[:20]}... ({length})"
 
 
 def _reject(value, path: str, expected: str):
@@ -190,9 +195,11 @@ def _array(convert, length: int | None = None):
     return read
 
 
-def _shape(value, path: str) -> spiral.ShapeCoefficients:
+def coil_shape(value, path: str) -> spiral.ShapeCoefficients:
+    """The coil shape named by ``value`` (a spec's or the command line's),
+    or a ValueError naming ``path``."""
     if _text(value, path) not in spiral.SHAPES:
-        raise ValueError(f"{path}: unknown coil shape {value!r}; "
+        raise ValueError(f"{path}: unknown coil shape '{_echo(value)}'; "
                          f"choose from {sorted(spiral.SHAPES)}")
     return spiral.SHAPES[value]
 
@@ -205,9 +212,9 @@ def _read(data, table: dict, path: str, cls) -> dict:
         _reject(data, path or "design spec", "an object")
     out = {}
     for key, value in data.items():
-        where = f"{path}.{key}" if path else key
         if key not in table:
-            raise ValueError(f"{where}: unknown key")
+            raise ValueError(f"{path + '.' if path else ''}{_echo(key)}: unknown key")
+        where = f"{path}.{key}" if path else key
         if type(table[key]) is dict:
             out.update(_read(value, table[key], where, cls))
         else:
@@ -232,7 +239,7 @@ def _section(table: dict, cls):
     return lambda value, path: _build(cls, _read(value, table, path, cls), path)
 
 
-_SIDE_KEYS = {"shape": ("shape", _shape),
+_SIDE_KEYS = {"shape": ("shape", coil_shape),
               "max_area_m2": ("max_area", _at_most(MAX_AREA, _number))}
 
 _LAYER_KEYS = {
@@ -319,8 +326,8 @@ def _repeat_path(data, repeats: dict) -> str:
     for path, value in todo:  # breadth first; the loop reaches what it appends
         if type(value) is dict:
             if id(value) in repeats:
-                return path + repeats[id(value)]
-            todo += ((f"{path}{key}.", item) for key, item in value.items())
+                return path + _echo(repeats[id(value)])
+            todo += ((f"{path}{_echo(key)}.", item) for key, item in value.items())
         elif type(value) is list:
             todo += ((f"{path[:-1]}[{i}].", item) for i, item in enumerate(value))
 
@@ -386,12 +393,17 @@ class LinkModel:
 # -- pipeline stages -------------------------------------------------------
 
 
-def synthesize_coil(stage: str, l_target: float, fab: spiral.FabConstraints,
-                    shape: spiral.ShapeCoefficients) -> spiral.SynthesisResult:
-    """Spiral synthesis that halts with InfeasibleDesignError, naming
-    ``stage`` and the nearest miss, when no candidate meets the target."""
-    result = spiral.synthesize(l_target, fab, shape)
-    if not result.candidates:
+def synthesize_coils(stages: Sequence[tuple[str, float, spiral.FabConstraints,
+                                            spiral.ShapeCoefficients]]
+                     ) -> list[spiral.SynthesisResult]:
+    """Spiral synthesis of each ``(stage, l_target, fab, shape)`` in one
+    spiral.synthesize_all call; halts with InfeasibleDesignError, naming
+    the first stage without a candidate that meets its target and its
+    nearest miss."""
+    results = spiral.synthesize_all([(l_target, fab, shape) for _, l_target, fab, shape in stages])
+    for (stage, l_target, _, _), result in zip(stages, results):
+        if result.candidates:
+            continue
         near = result.nearest
         detail = "no grid point reached the target"
         if near is not None:
@@ -403,7 +415,7 @@ def synthesize_coil(stage: str, l_target: float, fab: spiral.FabConstraints,
                       f"area {near.geometry.area * 1e6:.4g} mm^2")
         raise InfeasibleDesignError(stage, f"target {si(l_target, 'H')} infeasible; {detail}",
                                     nearest=near)
-    return result
+    return results
 
 
 @dataclass(frozen=True)
@@ -418,12 +430,13 @@ class CoilStage:
 def _coil_stages(spec: DesignSpec, l1_target: float, l2_target: float) -> list[CoilStage]:
     """The TX and RX coils, each the top synthesis candidate under its side's
     area cap, with its inductance and AC resistance at f0.  Both sides are
-    synthesized before either R_ac is computed, so an infeasible RX target
-    is reported as such even at an f0 where R_ac would fail."""
+    synthesized in one pass before either R_ac is computed, so an
+    infeasible RX target is reported as such even at an f0 where R_ac
+    would fail; with both infeasible, the TX side is named."""
     sides = (("tx", l1_target, spec.tx), ("rx", l2_target, spec.rx))
-    results = [synthesize_coil(f"{name} coil synthesis", l_target,
-                               replace(spec.fab, max_area=side.max_area), side.shape)
-               for name, l_target, side in sides]
+    results = synthesize_coils([(f"{name} coil synthesis", l_target,
+                                 replace(spec.fab, max_area=side.max_area), side.shape)
+                                for name, l_target, side in sides])
     stages = []
     for result, (_, _, side) in zip(results, sides):
         geom = result.candidates[0]

@@ -261,47 +261,54 @@ class _Rows(NamedTuple):
     counts: np.ndarray
 
 
-def _form_coefficients(shape: ShapeCoefficients, k: np.ndarray) -> tuple:
+def _form_coefficients(c2, c3, c4, k: np.ndarray) -> tuple:
     """c2 / k, c3 k and c4 k^2: the coefficients of the bracketed factor
     x ln(c2 x / k) + c3 k + c4 k^2 / x of the closed form (see _Rows)."""
-    return shape.c2 / k, shape.c3 * k, shape.c4 * k * k
+    return c2 / k, c3 * k, c4 * k * k
 
 
-def _guess_edges(shape: ShapeCoefficients, targets: tuple[float, float], rows: _Rows):
-    """Newton's estimate, per target and row, of the first index of the
-    row's r run at which the current-sheet L reaches the target: a
-    ``(len(targets), rows)`` float array, not clipped to [0, count] and NaN
-    where the iteration breaks down.
+def _guess_edges(coefs: np.ndarray, rows: _Rows):
+    """Newton's estimate, per window edge and row, of the first index of
+    the row's r run at which the current-sheet L reaches that edge of its
+    request's L_TOL window: a ``(2, rows)`` float array, not clipped to
+    [0, count] and NaN where the iteration breaks down.  ``coefs`` holds
+    each row's request values (see _search).
 
     Along a row L rises with x = d_avg and, for c4 >= 0, is convex (see
     _Rows for its closed form): the chord between the row's first and
-    top points reaches each target at or before its root, Newton's first
+    top points reaches each edge at or before its root, Newton's first
     step from there lands above the root, and the next approach it from
     above; NEWTON_STEPS steps in all.  A row whose first point already
-    reaches a target gets 0 for it, one whose top point misses it its
+    reaches an edge gets 0 for it, one whose top point misses it its
     count; only the others iterate.
     """
-    goal = np.divide.outer(targets, rows.coef)
+    goal = np.multiply.outer((1.0 - L_TOL, 1.0 + L_TOL), coefs[4]) / rows.coef
     with np.errstate(all="ignore"):
         guess = np.where(rows.form_first >= goal, 0.0, rows.counts.astype(float))
-        # The (target, row) pairs to iterate, as flat indices into guess.
+        # The (edge, row) pairs to iterate, as flat indices into guess; the
+        # upper edge's follow the lower edge's, offset by the row count.
         pair = ((rows.form_first < goal) & (rows.form_top >= goal)).ravel().nonzero()[0]
-        row, goal = pair % rows.counts.size, goal.take(pair)
+        row, goal = pair.copy(), goal.take(pair)
+        row[pair.searchsorted(rows.counts.size):] -= rows.counts.size
         x = rows.x_first.take(row) + (goal - rows.form_first.take(row)) * rows.slope.take(row)
-        c2_k, c3_k, c4_kk = _form_coefficients(shape, rows.k.take(row))
+        cosf, c2, c3, c4 = coefs[:4].take(row, axis=1)
+        c2_k, c3_k, c4_kk = _form_coefficients(c2, c3, c4, rows.k.take(row))
         for _ in range(NEWTON_STEPS):
             ln = np.log(c2_k * x)
             x = x - (x * ln + c3_k + c4_kk / x - goal) / (ln + 1.0 - c4_kk / (x * x))
-        guess.put(pair, np.ceil((x / shape.cos_factor - rows.ndr.take(row)) / (2.0 * R_STEP)) - 1.0)
+        guess.put(pair, np.ceil((x / cosf - rows.ndr.take(row)) / (2.0 * R_STEP)) - 1.0)
     return guess
 
 
 class _Grid(NamedTuple):
-    """The part of synthesis that depends only on (fab, shape): the rows
-    whose r run holds a point inside the area cap, in grid order, and the
-    r run.  The arrays are read-only."""
+    """The part of synthesis that depends only on (fab, shape), for one or
+    more such keys: each key's rows whose r run holds a point inside its
+    area cap, in grid order, laid end to end (key j's rows are
+    rows[starts[j]:starts[j + 1]]), and the longest r run, of which each
+    row's run is a prefix.  The arrays are read-only."""
 
     rows: _Rows
+    starts: tuple[int, ...]
     r_run: np.ndarray
 
     @property
@@ -315,40 +322,55 @@ class _Grid(NamedTuple):
         return self.rows.coef * self.rows.form_top
 
 
-@functools.lru_cache(maxsize=2)
-def _grid(fab: FabConstraints, shape: ShapeCoefficients) -> _Grid:
-    """The grid of synthesize for one (fab, shape); the cache holds the two
-    a design's coil sides use."""
-    cosf = shape.cos_factor
-    edge_max = math.sqrt(fab.max_area)
-    area_cap = fab.max_area * (1.0 + 1e-12)
+@functools.lru_cache(maxsize=1)
+def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
+    """The grids of synthesize for the distinct (fab, shape) ``keys``, built
+    in one pass over all their rows.  A design asks for its two coil
+    sides' keys at once and the second pass of a k estimate asks again,
+    so the cache holds the last call's grids."""
+    fabs = [fab for fab, _ in keys]
+    # Per key: C1 mu0 / 2, c2, c3, c4 and the cos factor.
+    shape_coefs = np.array([(0.5 * shape.c1 * MU_0, shape.c2, shape.c3, shape.c4,
+                             shape.cos_factor) for _, shape in keys]).T
+    cosf = shape_coefs[4]
+    edge_max = np.array([math.sqrt(fab.max_area) for fab in fabs])
+    area_cap = np.array([fab.max_area * (1.0 + 1e-12) for fab in fabs])
 
-    # (n, w, dr) rows in n-major, then w, then dr order: row i has
-    # n = i // (W_STEPS * DR_STEPS) + 1, w = w_step[iw], dr = dr_step[iw, idr].
+    # (key, n, w, dr) rows in key-major, then n, then w, then dr order:
+    # row i = (j N_MAX + n - 1) WD + c, for WD = W_STEPS DR_STEPS, has key
+    # j, n turns and key j's c-th (w, dr), w[j, c] and dr[j, c].
+    wd_size = W_STEPS * DR_STEPS
     n = np.arange(1, N_MAX + 1, dtype=float)
-    # Huge fabrication minima overflow to inf here.  Such rows lie outside
-    # the cap, and r_hi is clipped at 0, which changes no run (runs below
-    # R_STEP are empty), so their counts stay integers.
+    # Huge fabrication minima overflow to inf here; such rows get r_hi =
+    # -inf and are empty.
     with np.errstate(over="ignore"):
-        w_step = fab.min_trace_width + np.arange(W_STEPS) * TRACE_STEP
-        dr_step = w_step[:, None] + fab.min_spacing + np.arange(DR_STEPS) * TRACE_STEP
-        ndr = (n[:, None, None] * dr_step).ravel()
-        # Each row's r run is np.arange(R_STEP, r_hi + R_STEP/2, R_STEP);
-        # all runs are prefixes of the longest one.
-        r_hi = np.maximum(
-            ((edge_max - w_step) / (2.0 * cosf))[:, None] - ndr.reshape(N_MAX, W_STEPS, DR_STEPS),
-            0.0).ravel()
+        w_step = (np.array([fab.min_trace_width for fab in fabs])[:, None]
+                  + np.arange(W_STEPS) * TRACE_STEP)
+        dr = (w_step[:, :, None] + np.array([fab.min_spacing for fab in fabs])[:, None, None]
+              + np.arange(DR_STEPS) * TRACE_STEP).reshape(len(keys), wd_size)
+        w = w_step.repeat(DR_STEPS, axis=1)
+        ndr = (n[:, None] * dr[:, None]).ravel()
+        r_hi = (((edge_max[:, None] - w) / (2.0 * cosf)[:, None])[:, None]
+                - ndr.reshape(len(keys), N_MAX, wd_size)).ravel()
+    # From here on the arrays hold the non-empty rows only; wd indexes the
+    # row's (w, dr) in w and dr.  Each row's r run is np.arange(R_STEP,
+    # r_hi + R_STEP/2, R_STEP), and np.arange computes element i as
+    # R_STEP + i R_STEP whatever its length, so all runs are prefixes of
+    # the longest one.
+    rows = (r_hi >= R_STEP).nonzero()[0]
+    r_hi = r_hi.take(rows)
     counts = np.ceil((r_hi + 0.5 * R_STEP - R_STEP) / R_STEP).astype(np.intp)
-    counts[r_hi < R_STEP] = 0
-    r_run = np.arange(R_STEP, np.maximum.reduce(r_hi) + 0.5 * R_STEP, R_STEP)
-    # From here on the arrays hold the non-empty rows only.
-    rows = counts.nonzero()[0]
-    col = rows % (W_STEPS * DR_STEPS)
-    counts, row_ndr, row_w = counts.take(rows), ndr.take(rows), w_step.repeat(DR_STEPS).take(col)
+    r_run = np.arange(R_STEP, np.maximum.reduce(r_hi, initial=0.0) + 0.5 * R_STEP, R_STEP)
+    starts = rows.searchsorted(np.arange(len(keys) + 1) * (N_MAX * wd_size))
+    sizes = starts[1:] - starts[:-1]
+    q = rows // wd_size  # j N_MAX + n - 1
+    wd = rows - (q - np.arange(len(keys)).repeat(sizes)) * wd_size
+    row_ndr, row_w = ndr.take(rows), w.ravel().take(wd)
+    row_cosf, row_cap = cosf.repeat(sizes), area_cap.repeat(sizes)
 
     def fits(row, k):
-        edge = row_w[row] + 2.0 * (r_run.take(k) + row_ndr[row]) * cosf
-        return edge * edge <= area_cap
+        edge = row_w[row] + 2.0 * (r_run.take(k) + row_ndr[row]) * row_cosf[row]
+        return edge * edge <= row_cap[row]
 
     # The area test holds on a prefix of each run, which the count above
     # overshoots by at most its last point, unless rounding at extreme
@@ -362,22 +384,85 @@ def _grid(fab: FabConstraints, shape: ShapeCoefficients) -> _Grid:
         counts[odd] = _first_false(lambda lane, k: fits(odd[lane], k), counts[odd])
     live = counts.nonzero()[0]
     if live.size < counts.size:
-        rows, col, counts, row_ndr, row_w = (
-            a.take(live) for a in (rows, col, counts, row_ndr, row_w))
-    row_n = n.take(rows // (W_STEPS * DR_STEPS))
-    row_dr = dr_step.ravel().take(col)
-    coef = 0.5 * shape.c1 * MU_0 * row_n * row_n
-    row_k = row_w + row_ndr * cosf
-    c2_k, c3_k, c4_kk = _form_coefficients(shape, row_k)
-    x_first, x_top = ((2.0 * R_STEP * m + row_ndr) * cosf for m in (1, counts))
+        q, wd, counts, row_ndr, row_w, row_cosf = (
+            a.take(live) for a in (q, wd, counts, row_ndr, row_w, row_cosf))
+        starts = live.searchsorted(starts)
+        sizes = starts[1:] - starts[:-1]
+    # The work below holds every key's rows at once: free what only the
+    # trim needed first, which keeps the peak memory of a design's call
+    # near that of two one-key calls.
+    del ndr, r_hi, rows, row_cap, overshot, odd, live
+    row_n = np.concatenate([n] * len(keys)).take(q)
+    row_dr = dr.ravel().take(wd)
+    del q, wd
+    coef = shape_coefs[0].repeat(sizes) * row_n * row_n
+    row_k = row_w + row_ndr * row_cosf
+    c2_k, c3_k, c4_kk = _form_coefficients(*shape_coefs[1:4].repeat(sizes, axis=1), row_k)
+    x_first, x_top = ((2.0 * R_STEP * m + row_ndr) * row_cosf for m in (1, counts))
     with np.errstate(all="ignore"):
         form_first, form_top = (x * np.log(c2_k * x) + c3_k + c4_kk / x for x in (x_first, x_top))
         slope = (x_top - x_first) / (form_top - form_first)
     grid = _Grid(_Rows(row_n, row_w, row_dr, row_ndr, coef, row_k, x_first, form_first, form_top,
-                       slope, counts), r_run)
+                       slope, counts), tuple(starts.tolist()), r_run)
     for a in (*grid.rows, r_run):
         a.flags.writeable = False
     return grid
+
+
+def synthesize_all(requests: Sequence[tuple[float, FabConstraints, ShapeCoefficients]]
+                   ) -> list[SynthesisResult]:
+    """synthesize for each ``(l_target, fab, shape)`` request, in one pass.
+
+    The grids of all the requests' distinct (fab, shape) are built at
+    once (_grid), and one search runs over every request's rows, each
+    with its request's shape coefficients and target (_search): the
+    window guesses, the window tests, the bisection of wrong guesses and
+    the Wheeler gate run once over all of them.  Only the ranking, the
+    nearest miss and the rerun on every row are made per request.  Each
+    result equals what synthesize returns for its request alone.
+    """
+    requests = list(requests)
+    if not requests:
+        return []
+    # A subnormal target would overflow the relative error of every point.
+    for l_target, _, _ in requests:
+        if not sys.float_info.min <= l_target < math.inf:
+            raise ValueError(f"target inductance must be finite and >= {sys.float_info.min:g} H")
+    index: dict = {}  # (fab, shape) -> its place among the distinct keys
+    key_of = [index.setdefault((fab, shape), len(index)) for _, fab, shape in requests]
+    grid = _grid(tuple(index))
+    spans = [range(grid.starts[j], grid.starts[j + 1]) for j in key_of]
+    low = grid.l_first * (1.0 - PRUNE_MARGIN)
+    high = grid.l_top * (1.0 + PRUNE_MARGIN)
+    picks = []
+    for (l_target, _, _), span in zip(requests, spans):
+        lo, hi = span.start, span.stop
+        reach = (~((high[lo:hi] < l_target * (1.0 - L_TOL))
+                   | (low[lo:hi] > l_target * (1.0 + L_TOL)))).nonzero()[0]
+        picks.append(reach + lo if 0 < reach.size < len(span) else np.arange(lo, hi))
+    results = _search(requests, grid, picks)
+    # Where the rows that reach the window hold no candidate, every row is
+    # searched for the nearest miss.
+    again = [j for j, (pick, span, result) in enumerate(zip(picks, spans, results))
+             if not result and pick.size < len(span)]
+    if again:
+        rerun = _search([requests[j] for j in again], grid,
+                        [np.arange(spans[j].start, spans[j].stop) for j in again])
+        for j, result in zip(again, rerun):
+            results[j] = result
+    for j, (l_target, fab, shape) in enumerate(requests):
+        if results[j] or results[j].nearest is not None:
+            continue
+        # Area cap excludes even the smallest one-turn coil; report that
+        # coil as the miss so the caller sees how far off the cap is.
+        w_min = fab.min_trace_width
+        g = SpiralGeometry(shape, 1, R_STEP, w_min + fab.min_spacing, w_min)
+        try:
+            l_min = inductance(g)
+        except ValueError:
+            continue
+        results[j] = SynthesisResult((), NearMiss(g, l_min, abs(l_min - l_target) / l_target))
+    return results
 
 
 def synthesize(l_target: float, fab: FabConstraints,
@@ -396,44 +481,28 @@ def synthesize(l_target: float, fab: FabConstraints,
     (n, w, dr, r) order, with the smallest relative error outside L_TOL.
 
     The rows, each trimmed to the points inside the cap, come from the
-    (fab, shape) grid (_grid), which a design builds once per coil side
-    it synthesizes: a side with the other's limits and shape, and the
-    second pass of a k estimate, reuse it.  Along every row L rises
-    strictly with r (dL/dd_avg > 0 wherever dr > w, which
+    (fab, shape) grid (_grid).  This is synthesize_all with one request:
+    a design synthesizes both coil sides in one synthesize_all call,
+    which builds both grids in one pass (once when the sides share
+    limits and shape) and searches both sides' rows at once, and the
+    second pass of a k estimate finds those grids cached.  Along every
+    row L rises strictly with r (dL/dd_avg > 0 wherever dr > w, which
     ShapeCoefficients enforces), so its closed-form values at the row's
     ends bound it, and the search runs on the rows whose bounds, widened
     by PRUNE_MARGIN, reach the L_TOL window.  Only when none of them
     holds a candidate does it run again on every row, for the nearest
     miss.
     """
-    # A subnormal target would overflow the relative error of every point.
-    if not sys.float_info.min <= l_target < math.inf:
-        raise ValueError(f"target inductance must be finite and >= {sys.float_info.min:g} H")
-    grid = _grid(fab, shape)
-    reach = (~((grid.l_top * (1.0 + PRUNE_MARGIN) < l_target * (1.0 - L_TOL))
-               | (grid.l_first * (1.0 - PRUNE_MARGIN) > l_target * (1.0 + L_TOL)))).nonzero()[0]
-    if 0 < reach.size < grid.rows.counts.size:
-        result = _search(l_target, shape, _Rows(*(a.take(reach) for a in grid.rows)), grid.r_run)
-        if result:
-            return result
-    result = _search(l_target, shape, grid.rows, grid.r_run)
-    if result or result.nearest is not None:
-        return result
-    # Area cap excludes even the smallest one-turn coil; report that
-    # coil as the miss so the caller sees how far off the cap is.
-    w_min = fab.min_trace_width
-    g = SpiralGeometry(shape, 1, R_STEP, w_min + fab.min_spacing, w_min)
-    try:
-        l_min = inductance(g)
-        nearest = NearMiss(g, l_min, abs(l_min - l_target) / l_target)
-    except ValueError:
-        nearest = None
-    return SynthesisResult((), nearest)
+    return synthesize_all(((l_target, fab, shape),))[0]
 
 
-def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
-            r_run: np.ndarray) -> SynthesisResult:
-    """The candidates among ``rows``, or else their nearest miss, if any.
+def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[SynthesisResult]:
+    """Per request, the candidates among the rows of ``grid`` that its entry
+    of ``picks`` indexes, or else their nearest miss, if any.
+
+    The requests' rows are laid end to end, request j's from starts[j],
+    and each row carries its request's cos factor, c2, c3, c4, target,
+    k1 mu0 and k2 in coefs, a (7, rows) array.
 
     Along each row the run is a stretch of points below the L_TOL window,
     the window itself, then points above it.  Newton's method on the
@@ -448,26 +517,33 @@ def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
     of the rows whatever the guesses are.  The candidates are ranked in
     numpy and built on access.
     """
+    sizes = [pick.size for pick in picks]
+    starts = np.cumsum([0, *sizes])
+    coefs = np.array([(shape.cos_factor, shape.c2, shape.c3, shape.c4, l_target,
+                       shape.k1 * MU_0, shape.k2) for l_target, _, shape in requests]
+                     ).T.repeat(sizes, axis=1)
+    rows, r_run = _Rows(*(a.take(np.concatenate(picks)) for a in grid.rows)), grid.r_run
     row_n, row_w, row_dr, row_ndr, row_coef = rows[:5]
     counts = rows.counts
-    cosf = shape.cos_factor
+    shape_coefs, targets = coefs[:4], coefs[4]
 
     def evaluate(row, r):
         """Current-sheet L, edge and d_avg at the points, as SpiralGeometry
-        and inductance evaluate them."""
+        and inductance evaluate them, and each point's target."""
         ndr = row_ndr.take(row)
+        cosf, c2, c3, c4 = shape_coefs.take(row, axis=1)
         d_avg = (2.0 * r + ndr) * cosf
         edge = row_w.take(row) + 2.0 * (r + ndr) * cosf
         phi = edge / d_avg - 1.0
         with np.errstate(invalid="ignore"):
-            bracket = np.log(shape.c2 / phi) + shape.c3 * phi + shape.c4 * phi * phi
-        return row_coef.take(row) * d_avg * bracket, edge, d_avg
+            bracket = np.log(c2 / phi) + c3 * phi + c4 * phi * phi
+        return row_coef.take(row) * d_avg * bracket, edge, d_avg, targets.take(row)
 
-    def window_tests(l_val):
+    def window_tests(l_val, target):
         """Per point: below the window; not above it.  Along a row each
         holds on a prefix of the run."""
-        outside = np.abs(l_val - l_target) / l_target > L_TOL
-        return outside & (l_val < l_target), ~(outside & (l_val > l_target))
+        outside = np.abs(l_val - target) / target > L_TOL
+        return outside & (l_val < target), ~(outside & (l_val > target))
 
     def window(first_not_below, first_above):
         """The window and its neighbours, in (row, r) order, with each
@@ -478,15 +554,15 @@ def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
         row = np.arange(counts.size).repeat(span)
         return row, base, r_run.take(np.arange(row.size) - base.repeat(span))
 
-    guess = _guess_edges(shape, (l_target * (1.0 - L_TOL), l_target * (1.0 + L_TOL)), rows)
+    guess = _guess_edges(coefs, rows)
     proven = np.logical_and.reduce(np.isfinite(guess))
     first_not_below, first_above = np.where(
         proven, np.minimum(np.maximum(guess, 0.0), counts), 0).astype(np.intp)
     first_not_below = np.minimum(first_not_below, first_above)
     row, base, r = window(first_not_below, first_above)
-    l_val, edge, d_avg = evaluate(row, r)
+    l_val, edge, d_avg, target = evaluate(row, r)
     # An edge is proven where its test holds just before it and fails at it.
-    for first, test in zip((first_not_below, first_above), window_tests(l_val)):
+    for first, test in zip((first_not_below, first_above), window_tests(l_val, target)):
         proven &= (first == 0) | test.take(base + first - 1, mode="clip")
         proven &= (first == counts) | ~test.take(base + first, mode="clip")
     wrong = (~proven).nonzero()[0]
@@ -494,15 +570,16 @@ def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
         lanes = np.concatenate((wrong, wrong))
 
         def in_run(lane, k):
-            below, not_above = window_tests(evaluate(lanes[lane], r_run[k])[0])
+            l_lane, _, _, target_lane = evaluate(lanes[lane], r_run[k])
+            below, not_above = window_tests(l_lane, target_lane)
             return np.where(lane < wrong.size, below, not_above)
 
         first_not_below[wrong], first_above[wrong] = _first_false(
             in_run, counts.take(lanes)).reshape(2, wrong.size)
         row, base, r = window(first_not_below, first_above)
-        l_val, edge, d_avg = evaluate(row, r)
+        l_val, edge, d_avg, target = evaluate(row, r)
     usable = l_val > 0.0
-    rel = np.abs(l_val - l_target) / l_target
+    rel = np.abs(l_val - target) / target
     within = rel <= L_TOL
 
     # Modified-Wheeler gate, as modified_wheeler evaluates it.
@@ -513,26 +590,37 @@ def _search(l_target: float, shape: ShapeCoefficients, rows: _Rows,
     valid = d_in > 0.0
     hit, d_out, d_in = hit[valid], d_out[valid], d_in[valid]
     rho = (d_out - d_in) / (d_out + d_in)
-    n_hit = row_n.take(row.take(hit))
-    l_mw = shape.k1 * MU_0 * n_hit * n_hit * d_avg.take(hit) / (1.0 + shape.k2 * rho)
+    row_hit = row.take(hit)
+    n_hit = row_n.take(row_hit)
+    k1_mu0, k2 = coefs[5:].take(row_hit, axis=1)
+    l_mw = k1_mu0 * n_hit * n_hit * d_avg.take(hit) / (1.0 + k2 * rho)
     l_cs = l_val.take(hit)
     hit = hit[~(np.abs(l_cs - l_mw) / l_cs > WHEELER_TOL)]
 
-    if hit.size:
-        # Descending area, as SpiralGeometry.area evaluates it, then n, w, dr, r:
-        # a stable sort keeps the points' (row, r) order, rows in grid order.
-        edge_hit = edge.take(hit)
-        hit = hit.take((-(edge_hit * edge_hit)).argsort(kind="stable"))
-        kept = row.take(hit)
-        return SynthesisResult(RankedCandidates(
-            shape, row_n.take(kept), r.take(hit), row_dr.take(kept), row_w.take(kept)), None)
+    # Each request's points are one stretch, from its first row's on.
+    ends = row.searchsorted(starts)
     miss = (usable & ~within).nonzero()[0]
-    if not miss.size:
-        return SynthesisResult((), None)
-    i = miss[rel.take(miss).argmin()]
-    g = SpiralGeometry(shape, int(row_n[row[i]]), float(r[i]),
-                       float(row_dr[row[i]]), float(row_w[row[i]]))
-    return SynthesisResult((), NearMiss(g, float(l_val[i]), float(rel[i])))
+    hit_ends, miss_ends = hit.searchsorted(ends).tolist(), miss.searchsorted(ends).tolist()
+    results = []
+    for j, (_, _, shape) in enumerate(requests):
+        hits = hit[hit_ends[j]:hit_ends[j + 1]]
+        misses = miss[miss_ends[j]:miss_ends[j + 1]]
+        if hits.size:
+            # Descending area, as SpiralGeometry.area evaluates it, then n, w, dr,
+            # r: a stable sort keeps the points' (row, r) order, rows in grid order.
+            edge_hit = edge.take(hits)
+            hits = hits.take((-(edge_hit * edge_hit)).argsort(kind="stable"))
+            kept = row.take(hits)
+            results.append(SynthesisResult(RankedCandidates(
+                shape, row_n.take(kept), r.take(hits), row_dr.take(kept), row_w.take(kept)), None))
+        elif misses.size:
+            i = misses[rel.take(misses).argmin()]
+            g = SpiralGeometry(shape, int(row_n[row[i]]), float(r[i]),
+                               float(row_dr[row[i]]), float(row_w[row[i]]))
+            results.append(SynthesisResult((), NearMiss(g, float(l_val[i]), float(rel[i]))))
+        else:
+            results.append(SynthesisResult((), None))
+    return results
 
 
 def trace_length(g: SpiralGeometry) -> float:

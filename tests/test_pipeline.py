@@ -255,6 +255,13 @@ class TestInfeasiblePaths:
             run_design(spec_from_dict(bad))
         assert "rx coil synthesis" in str(err.value)
 
+    def test_both_sides_infeasible_names_tx(self):
+        # Both sides are synthesized in one pass; the TX side is reported.
+        side = {"shape": "square", "max_area_m2": (0.5e-3) ** 2}
+        with pytest.raises(InfeasibleDesignError) as err:
+            run_design(spec_from_dict(dict(SYMMETRIC, tx=side, rx=dict(side, shape="hexagonal"))))
+        assert err.value.stage == "tx coil synthesis"
+
     def test_harvester_halts_when_unreachable(self):
         bad = dict(SYMMETRIC)
         bad["harvester"] = {"v_rx_v": 0.05, "target_v_out_v": 100.0,
@@ -647,18 +654,38 @@ class TestCli:
         assert out == "" and len(err.splitlines()) == 1, err
         assert err.startswith("i/o error: "), err
 
-    @pytest.mark.parametrize("text, message", [
-        ('{"f0_hz": ' + "1" * 4300 + "}",
+    @pytest.mark.parametrize("argv, text, message", [
+        (["design"], '{"f0_hz": ' + "1" * 4300 + "}",
          "f0_hz: expected a finite number, got 11111111111111111111... (4300 digits)"),
-        ('{"f0_hz": 2e7, "tissue": {"sections_per_layer": ' + "9" * 4000 + "}}",
+        (["design"], '{"f0_hz": 2e7, "tissue": {"sections_per_layer": ' + "9" * 4000 + "}}",
          "tissue.sections_per_layer: must be <= 1000, got 99999999999999999999... (4000 digits)"),
-        ('{"f0_hz": 2e7, "tissue": {"sections_per_layer": 1001}}',
+        (["design"], '{"f0_hz": 2e7, "tissue": {"sections_per_layer": 1001}}',
          "tissue.sections_per_layer: must be <= 1000, got 1001"),
-    ], ids=["wrong-type", "over-the-cap", "short"])
-    def test_long_integers_are_cut_short_in_errors(self, tmp_path, capsys, text, message):
-        spec = tmp_path / "spec.json"
-        spec.write_text(text)
-        assert cli.main(["design", str(spec)]) == 2
+        (["design"], '{"f0_hz": 2e7, "tx": {"shape": "' + "x" * 5000 + '"}}',
+         "tx.shape: unknown coil shape 'xxxxxxxxxxxxxxxxxxxx... (5000 characters)'; "
+         "choose from ['circular', 'hexagonal', 'octagonal', 'square']"),
+        (["design"], '{"f0_hz": 2e7, "tx": {"shape": "triangle"}}',
+         "tx.shape: unknown coil shape 'triangle'; "
+         "choose from ['circular', 'hexagonal', 'octagonal', 'square']"),
+        (["design"], '{"f0_hz": 2e7, "' + "z" * 5000 + '": 1}',
+         "zzzzzzzzzzzzzzzzzzzz... (5000 characters): unknown key"),
+        (["design"], '{"f0_hz": 2e7, "tissue": {"' + "y" * 25 + '": 1}}',
+         "tissue.yyyyyyyyyyyyyyyyyyyy... (25 characters): unknown key"),
+        (["design"], '{"f0_hz": 2e7, "tissue": {"' + "y" * 24 + '": 1}}',
+         f"tissue.{'y' * 24}: unknown key"),
+        (["design"], '{"f0_hz": 2e7, "' + "k" * 30 + '": 1, "' + "k" * 30 + '": 2}',
+         "kkkkkkkkkkkkkkkkkkkk... (30 characters): duplicate key"),
+        (["coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6", "--shape", "q" * 3000],
+         None, "--shape: unknown coil shape 'qqqqqqqqqqqqqqqqqqqq... (3000 characters)'; "
+               "choose from ['circular', 'hexagonal', 'octagonal', 'square']"),
+    ], ids=["wrong-type", "over-the-cap", "short", "shape", "short-shape", "key", "nested-key",
+            "24-character-key", "duplicate-key", "coil-synth-shape"])
+    def test_long_values_are_cut_short_in_errors(self, tmp_path, capsys, argv, text, message):
+        if text is not None:
+            spec = tmp_path / "spec.json"
+            spec.write_text(text)
+            argv = [*argv, str(spec)]
+        assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"validation error: {message}\n")
 
     def test_override_within_import_tolerance_designs(self, tmp_path, capsys):

@@ -35,6 +35,7 @@ from wptkit.spiral import (
     mutual_inductance,
     skin_depth,
     synthesize,
+    synthesize_all,
     trace_length,
 )
 
@@ -339,6 +340,41 @@ def _kept_at_edge(target, g, check):
             for t in (math.nextafter(target, 0.0), target, math.nextafter(target, math.inf))]
 
 
+def assert_batch_matches_reference(requests, monkeypatch):
+    """synthesize_all equals, per request, the oracle and synthesize with
+    that request alone (equal candidates in the same order, equal near
+    miss, equal repr), with Newton's guesses and under every wrong guess
+    of GUESS_ERRORS.  Returns the oracle's results."""
+    want = [_reference_synthesize(*request) for request in requests]
+    for _ in wrong_guesses(monkeypatch):
+        got = synthesize_all(requests)
+        assert len(got) == len(requests)
+        for request, batched, expected in zip(requests, got, want):
+            for result in (batched, synthesize(*request)):
+                assert len(result.candidates) == len(expected.candidates)
+                assert tuple(result.candidates) == expected.candidates
+                assert repr(tuple(result.candidates)) == repr(expected.candidates)
+                assert result.nearest == expected.nearest
+                assert repr(result.nearest) == repr(expected.nearest)
+    return want
+
+
+# One request per outcome: candidates; one candidate at the first point
+# of the grid's first row, the first point its request evaluates; a
+# nearest miss from the grid, no row reaching the target; a rerun on
+# every row, as the two rows that reach 0.2653 nH hold no candidate; no
+# grid point inside the cap, the one-turn fallback.  "hit", "first-point"
+# and "rerun" share (fab, shape).
+OUTCOME_REQUESTS = {
+    "hit": (80e-9, FabConstraints(max_area=(5e-3) ** 2), SQUARE),
+    "first-point": (inductance(SpiralGeometry(SQUARE, 1, spiral.R_STEP, 200e-6, 100e-6)),
+                    FabConstraints(max_area=(5e-3) ** 2), SQUARE),
+    "miss": (1e-3, FabConstraints(60e-6, 80e-6, 1e-2), CIRCULAR),
+    "rerun": (0.2653e-9, FabConstraints(max_area=(5e-3) ** 2), SQUARE),
+    "no-point": (80e-9, FabConstraints(500e-6, 500e-6, 1e-6), HEXAGONAL),
+}
+
+
 class TestSynthesizeEquivalence:
     @pytest.mark.parametrize("cap", EQUIVALENCE_CAPS, ids="cap={:.3g}".format)
     @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
@@ -389,6 +425,41 @@ class TestSynthesizeEquivalence:
             target = math.exp(rng.uniform(math.log(5e-9), math.log(2e-6)))
             shape = SHAPE_LIST[int(rng.integers(len(SHAPE_LIST)))]
             assert_matches_reference(target, FabConstraints(width, spacing, cap), shape)
+
+    @pytest.mark.parametrize("second", OUTCOME_REQUESTS)
+    @pytest.mark.parametrize("first", OUTCOME_REQUESTS)
+    def test_outcome_pairs_match_reference(self, first, second, monkeypatch):
+        # Every ordered pair of outcomes in one batch, a request with itself
+        # included; each request's result is what it gets alone.
+        want = assert_batch_matches_reference(
+            [OUTCOME_REQUESTS[first], OUTCOME_REQUESTS[second]], monkeypatch)
+        for name, result in zip((first, second), want):
+            assert bool(result.candidates) == (name in ("hit", "first-point"))
+            fallback = result.nearest is not None and result.nearest.geometry.r == spiral.R_STEP \
+                and result.nearest.geometry.area > OUTCOME_REQUESTS[name][1].max_area
+            assert fallback == (name == "no-point")
+
+    def test_seeded_batches_match_reference(self, monkeypatch):
+        # Three pairs and a triple of random requests: shapes, fab minima
+        # of 50-500 um, caps from 1e-6 to 1e-2 m^2 and targets from 0.5 nH
+        # to 20 uH; the triple's last request shares its first's (fab, shape).
+        rng = np.random.default_rng(20261020)
+
+        def draw():
+            cap = math.exp(rng.uniform(math.log(1e-6), math.log(1e-2)))
+            width, spacing = (float(v) for v in rng.uniform(50e-6, 500e-6, 2))
+            target = math.exp(rng.uniform(math.log(0.5e-9), math.log(20e-6)))
+            return target, FabConstraints(width, spacing, cap), \
+                SHAPE_LIST[int(rng.integers(len(SHAPE_LIST)))]
+
+        batches = [[draw(), draw()] for _ in range(3)]
+        triple = [draw(), draw()]
+        triple.append((triple[0][0] * 1.5, *triple[0][1:]))
+        outcomes = set()
+        for requests in (*batches, triple):
+            for result in assert_batch_matches_reference(requests, monkeypatch):
+                outcomes.add("hit" if result.candidates else "miss" if result.nearest else "none")
+        assert {"hit", "miss"} <= outcomes
 
     @pytest.mark.parametrize("minimum", [50e-6, 100e-6, 500e-6])
     @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
@@ -460,7 +531,7 @@ class TestGridPruning:
         # and top grid points inside the row's closed-form range widened by
         # PRUNE_MARGIN; in between it rises, so it lies there everywhere.
         fab, shape = case
-        grid = spiral._grid(fab, shape)
+        grid = spiral._grid(((fab, shape),))
         counts = grid.rows.counts
         assert (counts > 0).all()
         low = grid.l_first * (1.0 - spiral.PRUNE_MARGIN)
@@ -475,7 +546,7 @@ class TestGridPruning:
         # closed-form end value, one ulp and one PRUNE_MARGIN either side:
         # the row is kept on one side and dropped on the other.
         fab = FabConstraints(max_area=(5e-3) ** 2)
-        grid = spiral._grid(fab, shape)
+        grid = spiral._grid(((fab, shape),))
         margin = spiral.PRUNE_MARGIN
         row = int(np.argmax(grid.rows.counts))
         for end, window_edge in ((float(grid.l_top[row]), 1.0 - spiral.L_TOL),
@@ -490,18 +561,21 @@ class TestGridPruning:
     def test_search_reruns_on_every_row_only_without_candidates(self, monkeypatch):
         # A reachable target searches the rows that reach it once; without
         # a candidate there, every row is searched for the nearest miss.
+        # A batch searches its requests' rows together, and reruns only
+        # the requests that need it.
         searched = []
         search = spiral._search
 
-        def counting(l_target, shape, rows, r_run):
-            searched.append(rows.counts.size)
-            return search(l_target, shape, rows, r_run)
+        def counting(requests, grid, picks):
+            searched.append(sum(pick.size for pick in picks))
+            return search(requests, grid, picks)
 
         monkeypatch.setattr(spiral, "_search", counting)
         fab = FabConstraints(max_area=(5e-3) ** 2)
-        live = spiral._grid(fab, SQUARE).rows.counts.size
+        live = spiral._grid(((fab, SQUARE),)).rows.counts.size
         assert synthesize(80e-9, fab, SQUARE).candidates
         assert len(searched) == 1 and 0 < searched[0] < live
+        reach = searched[0]
         searched.clear()
         assert synthesize(1e-3, fab, SQUARE).nearest is not None
         assert searched == [live]  # no row reaches 1 mH: one search of every row
@@ -509,6 +583,11 @@ class TestGridPruning:
         # Two rows reach 0.2653 nH, but none of their points is a candidate.
         assert not synthesize(0.2653e-9, fab, SQUARE).candidates
         assert searched == [2, live]
+        searched.clear()
+        hit, none, rerun = synthesize_all(
+            [(80e-9, fab, SQUARE), (1e-3, fab, SQUARE), (0.2653e-9, fab, SQUARE)])
+        assert hit.candidates and none.nearest is not None and not rerun.candidates
+        assert searched == [reach + live + 2, live]
 
     def test_cleared_cache_gives_the_same_result(self):
         fab = FabConstraints(max_area=(5e-3) ** 2)
@@ -524,8 +603,8 @@ class TestGridPruning:
 
     def test_grid_is_cached_read_only(self):
         fab = FabConstraints(max_area=(5e-3) ** 2)
-        grid = spiral._grid(fab, HEXAGONAL)
-        assert spiral._grid(FabConstraints(max_area=(5e-3) ** 2), HEXAGONAL) is grid
+        grid = spiral._grid(((fab, HEXAGONAL),))
+        assert spiral._grid(((FabConstraints(max_area=(5e-3) ** 2), HEXAGONAL),)) is grid
         for array in (*grid.rows, grid.r_run):
             assert not array.flags.writeable
         with pytest.raises(ValueError):

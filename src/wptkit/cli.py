@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harvester, imn, pipeline, spiral, tissue
 from .errors import InfeasibleDesignError, TouchstoneFormatError, UnmatchableError, WptError
 from .pipeline import si
@@ -159,15 +161,10 @@ def _cmd_harvester_explore(args) -> int:
         c_stage=args.c_stage,
     )
     result = harvester.design_space(args.v_rx, args.target_v, constraints)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "q", "r_rect_ohm", "c_rect_f", "v_out_v",
-                     "charge_time_s", "match_residual"])
-    for p in result.table:
-        writer.writerow([p.n, f"{p.q:.12g}", f"{p.r_rect:.12g}", f"{p.c_rect:.12g}",
-                         f"{p.v_out:.12g}", f"{p.charge_time:.12g}",
-                         f"{p.match_residual:.12g}"])
-    text = buf.getvalue()
+    # The table's columns in DesignPoint's field order; n prints as an integer.
+    text = pipeline.csv_text(("n", "q", "r_rect_ohm", "c_rect_f", "v_out_v", "charge_time_s",
+                              "match_residual"),
+                             np.array(result.table.fields, dtype=float).T)
     if result.chosen is not None:
         text += (f"# chosen: n={result.chosen.n} q={result.chosen.q:g} "
                  f"v_t={si(constraints.v_t, 'V')} c_store={si(constraints.c_store, 'F')}\n")

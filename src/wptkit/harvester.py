@@ -18,7 +18,9 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .netcore import check_frequency
+import numpy as np
+
+from .netcore import BuiltOnRead, Split, check_frequency, first_point, point, promote
 
 # Thermal voltage at body temperature (310 K).
 BODY_THERMAL_VOLTAGE = 0.0267  # V
@@ -197,23 +199,31 @@ class DesignPoint:
 @dataclass(frozen=True)
 class DesignSpaceResult:
     """The sweep table, the chosen point of it (None when no point is
-    feasible) and, when none is, the nearest miss on each constraint."""
+    feasible) and, when none is, the nearest miss on each constraint.
 
-    table: tuple[DesignPoint, ...]
+    ``table`` is a read-only sequence of DesignPoint, n-major then q, each
+    built when it is read; pickled, it is the tuple it reads as."""
+
+    table: Sequence[DesignPoint]
     chosen: DesignPoint | None
     nearest: dict[str, DesignPoint]
 
     def __bool__(self) -> bool:
         return self.chosen is not None
 
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "table": tuple(self.table)}
+
 
 def charge_time(n: int, v_t: float, i_load_avg: float, c_store: float) -> float:
-    """95 %-settling estimate 3 R_out C_store with R_out = n V_T / I_load."""
+    """95 %-settling estimate 3 R_out C_store with R_out = n V_T / I_load,
+    for a stage count n or an array of them."""
     if not i_load_avg > 0:
         raise ValueError("average load current must be > 0")
     return 3.0 * (n * v_t / i_load_avg) * c_store
 
 
+@np.errstate(all="ignore")  # an overflow is a value here, or the error of its n
 def design_space(v_rx: float, target_v_out: float,
                  constraints: HarvesterConstraints) -> DesignSpaceResult:
     """Sweep the (n, q) grid and pick the smallest feasible stage count.
@@ -222,39 +232,91 @@ def design_space(v_rx: float, target_v_out: float,
     at the same n resolve toward the best conjugate-match residual
     against the tissue impedance.  When nothing is feasible the result
     carries the nearest miss on each constraint instead of a choice.
+
+    Each stage count's input, charge time and match residual are found
+    for all n at once, with the bits of Python's complex arithmetic at
+    each n (netcore.Split); a stage count whose values would raise
+    raises, as a loop over n would, the error of the first such n.
     """
     if not 0 <= v_rx < math.inf:
         raise ValueError("received amplitude must be finite and >= 0")
     if not target_v_out > 0:
         raise ValueError("target output voltage must be > 0")
-    v_t, r_stage, c_stage = constraints.v_t, constraints.r_stage, constraints.c_stage
-    w = 2.0 * math.pi * constraints.f0
-    rows: list[DesignPoint] = []
-    logs = None
-    for n in map(int, constraints.n_range):
-        y_in = 1.0 / (n * r_stage) + 1j * w * c_stage / n
-        if not y_in:
-            raise ValueError(f"input admittance of {n} stages underflows to 0")
-        z_in = 1.0 / y_in
-        rect = rect_input(z_in, constraints.f0)
-        tau = charge_time(n, v_t, constraints.i_load_avg, constraints.c_store)
-        residual = abs(z_in - complex(constraints.tissue_z).conjugate())
-        residual /= max(abs(constraints.tissue_z), 1e-300)
-        # ln I0 of each q's drive, found and checked at the first n, as v_out did.
-        logs = logs or [(float(q), _stage_log(q * v_rx, v_t)) for q in constraints.q_range]
-        rows += [DesignPoint(n, q, rect.r_rect, rect.c_rect, 2.0 * n * v_t * log_q,
-                             tau, residual) for q, log_q in logs]
+    c = constraints
+    tissue_z = complex(c.tissue_z)
+    ns = list(map(int, c.n_range))
+    n = np.array(ns)  # int64, or Python ints past its range
+    nf = n.astype(float)
+    y_in = 1.0 / (nf * c.r_stage) + 1j * (2.0 * math.pi * c.f0) * c.c_stage / promote(nf)
+    z_in = 1.0 / y_in
+    r_rect, c_rect = _rect_input(z_in, c.f0)
+    tau = charge_time(nf, c.v_t, c.i_load_avg, c.c_store)
+    miss = z_in - tissue_z.conjugate()
+    mismatch = abs(miss)
+    first = first_point((y_in == 0) | ~((z_in.real > 0) & (r_rect > 0))
+                        | _abs_overflows(z_in) | _abs_overflows(miss))
+    if first == 0:
+        _check_stage_count(ns[0], point(y_in, 0), point(z_in, 0), c)
+    residual = mismatch / max(abs(tissue_z), 1e-300)
+    # ln I0 of each q's drive, checked after the first n, as a loop over n would.
+    logs = [_stage_log(q * v_rx, c.v_t) for q in c.q_range]
+    if first is not None:
+        _check_stage_count(ns[first], point(y_in, first), point(z_in, first), c)
 
-    feasible = [p for p in rows
-                if p.v_out >= target_v_out and p.charge_time <= constraints.max_charge_time]
-    chosen = min(feasible, key=lambda p: (p.n, p.match_residual, p.q), default=None)
+    # The (n, q) table, n-major: each n's values repeat for its q values.
+    qs = len(logs)
+    v_out = np.multiply.outer(2.0 * nf * c.v_t, logs).ravel()
+    n, r_rect, c_rect, tau, residual = (a.repeat(qs) for a in (n, r_rect, c_rect, tau, residual))
+    q = np.tile(np.array(c.q_range, dtype=float), len(ns))
+    table = BuiltOnRead(_design_point, n, q, r_rect, c_rect, v_out, tau, residual)
 
+    feasible = np.flatnonzero((v_out >= target_v_out) & (tau <= c.max_charge_time))
+    chosen = table[_first_min(feasible, n, residual, q)] if feasible.size else None
     nearest: dict[str, DesignPoint] = {}
-    if not feasible and rows:
-        nearest["best_v_out"] = max(rows, key=lambda p: (p.v_out, -p.n))
-        nearest["best_charge_time"] = min(rows, key=lambda p: (p.charge_time, p.n))
-        nearest["best_match"] = min(rows, key=lambda p: (p.match_residual, p.n))
-    return DesignSpaceResult(tuple(rows), chosen, nearest)
+    if not feasible.size:
+        every = np.arange(len(table))
+        nearest["best_v_out"] = table[_first_min(every, -v_out, n)]
+        nearest["best_charge_time"] = table[_first_min(every, tau, n)]
+        nearest["best_match"] = table[_first_min(every, residual, n)]
+    return DesignSpaceResult(table, chosen, nearest)
+
+
+def _design_point(n, *values) -> DesignPoint:
+    """A table row from its array values, as Python int and floats."""
+    return DesignPoint(int(n), *map(float, values))
+
+
+def _rect_input(z: Split, f: float) -> tuple[np.ndarray, np.ndarray]:
+    """rect_input's R_rect and C_rect at each point, unchecked."""
+    w = 2.0 * math.pi * f
+    mag = abs(z)
+    mag_sq = mag * mag
+    normal = (mag_sq >= sys.float_info.min) & (mag_sq < math.inf)
+    return (np.where(normal, mag_sq / z.real, mag * (mag / z.real)),
+            np.where(normal, -z.imag / (w * mag_sq), -z.imag / (w * mag) / mag))
+
+
+def _abs_overflows(z: Split) -> np.ndarray:
+    """Where Python's abs() of a finite complex raises OverflowError."""
+    return np.isfinite(z.real) & np.isfinite(z.imag) & np.isinf(abs(z))
+
+
+def _check_stage_count(n: int, y_in: complex, z_in: complex, c: HarvesterConstraints) -> None:
+    """The sweep's checks of stage count n, in their order: the input
+    admittance, rect_input and the match residual's |Z - Z_tissue*|."""
+    if not y_in:
+        raise ValueError(f"input admittance of {n} stages underflows to 0")
+    rect_input(z_in, c.f0)
+    abs(z_in - complex(c.tissue_z).conjugate())
+
+
+def _first_min(rows: np.ndarray, *keys: np.ndarray) -> int:
+    """The first of ``rows`` (indices, ascending) whose ``keys`` are least
+    in order, as min() with a tuple key picks it."""
+    for key in keys:
+        values = key[rows]
+        rows = rows[values == values.min()]
+    return int(rows[0])
 
 
 def minimum_stage_count(v_rx: float, target_v_out: float,

@@ -41,13 +41,9 @@ class ElementKind(Enum):
     SHUNT_INDUCTOR = "shunt-L"
     SHUNT_CAPACITOR = "shunt-C"
 
-    @property
-    def is_capacitor(self) -> bool:
-        return self in (ElementKind.SERIES_CAPACITOR, ElementKind.SHUNT_CAPACITOR)
-
-    @property
-    def is_series(self) -> bool:
-        return self in (ElementKind.SERIES_INDUCTOR, ElementKind.SERIES_CAPACITOR)
+    def __init__(self, value: str):
+        self.is_capacitor = value.endswith("-C")
+        self.is_series = value.startswith("series-")
 
 
 @dataclass(frozen=True)
@@ -226,9 +222,10 @@ class _SideSolution:
         """The side's terms of the ranking key: its capacitor count, then the
         |X| at f of its series and shunt elements, and their kinds, in that
         order."""
-        pair = (self.series, self.shunt)
-        return (sum(e.kind.is_capacitor for e in pair), tuple(abs(e.reactance(f)) for e in pair),
-                tuple(e.kind.value for e in pair))
+        series, shunt = self.series, self.shunt
+        return (series.kind.is_capacitor + shunt.kind.is_capacitor,
+                (abs(series.reactance(f)), abs(shunt.reactance(f))),
+                (series.kind._value_, shunt.kind._value_))
 
 
 def _elements_from_xb(x: float, b: float, w: float) -> tuple[MatchingElement, MatchingElement] | None:

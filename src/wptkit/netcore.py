@@ -622,6 +622,11 @@ class BuiltOnRead(Sequence):
         self._build = build
         self._fields = fields
 
+    @property
+    def fields(self) -> tuple:
+        """The sequences the items are built from, one per argument of build."""
+        return self._fields
+
     def __len__(self) -> int:
         return len(self._fields[0])
 

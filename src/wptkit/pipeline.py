@@ -790,12 +790,17 @@ _KEEP = _keep_masks()
 
 
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
-    """Sweep rows as CSV: a header, then each field as '%.12g' formats it
-    ('.' decimals, no locale, nan and inf as Python spells them), lines
-    ending in "\r\n" as csv.writer ends them."""
+    """Sweep rows as CSV (see csv_text)."""
     table = rows._table if isinstance(rows, SweepRows) else \
         np.array(rows, dtype=float).reshape(len(rows), len(SWEEP_HEADER))
-    out = [",".join(SWEEP_HEADER) + "\r\n"]
+    return csv_text(SWEEP_HEADER, table)
+
+
+def csv_text(header: Sequence[str], table: np.ndarray) -> str:
+    """A header line, then each row of the 2-D float64 ``table`` with each
+    field as '%.12g' formats it ('.' decimals, no locale, nan and inf as
+    Python spells them), lines ending in "\r\n" as csv.writer ends them."""
+    out = [",".join(header) + "\r\n"]
     with np.errstate(all="ignore"):
         for start in range(0, len(table), _CSV_BLOCK):
             v = table[start:start + _CSV_BLOCK]

@@ -280,24 +280,19 @@ def _guess_edges(coefs: np.ndarray, rows: _Rows):
     step from there lands above the root, and the next approach it from
     above; NEWTON_STEPS steps in all.  A row whose first point already
     reaches an edge gets 0 for it, one whose top point misses it its
-    count; only the others iterate.
+    count; the iteration runs on every (edge, row) pair and only the
+    others take its result.
     """
     goal = np.multiply.outer((1.0 - L_TOL, 1.0 + L_TOL), coefs[4]) / rows.coef
     with np.errstate(all="ignore"):
-        guess = np.where(rows.form_first >= goal, 0.0, rows.counts.astype(float))
-        # The (edge, row) pairs to iterate, as flat indices into guess; the
-        # upper edge's follow the lower edge's, offset by the row count.
-        pair = ((rows.form_first < goal) & (rows.form_top >= goal)).ravel().nonzero()[0]
-        row, goal = pair.copy(), goal.take(pair)
-        row[pair.searchsorted(rows.counts.size):] -= rows.counts.size
-        x = rows.x_first.take(row) + (goal - rows.form_first.take(row)) * rows.slope.take(row)
-        cosf, c2, c3, c4 = coefs[:4].take(row, axis=1)
-        c2_k, c3_k, c4_kk = _form_coefficients(c2, c3, c4, rows.k.take(row))
+        x = rows.x_first + (goal - rows.form_first) * rows.slope
+        c2_k, c3_k, c4_kk = _form_coefficients(*coefs[1:4], rows.k)
         for _ in range(NEWTON_STEPS):
             ln = np.log(c2_k * x)
             x = x - (x * ln + c3_k + c4_kk / x - goal) / (ln + 1.0 - c4_kk / (x * x))
-        guess.put(pair, np.ceil((x / cosf - rows.ndr.take(row)) / (2.0 * R_STEP)) - 1.0)
-    return guess
+        guess = np.ceil((x / coefs[0] - rows.ndr) / (2.0 * R_STEP)) - 1.0
+    bracketed = (rows.form_first < goal) & (rows.form_top >= goal)
+    return np.where(rows.form_first >= goal, 0.0, np.where(bracketed, guess, rows.counts))
 
 
 class _Grid(NamedTuple):

@@ -4,16 +4,26 @@ The Bessel evaluation is held to 1e-7 against a straight convergent
 series, the 30-stage / 50 mV reference point must clear 1 V, the
 parallel-equivalent input conversion has to round-trip, and the grid
 sweep must reproduce the documented directional trends and pick the
-minimal feasible stage count.
+minimal feasible stage count.  The sweep runs over all stage counts at
+once; a loop over n, kept here as its reference, must give the same
+table, choice, nearest misses and first error.
 """
 
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import i0e
+from test_chain import _python_calls
 
 from wptkit.harvester import (
+    DesignPoint,
+    DesignSpaceResult,
     HarvesterConstraints,
+    _stage_log,
     bessel_i0,
     charge_time,
     design_space,
@@ -258,3 +268,145 @@ class TestScalingModel:
     def test_charge_time_linear_in_stages(self):
         assert charge_time(10, 0.026, 1e-6, 0.47e-6) == pytest.approx(
             2 * charge_time(5, 0.026, 1e-6, 0.47e-6))
+
+
+def _reference_design_space(v_rx, target_v_out, constraints):
+    """design_space as a loop over n that builds each point's input and
+    DesignPoints in turn: the oracle of the array sweep."""
+    if not 0 <= v_rx < math.inf:
+        raise ValueError("received amplitude must be finite and >= 0")
+    if not target_v_out > 0:
+        raise ValueError("target output voltage must be > 0")
+    v_t, r_stage, c_stage = constraints.v_t, constraints.r_stage, constraints.c_stage
+    w = 2.0 * math.pi * constraints.f0
+    rows = []
+    logs = None
+    for n in map(int, constraints.n_range):
+        y_in = 1.0 / (n * r_stage) + 1j * w * c_stage / n
+        if not y_in:
+            raise ValueError(f"input admittance of {n} stages underflows to 0")
+        z_in = 1.0 / y_in
+        rect = rect_input(z_in, constraints.f0)
+        tau = charge_time(n, v_t, constraints.i_load_avg, constraints.c_store)
+        residual = abs(z_in - complex(constraints.tissue_z).conjugate())
+        residual /= max(abs(constraints.tissue_z), 1e-300)
+        logs = logs or [(float(q), _stage_log(q * v_rx, v_t)) for q in constraints.q_range]
+        rows += [DesignPoint(n, q, rect.r_rect, rect.c_rect, 2.0 * n * v_t * log_q,
+                             tau, residual) for q, log_q in logs]
+
+    feasible = [p for p in rows
+                if p.v_out >= target_v_out and p.charge_time <= constraints.max_charge_time]
+    chosen = min(feasible, key=lambda p: (p.n, p.match_residual, p.q), default=None)
+
+    nearest = {}
+    if not feasible and rows:
+        nearest["best_v_out"] = max(rows, key=lambda p: (p.v_out, -p.n))
+        nearest["best_charge_time"] = min(rows, key=lambda p: (p.charge_time, p.n))
+        nearest["best_match"] = min(rows, key=lambda p: (p.match_residual, p.n))
+    return DesignSpaceResult(tuple(rows), chosen, nearest)
+
+
+def _outcome(fn, *args):
+    """repr of the table, the choice and the nearest misses of fn(*args),
+    or the type and message of what it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(tuple(result.table)), repr(result.chosen), repr(result.nearest)
+
+
+# (r_stage, c_stage, f0, tissue_z) at the float range's edges, by what
+# the sweep meets there.
+EDGE_STAGE_MODELS = {
+    # |Z|^2 overflows, or is subnormal: rect_input's other branch.
+    "square overflows": (1e300, 1e-300, 1e8, 50.0),
+    "square subnormal": (1e-160, 1e-12, 2e7, 50.0),
+    # From n = 2, n r_stage overflows: the input admittance underflows to
+    # 0, or is w c_stage / n alone and Re(Z) = 0.
+    "admittance underflows": (1.7e308, 5e-324, 0.1, 50.0),
+    "no conductance": (1.7e308, 1e-12, 2e7, 50.0),
+    # w c_stage overflows: a NaN input, whose R_rect is not > 0.
+    "nan input": (1e-300, 1e300, 1e300, 50.0),
+    # |Z - Z_tissue*| overflows from n = 2; |Z_tissue| overflows.
+    "residual overflows": (1e307, 5e-324, 1e8, complex(-1.2e308, 1.2e308)),
+    "tissue overflows": (1e3, 1e-12, 2e7, complex(1.5e308, 1.5e308)),
+}
+
+
+@st.composite
+def sweep_problems(draw):
+    """(v_rx, target, constraints): stage counts up to 600 in either
+    order, several q (repeated, an int, one whose drive overflows), and
+    stage models and tissue impedances drawn or at EDGE_STAGE_MODELS."""
+    n_min = draw(st.integers(1, 600))
+    n_range = range(n_min, draw(st.integers(n_min, 600)) + 1)
+
+    def some(*values, lo=1e-3, hi=1e3):
+        return draw(st.one_of(st.sampled_from(values), st.floats(lo, hi)))
+
+    r_stage, c_stage, f0, tissue_z = draw(st.one_of(
+        st.sampled_from(list(EDGE_STAGE_MODELS.values())),
+        st.tuples(st.floats(1.0, 1e6), st.floats(1e-15, 1e-9), st.floats(1.0, 1e10),
+                  st.complex_numbers(max_magnitude=1e4))))
+    box = dict(
+        n_range=draw(st.sampled_from([n_range, tuple(reversed(n_range)), (n_min, n_min)])),
+        q_range=tuple(draw(st.lists(st.sampled_from([1.0, 1.5, 2, 4.0, 1e300]),
+                                    min_size=1, max_size=4))),
+        max_charge_time=some(10.0, 1e-9, math.inf), tissue_z=tissue_z, f0=f0,
+        c_store=some(0.47e-6, 1e-300, 1e300), i_load_avg=some(1e-6, 1e-300),
+        v_t=some(0.0267, 1e-300, 1.0), r_stage=r_stage, c_stage=c_stage)
+    try:
+        constraints = HarvesterConstraints(**box)
+    except ValueError:
+        assume(False)
+    return some(0.05, 0.0, 1e10, lo=0.0, hi=1.0), some(1.0, 1e-3, 50.0, 1e300), constraints
+
+
+class TestArraySweep:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sweep_problems())
+    def test_matches_reference_loop(self, problem):
+        assert _outcome(design_space, *problem) == _outcome(_reference_design_space, *problem)
+
+    @pytest.mark.parametrize("model, n_min, v_rx, error", [
+        ("admittance underflows", 1, 0.05, "input admittance of 2 stages underflows to 0"),
+        ("no conductance", 1, 0.05, "harvester input must have Re(Z) > 0"),
+        ("nan input", 1, 0.05, "effective input resistance must be > 0"),
+        ("residual overflows", 1, 0.05, "absolute value too large"),
+        ("tissue overflows", 1, 0.05, "absolute value too large"),
+        # The drive is checked after the first n, before the others.
+        ("no conductance", 1, 1e10, "thermal voltage 1e-300 V is too small"),
+        ("residual overflows", 1, 1e10, "thermal voltage 1e-300 V is too small"),
+        ("no conductance", 2, 1e10, "harvester input must have Re(Z) > 0"),
+        ("residual overflows", 2, 1e10, "absolute value too large"),
+    ])
+    def test_errors_are_those_of_the_first_failing_stage_count(self, model, n_min, v_rx, error):
+        r_stage, c_stage, f0, tissue_z = EDGE_STAGE_MODELS[model]
+        cons = constraints(n_range=range(n_min, 5), r_stage=r_stage, c_stage=c_stage, f0=f0,
+                           tissue_z=tissue_z, v_t=1e-300 if v_rx > 1 else 0.0267)
+        got = _outcome(design_space, v_rx, 1.0, cons)
+        assert got[1].startswith(error)
+        assert got == _outcome(_reference_design_space, v_rx, 1.0, cons)
+
+    @pytest.mark.parametrize("model", ["square overflows", "square subnormal"])
+    def test_square_outside_the_normal_range_matches_reference(self, model):
+        r_stage, c_stage, f0, tissue_z = EDGE_STAGE_MODELS[model]
+        cons = constraints(r_stage=r_stage, c_stage=c_stage, f0=f0, tissue_z=tissue_z,
+                           q_range=(1.0, 2.0, 4.0))
+        assert _outcome(design_space, 0.05, 1.0, cons) == \
+            _outcome(_reference_design_space, 0.05, 1.0, cons)
+
+    def test_no_python_frame_per_stage_count(self):
+        def calls(n_max):
+            cons = constraints(n_range=range(1, n_max + 1), q_range=(1.0, 2.0, 4.0))
+            return _python_calls(lambda: design_space(0.05, 1.0, cons))
+
+        assert calls(60) == calls(600)
+
+    def test_table_is_built_on_read_and_pickles_as_a_tuple(self):
+        result = design_space(0.05, 1.0, constraints(q_range=(1.0, 2.0)))
+        assert len(result.table) == 120 and result.table[-1].n == 60
+        assert result.table[:2] == tuple(result.table)[:2]
+        back = pickle.loads(pickle.dumps(result))
+        assert back == replace(result, table=tuple(result.table))

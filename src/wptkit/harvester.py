@@ -5,14 +5,13 @@ Rectified DC output of an N-stage chain driven below threshold,
     V_out = 2 N V_T ln(I0(V_RX / V_T)),
 
 the parallel-equivalent input (R_rect, C_rect) of the harvester, and a
-deterministic (N, Q) grid sweep that picks the smallest stage count
-meeting the output-voltage and charge-time targets with the best
-conjugate match against the tissue-side impedance.
+deterministic (N, Q) grid sweep that picks the smallest N, then Q,
+meeting the output-voltage and charge-time targets, with each point's
+conjugate-match residual against the tissue-side impedance.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -71,16 +70,6 @@ def _i0_poly(x: float) -> float:
             + t * (-0.01647633 + t * 0.00392377))))))))
 
 
-def _drive(v_rx: float, v_t: float) -> float:
-    """The normalised drive v_rx / V_T, rejected where it overflows (ln I0
-    of inf would be inf - inf)."""
-    x = v_rx / v_t
-    if x == math.inf:
-        raise ValueError(f"thermal voltage {v_t!r} V is too small for {v_rx!r} V of drive: "
-                         "v_rx / V_T overflows")
-    return x
-
-
 def _log_i0(x: float) -> float:
     """ln I0(x), in log space above 3.75 so that strong drive (x beyond
     ~709, where exp(x) overflows) stays finite."""
@@ -105,12 +94,17 @@ def _output_scale(n: int, v_t: float) -> float:
 
 
 def _stage_log(v_rx: float, v_t: float) -> float:
-    """ln I0(v_rx / V_T), v_out's factor that does not depend on n."""
+    """ln I0(v_rx / V_T), v_out's factor that does not depend on n; the
+    drive v_rx / V_T is rejected where it overflows (ln I0 of inf would be
+    inf - inf)."""
     if not 0 <= v_rx < math.inf:
         raise ValueError("input amplitude must be finite and >= 0")
     if not v_t > 0:
         raise ValueError("thermal voltage must be > 0")
-    return _log_i0(_drive(v_rx, v_t))
+    if v_rx / v_t == math.inf:
+        raise ValueError(f"thermal voltage {v_t!r} V is too small for {v_rx!r} V of drive: "
+                         "v_rx / V_T overflows")
+    return _log_i0(v_rx / v_t)
 
 
 @dataclass(frozen=True)
@@ -128,6 +122,7 @@ class RectifierInput:
             raise ValueError("effective input resistance must be > 0")
 
 
+@np.errstate(all="ignore")  # an overflow is a value here, or its error
 def rect_input(z_in_eh: complex, f: float) -> RectifierInput:
     """Series-to-parallel conversion of the harvester input impedance:
 
@@ -136,14 +131,10 @@ def rect_input(z_in_eh: complex, f: float) -> RectifierInput:
     Where |Z|^2 leaves the normal float range, |Z| divides twice instead.
     """
     z = complex(z_in_eh)
-    if z.real <= 0:
-        raise ValueError(f"harvester input must have Re(Z) > 0, got {z!r}")
-    w = 2.0 * math.pi * check_frequency(f)
-    mag = abs(z)
-    mag_sq = mag * mag
-    if sys.float_info.min <= mag_sq < math.inf:
-        return RectifierInput(mag_sq / z.real, -z.imag / (w * mag_sq))
-    return RectifierInput(mag * (mag / z.real), -z.imag / (w * mag) / mag)
+    at = Split(np.array([z.real]), np.array([z.imag]))
+    r_rect, c_rect = _rect_input(at, check_frequency(f))
+    _raise_at(0, _rect_faults(at, r_rect, "the harvester input"), z=z)
+    return RectifierInput(float(r_rect[0]), float(c_rect[0]))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -176,8 +167,9 @@ class HarvesterConstraints:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         _output_scale(max(self.n_range), self.v_t)
-        if not cmath.isfinite(self.tissue_z):
-            raise ValueError(f"tissue_z must be finite, got {self.tissue_z!r}")
+        # A NaN or infinite part, or a finite tissue_z whose |tissue_z| overflows.
+        if not math.hypot(self.tissue_z.real, self.tissue_z.imag) < math.inf:
+            raise ValueError(f"tissue_z and |tissue_z| must be finite, got {self.tissue_z!r}")
         # Callers pass a range: a bad n_min fails the checks above before a
         # tuple of the range's length is built.
         object.__setattr__(self, "n_range", tuple(self.n_range))
@@ -228,14 +220,14 @@ def design_space(v_rx: float, target_v_out: float,
                  constraints: HarvesterConstraints) -> DesignSpaceResult:
     """Sweep the (n, q) grid and pick the smallest feasible stage count.
 
-    Feasible means v_out >= target and charge time within bounds; ties
-    at the same n resolve toward the best conjugate-match residual
-    against the tissue impedance.  When nothing is feasible the result
-    carries the nearest miss on each constraint instead of a choice.
+    Feasible means v_out >= target and charge time within bounds; the
+    choice is the smallest feasible n, then the smallest q.  When nothing
+    is feasible the result carries the nearest miss on each constraint
+    instead of a choice.
 
     Each stage count's input, charge time and match residual are found
     for all n at once, with the bits of Python's complex arithmetic at
-    each n (netcore.Split); a stage count whose values would raise
+    each n (netcore.Split); a stage count whose values fail a check
     raises, as a loop over n would, the error of the first such n.
     """
     if not 0 <= v_rx < math.inf:
@@ -252,16 +244,18 @@ def design_space(v_rx: float, target_v_out: float,
     r_rect, c_rect = _rect_input(z_in, c.f0)
     tau = charge_time(nf, c.v_t, c.i_load_avg, c.c_store)
     miss = z_in - tissue_z.conjugate()
-    mismatch = abs(miss)
-    first = first_point((y_in == 0) | ~((z_in.real > 0) & (r_rect > 0))
-                        | _abs_overflows(z_in) | _abs_overflows(miss))
+    # Each n's checks, in the order a loop over n would run them.
+    faults = ((y_in == 0, "input admittance of {n} stages underflows to 0"),
+              *_rect_faults(z_in, r_rect, "the input of {n} stages"),
+              (_abs_overflows(miss), "|Z - Z_tissue*| of the input of {n} stages overflows"))
+    first = first_point(np.logical_or.reduce([fails for fails, _ in faults]))
     if first == 0:
-        _check_stage_count(ns[0], point(y_in, 0), point(z_in, 0), c)
-    residual = mismatch / max(abs(tissue_z), 1e-300)
+        _raise_at(0, faults, n=ns[0], z=point(z_in, 0))
+    residual = abs(miss) / max(abs(tissue_z), 1e-300)
     # ln I0 of each q's drive, checked after the first n, as a loop over n would.
     logs = [_stage_log(q * v_rx, c.v_t) for q in c.q_range]
     if first is not None:
-        _check_stage_count(ns[first], point(y_in, first), point(z_in, first), c)
+        _raise_at(first, faults, n=ns[first], z=point(z_in, first))
 
     # The (n, q) table, n-major: each n's values repeat for its q values.
     qs = len(logs)
@@ -271,7 +265,7 @@ def design_space(v_rx: float, target_v_out: float,
     table = BuiltOnRead(_design_point, n, q, r_rect, c_rect, v_out, tau, residual)
 
     feasible = np.flatnonzero((v_out >= target_v_out) & (tau <= c.max_charge_time))
-    chosen = table[_first_min(feasible, n, residual, q)] if feasible.size else None
+    chosen = table[_first_min(feasible, n, q)] if feasible.size else None
     nearest: dict[str, DesignPoint] = {}
     if not feasible.size:
         every = np.arange(len(table))
@@ -287,7 +281,7 @@ def _design_point(n, *values) -> DesignPoint:
 
 
 def _rect_input(z: Split, f: float) -> tuple[np.ndarray, np.ndarray]:
-    """rect_input's R_rect and C_rect at each point, unchecked."""
+    """rect_input's R_rect and C_rect at each point of z, unchecked."""
     w = 2.0 * math.pi * f
     mag = abs(z)
     mag_sq = mag * mag
@@ -301,13 +295,19 @@ def _abs_overflows(z: Split) -> np.ndarray:
     return np.isfinite(z.real) & np.isfinite(z.imag) & np.isinf(abs(z))
 
 
-def _check_stage_count(n: int, y_in: complex, z_in: complex, c: HarvesterConstraints) -> None:
-    """The sweep's checks of stage count n, in their order: the input
-    admittance, rect_input and the match residual's |Z - Z_tissue*|."""
-    if not y_in:
-        raise ValueError(f"input admittance of {n} stages underflows to 0")
-    rect_input(z_in, c.f0)
-    abs(z_in - complex(c.tissue_z).conjugate())
+def _rect_faults(z: Split, r_rect: np.ndarray, of: str) -> tuple:
+    """rect_input's checks of the inputs z, in order: where each fails, and
+    its message, a format string of the point's z; ``of`` names the input."""
+    return ((z.real <= 0, "harvester input must have Re(Z) > 0, got {z!r}"),
+            (_abs_overflows(z), f"|Z| of {of} overflows, got {{z!r}}"),
+            (~(r_rect > 0), "effective input resistance must be > 0"))
+
+
+def _raise_at(i: int, faults, **fields) -> None:
+    """ValueError of the first of ``faults`` that fails at point i."""
+    for fails, message in faults:
+        if fails[i]:
+            raise ValueError(message.format(**fields))
 
 
 def _first_min(rows: np.ndarray, *keys: np.ndarray) -> int:
@@ -323,7 +323,7 @@ def minimum_stage_count(v_rx: float, target_v_out: float,
                         v_t: float = BODY_THERMAL_VOLTAGE) -> int:
     """Smallest n with 2 n V_T ln(I0(v_rx/V_T)) >= target (direct
     inversion of the output formula)."""
-    per_stage = 2.0 * v_t * _log_i0(_drive(v_rx, v_t))
+    per_stage = v_out(1, v_rx, v_t)
     if per_stage <= 0:
         raise ValueError("no positive per-stage gain at this drive level")
     return max(1, math.ceil(target_v_out / per_stage - 1e-12))

@@ -124,16 +124,37 @@ class SpiralGeometry:
 
     @property
     def avg_diameter(self) -> float:
-        return (2.0 * self.r + self.n * self.dr) * self.shape.cos_factor
+        return _d_avg(self.r, self.n * self.dr, self.shape.cos_factor)
 
     @property
     def area(self) -> float:
-        edge = self.w + 2.0 * (self.r + self.n * self.dr) * self.shape.cos_factor
+        edge = _edge(self.r, self.n * self.dr, self.w, self.shape.cos_factor)
         return edge * edge
 
     @property
     def fill_ratio(self) -> float:
         return math.sqrt(self.area) / self.avg_diameter - 1.0
+
+
+# Closed forms of one SpiralGeometry (floats) or synthesis points (arrays).
+def _d_avg(r, ndr, cos_factor):
+    return (2.0 * r + ndr) * cos_factor
+
+
+def _edge(r, ndr, w, cos_factor):
+    return w + 2.0 * (r + ndr) * cos_factor
+
+
+def _current_sheet(coef, d_avg, log, phi, c3, c4):
+    """coef d_avg (log + c3 phi + c4 phi^2), coef = C1 mu0 n^2 / 2 and log = ln(C2/phi)."""
+    return coef * d_avg * (log + c3 * phi + c4 * phi * phi)
+
+
+def _modified_wheeler(k1_mu0, k2, n, d_avg, d_out):
+    """Modified-Wheeler L and d_in = 2 d_avg - d_out; L holds where d_in > 0."""
+    d_in = 2.0 * d_avg - d_out
+    rho = (d_out - d_in) / (d_out + d_in)
+    return k1_mu0 * n * n * d_avg / (1.0 + k2 * rho), d_in
 
 
 def inductance(g: SpiralGeometry) -> float:
@@ -143,8 +164,8 @@ def inductance(g: SpiralGeometry) -> float:
     if not phi > 0.0:
         raise ValueError(f"fill ratio must be > 0, got {phi}")
     c = g.shape
-    bracket = math.log(c.c2 / phi) + c.c3 * phi + c.c4 * phi * phi
-    return 0.5 * c.c1 * MU_0 * g.n * g.n * g.avg_diameter * bracket
+    return _current_sheet(0.5 * c.c1 * MU_0 * g.n * g.n, g.avg_diameter,
+                          math.log(c.c2 / phi), phi, c.c3, c.c4)
 
 
 def modified_wheeler(g: SpiralGeometry) -> float:
@@ -154,13 +175,11 @@ def modified_wheeler(g: SpiralGeometry) -> float:
     d_in = 2 d_avg - d_out; serves as the independent cross-check the
     synthesizer gates its candidates on.
     """
-    d_avg = g.avg_diameter
-    d_out = math.sqrt(g.area)
-    d_in = 2.0 * d_avg - d_out
+    l_mw, d_in = _modified_wheeler(g.shape.k1 * MU_0, g.shape.k2, g.n, g.avg_diameter,
+                                   math.sqrt(g.area))
     if d_in <= 0.0:
         raise ValueError("winding fills past the center; Wheeler estimate invalid")
-    rho = (d_out - d_in) / (d_out + d_in)
-    return g.shape.k1 * MU_0 * g.n * g.n * d_avg / (1.0 + g.shape.k2 * rho)
+    return l_mw
 
 
 @dataclass(frozen=True)
@@ -242,10 +261,10 @@ class _Rows(NamedTuple):
     the current-sheet factor coef[i] = C1 mu0 n^2 / 2, and its r run is
     the first counts[i] points of the grid's.  Along the row, with
     x = d_avg and k = w + n dr cos_factor, the closed form of L is
-    coef (x ln(c2 x / k) + c3 k + c4 k^2 / x); x_first is x at the row's
-    first point, form_first and form_top are the bracketed factor at its
-    first and top points, and slope is the inverse slope of the chord
-    between them, dx / d(form).
+    coef (x ln(c2_k x) + c3_k + c4_kk / x), where c2_k = c2 / k, c3_k = c3 k
+    and c4_kk = c4 k^2; x_first is x at the row's first point, form_first
+    and form_top are the bracketed factor at its first and top points,
+    and slope is the inverse slope of the chord between them, dx / d(form).
     """
 
     n: np.ndarray
@@ -253,18 +272,14 @@ class _Rows(NamedTuple):
     dr: np.ndarray
     ndr: np.ndarray
     coef: np.ndarray
-    k: np.ndarray
+    c2_k: np.ndarray
+    c3_k: np.ndarray
+    c4_kk: np.ndarray
     x_first: np.ndarray
     form_first: np.ndarray
     form_top: np.ndarray
     slope: np.ndarray
     counts: np.ndarray
-
-
-def _form_coefficients(c2, c3, c4, k: np.ndarray) -> tuple:
-    """c2 / k, c3 k and c4 k^2: the coefficients of the bracketed factor
-    x ln(c2 x / k) + c3 k + c4 k^2 / x of the closed form (see _Rows)."""
-    return c2 / k, c3 * k, c4 * k * k
 
 
 def _guess_edges(coefs: np.ndarray, rows: _Rows):
@@ -286,7 +301,7 @@ def _guess_edges(coefs: np.ndarray, rows: _Rows):
     goal = np.multiply.outer((1.0 - L_TOL, 1.0 + L_TOL), coefs[4]) / rows.coef
     with np.errstate(all="ignore"):
         x = rows.x_first + (goal - rows.form_first) * rows.slope
-        c2_k, c3_k, c4_kk = _form_coefficients(*coefs[1:4], rows.k)
+        c2_k, c3_k, c4_kk = rows.c2_k, rows.c3_k, rows.c4_kk
         for _ in range(NEWTON_STEPS):
             ln = np.log(c2_k * x)
             x = x - (x * ln + c3_k + c4_kk / x - goal) / (ln + 1.0 - c4_kk / (x * x))
@@ -297,24 +312,16 @@ def _guess_edges(coefs: np.ndarray, rows: _Rows):
 
 class _Grid(NamedTuple):
     """The part of synthesis that depends only on (fab, shape), for one or
-    more such keys: each key's rows whose r run holds a point inside its
-    area cap, in grid order, laid end to end (key j's rows are
-    rows[starts[j]:starts[j + 1]]), and the longest r run, of which each
-    row's run is a prefix.  The arrays are read-only."""
+    more such keys, in read-only arrays: each key's rows whose r run holds
+    a point inside its area cap, in grid order, laid end to end (key j's
+    rows are rows[starts[j]:starts[j + 1]]), the longest r run, of which
+    each row's run is a prefix, and each row's closed-form L at its ends."""
 
     rows: _Rows
     starts: tuple[int, ...]
     r_run: np.ndarray
-
-    @property
-    def l_first(self) -> np.ndarray:
-        """Each row's closed-form L at its first point."""
-        return self.rows.coef * self.rows.form_first
-
-    @property
-    def l_top(self) -> np.ndarray:
-        """Each row's closed-form L at its top point."""
-        return self.rows.coef * self.rows.form_top
+    l_first: np.ndarray
+    l_top: np.ndarray
 
 
 @functools.lru_cache(maxsize=1)
@@ -364,7 +371,7 @@ def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
     row_cosf, row_cap = cosf.repeat(sizes), area_cap.repeat(sizes)
 
     def fits(row, k):
-        edge = row_w[row] + 2.0 * (r_run.take(k) + row_ndr[row]) * row_cosf[row]
+        edge = _edge(r_run.take(k), row_ndr[row], row_w[row], row_cosf[row])
         return edge * edge <= row_cap[row]
 
     # The area test holds on a prefix of each run, which the count above
@@ -392,14 +399,16 @@ def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
     del q, wd
     coef = shape_coefs[0].repeat(sizes) * row_n * row_n
     row_k = row_w + row_ndr * row_cosf
-    c2_k, c3_k, c4_kk = _form_coefficients(*shape_coefs[1:4].repeat(sizes, axis=1), row_k)
-    x_first, x_top = ((2.0 * R_STEP * m + row_ndr) * row_cosf for m in (1, counts))
+    c2, c3, c4 = shape_coefs[1:4].repeat(sizes, axis=1)
+    c2_k, c3_k, c4_kk = c2 / row_k, c3 * row_k, c4 * row_k * row_k
+    x_first, x_top = (_d_avg(R_STEP * m, row_ndr, row_cosf) for m in (1, counts))
     with np.errstate(all="ignore"):
         form_first, form_top = (x * np.log(c2_k * x) + c3_k + c4_kk / x for x in (x_first, x_top))
         slope = (x_top - x_first) / (form_top - form_first)
-    grid = _Grid(_Rows(row_n, row_w, row_dr, row_ndr, coef, row_k, x_first, form_first, form_top,
-                       slope, counts), tuple(starts.tolist()), r_run)
-    for a in (*grid.rows, r_run):
+    grid = _Grid(_Rows(row_n, row_w, row_dr, row_ndr, coef, c2_k, c3_k, c4_kk, x_first,
+                       form_first, form_top, slope, counts), tuple(starts.tolist()), r_run,
+                 coef * form_first, coef * form_top)
+    for a in (*grid.rows, *grid[2:]):
         a.flags.writeable = False
     return grid
 
@@ -410,11 +419,9 @@ def synthesize_all(requests: Sequence[tuple[float, FabConstraints, ShapeCoeffici
 
     The grids of all the requests' distinct (fab, shape) are built at
     once (_grid), and one search runs over every request's rows, each
-    with its request's shape coefficients and target (_search): the
-    window guesses, the window tests, the bisection of wrong guesses and
-    the Wheeler gate run once over all of them.  Only the ranking, the
-    nearest miss and the rerun on every row are made per request.  Each
-    result equals what synthesize returns for its request alone.
+    with its request's shape coefficients and target (_search).  Only the
+    ranking, the nearest miss and the rerun on every row are made per
+    request.  Each result equals what synthesize returns for it alone.
     """
     requests = list(requests)
     if not requests:
@@ -475,18 +482,13 @@ def synthesize(l_target: float, fab: FabConstraints,
     result carries the nearest miss: the first grid point, in
     (n, w, dr, r) order, with the smallest relative error outside L_TOL.
 
-    The rows, each trimmed to the points inside the cap, come from the
-    (fab, shape) grid (_grid).  This is synthesize_all with one request:
-    a design synthesizes both coil sides in one synthesize_all call,
-    which builds both grids in one pass (once when the sides share
-    limits and shape) and searches both sides' rows at once, and the
-    second pass of a k estimate finds those grids cached.  Along every
-    row L rises strictly with r (dL/dd_avg > 0 wherever dr > w, which
-    ShapeCoefficients enforces), so its closed-form values at the row's
-    ends bound it, and the search runs on the rows whose bounds, widened
-    by PRUNE_MARGIN, reach the L_TOL window.  Only when none of them
-    holds a candidate does it run again on every row, for the nearest
-    miss.
+    This is synthesize_all with one request, on the cached (fab, shape)
+    grid of rows trimmed to the cap (_grid).  Along every row L rises
+    strictly with r (ShapeCoefficients keeps dL/dd_avg > 0 wherever
+    dr > w), so its closed-form values at the row's ends bound it: the
+    search runs on the rows whose bounds, widened by PRUNE_MARGIN, reach
+    the L_TOL window, and on every row, for the nearest miss, only when
+    none of them holds a candidate.
     """
     return synthesize_all(((l_target, fab, shape),))[0]
 
@@ -506,18 +508,20 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
     row's smallest misses, are evaluated in full.  A guess is kept only
     where the exact window tests hold at the edges: true just before each
     edge, false at it; rows that fail are bisected and evaluated again.
-    Every quantity is the same float expression as for one SpiralGeometry
-    (``inductance``, ``modified_wheeler``, ``area``), as the grid-scan
-    oracle in the tests evaluates it, so the result equals a full scan
-    of the rows whatever the guesses are.  The candidates are ranked in
-    numpy and built on access.
+    So the result equals a full scan of the rows whatever the guesses are.
+    The closed forms are those of SpiralGeometry, ``inductance`` and
+    ``modified_wheeler``, but the L_TOL window takes numpy's log where
+    ``inductance`` takes libm's: they differ on 351 of the 545,794 points
+    the benchmark pool's 128 design specs evaluate.  The candidates are
+    ranked in numpy and built on access.
     """
     sizes = [pick.size for pick in picks]
     starts = np.cumsum([0, *sizes])
     coefs = np.array([(shape.cos_factor, shape.c2, shape.c3, shape.c4, l_target,
                        shape.k1 * MU_0, shape.k2) for l_target, _, shape in requests]
                      ).T.repeat(sizes, axis=1)
-    rows, r_run = _Rows(*(a.take(np.concatenate(picks)) for a in grid.rows)), grid.r_run
+    picked = np.concatenate(picks)
+    rows, r_run = _Rows(*(a.take(picked) for a in grid.rows)), grid.r_run
     row_n, row_w, row_dr, row_ndr, row_coef = rows[:5]
     counts = rows.counts
     shape_coefs, targets = coefs[:4], coefs[4]
@@ -527,12 +531,15 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
         and inductance evaluate them, and each point's target."""
         ndr = row_ndr.take(row)
         cosf, c2, c3, c4 = shape_coefs.take(row, axis=1)
-        d_avg = (2.0 * r + ndr) * cosf
-        edge = row_w.take(row) + 2.0 * (r + ndr) * cosf
+        d_avg = _d_avg(r, ndr, cosf)
+        edge = _edge(r, ndr, row_w.take(row), cosf)
         phi = edge / d_avg - 1.0
+        # np.log in inductance would move a benchmark pool design's S11 from -268.9 to
+        # -283.4 dB; math.log here costs ~460 us per design spec, np.log ~5 us.
         with np.errstate(invalid="ignore"):
-            bracket = np.log(c2 / phi) + c3 * phi + c4 * phi * phi
-        return row_coef.take(row) * d_avg * bracket, edge, d_avg, targets.take(row)
+            log = np.log(c2 / phi)
+        return (_current_sheet(row_coef.take(row), d_avg, log, phi, c3, c4), edge, d_avg,
+                targets.take(row))
 
     def window_tests(l_val, target):
         """Per point: below the window; not above it.  Along a row each
@@ -579,18 +586,11 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
 
     # Modified-Wheeler gate, as modified_wheeler evaluates it.
     hit = (usable & within).nonzero()[0]
-    edge_hit = edge.take(hit)
-    d_out = np.sqrt(edge_hit * edge_hit)
-    d_in = 2.0 * d_avg.take(hit) - d_out
-    valid = d_in > 0.0
-    hit, d_out, d_in = hit[valid], d_out[valid], d_in[valid]
-    rho = (d_out - d_in) / (d_out + d_in)
-    row_hit = row.take(hit)
-    n_hit = row_n.take(row_hit)
-    k1_mu0, k2 = coefs[5:].take(row_hit, axis=1)
-    l_mw = k1_mu0 * n_hit * n_hit * d_avg.take(hit) / (1.0 + k2 * rho)
+    edge_hit, row_hit = edge.take(hit), row.take(hit)
+    l_mw, d_in = _modified_wheeler(*coefs[5:].take(row_hit, axis=1), row_n.take(row_hit),
+                                   d_avg.take(hit), np.sqrt(edge_hit * edge_hit))
     l_cs = l_val.take(hit)
-    hit = hit[~(np.abs(l_cs - l_mw) / l_cs > WHEELER_TOL)]
+    hit = hit[(d_in > 0.0) & ~(np.abs(l_cs - l_mw) / l_cs > WHEELER_TOL)]
 
     # Each request's points are one stretch, from its first row's on.
     ends = row.searchsorted(starts)
@@ -610,8 +610,7 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
                 shape, row_n.take(kept), r.take(hits), row_dr.take(kept), row_w.take(kept)), None))
         elif misses.size:
             i = misses[rel.take(misses).argmin()]
-            g = SpiralGeometry(shape, int(row_n[row[i]]), float(r[i]),
-                               float(row_dr[row[i]]), float(row_w[row[i]]))
+            g = _geometry(shape, row_n[row[i]], r[i], row_dr[row[i]], row_w[row[i]])
             results.append(SynthesisResult((), NearMiss(g, float(l_val[i]), float(rel[i]))))
         else:
             results.append(SynthesisResult((), None))

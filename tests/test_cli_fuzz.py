@@ -75,8 +75,8 @@ HARVESTER = argv(("harvester", "explore"), {
     "--q": reals(1.0, 10.0, 1.0),
     "--max-charge-time": reals(1e-6, 100.0),
     "--f0": reals(1e5, 1e9),
-    "--tissue-r": reals(1.0, 100.0),
-    "--tissue-x": reals(1.0, 100.0),
+    "--tissue-r": reals(1.0, 100.0, 1.5e308),
+    "--tissue-x": reals(1.0, 100.0, 1.5e308),
     "--c-store": reals(1e-9, 1e-5),
     "--i-load": reals(1e-9, 1e-3),
     "--v-t": reals(1e-3, 0.1),
@@ -98,15 +98,21 @@ TISSUE = argv(("tissue", "table"), {"--f": reals(1e5, 1e9)}, ("--f",))
 
 # Argument lists the draws above have missed: a tiny --f0 with a feasible
 # synthesis (the skin depth dwarfs the trace), a stage impedance whose
-# square overflows, a stage admittance that underflows to 0, and zero drive
-# with a V_T at which 2 n V_T overflows.
+# square overflows, a stage admittance that underflows to 0, zero drive
+# with a V_T at which 2 n V_T overflows, a tissue impedance whose magnitude
+# overflows, and a match residual |Z - Z_tissue*| that overflows at n = 2.
 EXAMPLES = {
     "harvester": [["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
                    "--r-stage", "1e300", "--c-stage", "1e-300"],
                   ["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
                    "--r-stage", "1.7e308", "--c-stage", "5e-324", "--f0", "0.1", "--n-min", "2"],
                   ["harvester", "explore", "--v-rx", "0", "--target-v", "1", "--v-t", "1.7e308",
-                   "--n-max", "2"]],
+                   "--n-max", "2"],
+                  ["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
+                   "--tissue-r", "1.5e308", "--tissue-x", "1.5e308"],
+                  ["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
+                   "--r-stage", "1e307", "--c-stage", "5e-324", "--f0", "1e8",
+                   "--tissue-r=-1.2e308", "--tissue-x", "1.2e308"]],
     "coil": [["coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6", "--f0", "1e-30"]],
     "tissue": [],
 }

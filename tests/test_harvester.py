@@ -5,12 +5,14 @@ series, the 30-stage / 50 mV reference point must clear 1 V, the
 parallel-equivalent input conversion has to round-trip, and the grid
 sweep must reproduce the documented directional trends and pick the
 minimal feasible stage count.  The sweep runs over all stage counts at
-once; a loop over n, kept here as its reference, must give the same
-table, choice, nearest misses and first error.
+once; a loop over n with its own scalar series-to-parallel conversion,
+kept here as its reference, must give the same table, choice, nearest
+misses and first error.
 """
 
 import math
 import pickle
+import sys
 from dataclasses import replace
 
 import pytest
@@ -102,6 +104,9 @@ class TestVOut:
         # 2 n V_T overflows: times ln I0(0) = 0 it would be NaN.
         with pytest.raises(ValueError, match="^2 n v_t overflows"):
             v_out(2, 0.0, 1.7e308)
+        # minimum_stage_count's per-stage gain is v_out at one stage, checks included.
+        with pytest.raises(ValueError, match="^thermal voltage must be > 0$"):
+            minimum_stage_count(0.05, 1.0, 0.0)
 
 
 class TestRectInput:
@@ -135,9 +140,15 @@ class TestRectInput:
         rect = rect_input(complex(50.0, 40.0), 20e6)
         assert rect.c_rect < 0
 
-    def test_rejects_nonpositive_real_part(self):
-        with pytest.raises(ValueError):
-            rect_input(complex(0.0, -50.0), 20e6)
+    @pytest.mark.parametrize("z", [complex(0.0, -50.0), complex(-1.0, -50.0)])
+    def test_rejects_nonpositive_real_part(self, z):
+        with pytest.raises(ValueError, match=r"^harvester input must have Re\(Z\) > 0"):
+            rect_input(z, 20e6)
+
+    def test_overflowing_magnitude_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^\|Z\| of the harvester input overflows, "
+                                             r"got \(1\.5e\+308\+1\.5e\+308j\)$"):
+            rect_input(complex(1.5e308, 1.5e308), 20e6)
 
 
 def constraints(**kw):
@@ -209,6 +220,11 @@ class TestDesignSpace:
             with pytest.raises(ValueError):
                 v_out(3, v_rx)
 
+    @pytest.mark.parametrize("tissue_z", [complex(1.5e308, 1.5e308), complex(-1.7e308, 1e308)])
+    def test_tissue_impedance_whose_magnitude_overflows_rejected(self, tissue_z):
+        with pytest.raises(ValueError, match=r"^tissue_z and \|tissue_z\| must be finite"):
+            constraints(tissue_z=tissue_z)
+
     def test_thermal_voltage_judged_at_the_largest_stage_count(self):
         assert constraints(n_range=range(1, 9), v_t=1e307).v_t == 1e307
         with pytest.raises(ValueError, match="^2 n v_t overflows at n = 9"):
@@ -270,6 +286,26 @@ class TestScalingModel:
             2 * charge_time(5, 0.026, 1e-6, 0.47e-6))
 
 
+def _reference_rect_input(z, f, n):
+    """R_rect and C_rect of the input z of n stages, with the checks of
+    rect_input, by scalar complex arithmetic."""
+    if z.real <= 0:
+        raise ValueError(f"harvester input must have Re(Z) > 0, got {z!r}")
+    w = 2.0 * math.pi * f
+    try:
+        mag = abs(z)
+    except OverflowError:
+        raise ValueError(f"|Z| of the input of {n} stages overflows, got {z!r}") from None
+    mag_sq = mag * mag
+    if sys.float_info.min <= mag_sq < math.inf:
+        r_rect, c_rect = mag_sq / z.real, -z.imag / (w * mag_sq)
+    else:
+        r_rect, c_rect = mag * (mag / z.real), -z.imag / (w * mag) / mag
+    if not r_rect > 0:
+        raise ValueError("effective input resistance must be > 0")
+    return r_rect, c_rect
+
+
 def _reference_design_space(v_rx, target_v_out, constraints):
     """design_space as a loop over n that builds each point's input and
     DesignPoints in turn: the oracle of the array sweep."""
@@ -286,17 +322,20 @@ def _reference_design_space(v_rx, target_v_out, constraints):
         if not y_in:
             raise ValueError(f"input admittance of {n} stages underflows to 0")
         z_in = 1.0 / y_in
-        rect = rect_input(z_in, constraints.f0)
+        r_rect, c_rect = _reference_rect_input(z_in, constraints.f0, n)
         tau = charge_time(n, v_t, constraints.i_load_avg, constraints.c_store)
-        residual = abs(z_in - complex(constraints.tissue_z).conjugate())
+        try:
+            residual = abs(z_in - complex(constraints.tissue_z).conjugate())
+        except OverflowError:
+            raise ValueError(f"|Z - Z_tissue*| of the input of {n} stages overflows") from None
         residual /= max(abs(constraints.tissue_z), 1e-300)
         logs = logs or [(float(q), _stage_log(q * v_rx, v_t)) for q in constraints.q_range]
-        rows += [DesignPoint(n, q, rect.r_rect, rect.c_rect, 2.0 * n * v_t * log_q,
+        rows += [DesignPoint(n, q, r_rect, c_rect, 2.0 * n * v_t * log_q,
                              tau, residual) for q, log_q in logs]
 
     feasible = [p for p in rows
                 if p.v_out >= target_v_out and p.charge_time <= constraints.max_charge_time]
-    chosen = min(feasible, key=lambda p: (p.n, p.match_residual, p.q), default=None)
+    chosen = min(feasible, key=lambda p: (p.n, p.q), default=None)
 
     nearest = {}
     if not feasible and rows:
@@ -328,9 +367,8 @@ EDGE_STAGE_MODELS = {
     "no conductance": (1.7e308, 1e-12, 2e7, 50.0),
     # w c_stage overflows: a NaN input, whose R_rect is not > 0.
     "nan input": (1e-300, 1e300, 1e300, 50.0),
-    # |Z - Z_tissue*| overflows from n = 2; |Z_tissue| overflows.
+    # |Z - Z_tissue*| overflows from n = 2.
     "residual overflows": (1e307, 5e-324, 1e8, complex(-1.2e308, 1.2e308)),
-    "tissue overflows": (1e3, 1e-12, 2e7, complex(1.5e308, 1.5e308)),
 }
 
 
@@ -373,13 +411,12 @@ class TestArraySweep:
         ("admittance underflows", 1, 0.05, "input admittance of 2 stages underflows to 0"),
         ("no conductance", 1, 0.05, "harvester input must have Re(Z) > 0"),
         ("nan input", 1, 0.05, "effective input resistance must be > 0"),
-        ("residual overflows", 1, 0.05, "absolute value too large"),
-        ("tissue overflows", 1, 0.05, "absolute value too large"),
+        ("residual overflows", 1, 0.05, "|Z - Z_tissue*| of the input of 2 stages overflows"),
         # The drive is checked after the first n, before the others.
         ("no conductance", 1, 1e10, "thermal voltage 1e-300 V is too small"),
         ("residual overflows", 1, 1e10, "thermal voltage 1e-300 V is too small"),
         ("no conductance", 2, 1e10, "harvester input must have Re(Z) > 0"),
-        ("residual overflows", 2, 1e10, "absolute value too large"),
+        ("residual overflows", 2, 1e10, "|Z - Z_tissue*| of the input of 2 stages overflows"),
     ])
     def test_errors_are_those_of_the_first_failing_stage_count(self, model, n_min, v_rx, error):
         r_stage, c_stage, f0, tissue_z = EDGE_STAGE_MODELS[model]

@@ -98,6 +98,7 @@ def gamma_factor(ports: PortPair) -> float:
     return (50.0 / zp2) * (50.0 / zp1)
 
 
+@netcore.quiet
 def pte_link(s21_link, ports: PortPair):
     """Link PTE from the matched-link transmission, gamma |S21,link|^2, at
     one frequency or along an axis of S21 values."""

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .netcore import BuiltOnRead, Split, check_frequency, first_point, point, promote
+from .netcore import BuiltOnRead, Split, check_frequency, first_point, point, promote, quiet
 
 # Thermal voltage at body temperature (310 K).
 BODY_THERMAL_VOLTAGE = 0.0267  # V
@@ -122,7 +122,7 @@ class RectifierInput:
             raise ValueError("effective input resistance must be > 0")
 
 
-@np.errstate(all="ignore")  # an overflow is a value here, or its error
+@quiet
 def rect_input(z_in_eh: complex, f: float) -> RectifierInput:
     """Series-to-parallel conversion of the harvester input impedance:
 
@@ -215,7 +215,7 @@ def charge_time(n: int, v_t: float, i_load_avg: float, c_store: float) -> float:
     return 3.0 * (n * v_t / i_load_avg) * c_store
 
 
-@np.errstate(all="ignore")  # an overflow is a value here, or the error of its n
+@quiet
 def design_space(v_rx: float, target_v_out: float,
                  constraints: HarvesterConstraints) -> DesignSpaceResult:
     """Sweep the (n, q) grid and pick the smallest feasible stage count.

@@ -41,7 +41,11 @@ frequency and on :class:`Split` values along an axis:
   (``pow``, ``log10``) run through ``map`` in C, never a frame per point.
 - At one frequency the operands are Python floats and complex numbers,
   so a single-frequency caller runs the same lines at Python's own
-  speed and pays no numpy per-call cost.
+  speed; numpy's only per-call cost is the :func:`quiet` context.
+
+The floating-point rule.  Every function whose own body does numpy
+float arithmetic carries :func:`quiet`: an overflow or a 0/0 is a value
+that the stage's own check reports, and no numpy warning reaches stderr.
 
 The tissue ladder's long chain runs along an axis in
 :func:`abcd_chain_along`, which keeps the bits of :func:`abcd_chain` for
@@ -116,22 +120,11 @@ def on_axis(x) -> bool:
     return isinstance(x, np.ndarray)
 
 
-def _carries_axis(arg) -> bool:
-    return isinstance(arg.m11 if isinstance(arg, TwoPortMatrix) else arg, np.ndarray)
-
-
 def quiet(fn):
-    """Run a stage on an axis with numpy's floating-point warnings off:
-    there an overflow or a 0/0 is a value (inf or nan), as Python's
-    complex arithmetic leaves it at one point, and the stage result's
-    finiteness check reports it.  A call at one frequency runs as it is."""
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        if not any(map(_carries_axis, args)):
-            return fn(*args, **kwargs)
-        with np.errstate(all="ignore"):
-            return fn(*args, **kwargs)
-    return run
+    """``fn`` with numpy's floating-point warnings off: an overflow or a 0/0
+    is a value that the stage's own check reports.  numpy 1.x saves state in
+    the context object: one per function, and none may run inside itself."""
+    return np.errstate(all="ignore")(fn)
 
 
 def where(cond, x, y):
@@ -534,6 +527,7 @@ CHAIN_BLOCK = 1024
 _ENTRY_AT = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+@quiet
 def abcd_chain_along(size: int, factors) -> Entries:
     """``abcd_chain(IDENTITY, *factors)`` along an axis of ``size`` points,
     bit for bit, for long chains such as the tissue ladder.  The factors'
@@ -548,30 +542,29 @@ def abcd_chain_along(size: int, factors) -> Entries:
     axis runs in independent blocks of CHAIN_BLOCK points."""
     out = np.empty((2, 2, 2, size))  # (part, i, j, point)
     buffers = np.empty((3, 2, 2, 2, 2, min(size, CHAIN_BLOCK)))
-    with np.errstate(all="ignore"):
-        for start in range(0, size, CHAIN_BLOCK):
-            stop = min(start + CHAIN_BLOCK, size)
-            left, right, prod = buffers[..., :stop - start]
-            (lr, li), (rr, ri), (pr, pi) = left, right, prod
-            product = out[..., start:stop]
-            for (i, j), z in zip(_ENTRY_AT, IDENTITY):
-                product[:, i, j] = ((z.real,), (z.imag,))
+    for start in range(0, size, CHAIN_BLOCK):
+        stop = min(start + CHAIN_BLOCK, size)
+        left, right, prod = buffers[..., :stop - start]
+        (lr, li), (rr, ri), (pr, pi) = left, right, prod
+        product = out[..., start:stop]
+        for (i, j), z in zip(_ENTRY_AT, IDENTITY):
+            product[:, i, j] = ((z.real,), (z.imag,))
+        np.copyto(left, product[:, :, :, None])
+        last = None
+        for factor in factors:
+            if factor is not last:
+                last = factor
+                for (k, j), x in zip(_ENTRY_AT, factor):
+                    for buf, part in zip((rr, ri), _parts(x)):
+                        buf[:, k, j] = part[start:stop] if on_axis(part) else part
+            np.multiply(lr, rr, out=pr)
+            np.multiply(li, ri, out=pi)
+            np.subtract(pr, pi, out=pr)
+            np.multiply(lr, ri, out=pi)
+            np.multiply(li, rr, out=lr)  # the last read of L's real part was above
+            np.add(pi, lr, out=pi)
+            np.add(prod[:, :, 0], prod[:, :, 1], out=product)
             np.copyto(left, product[:, :, :, None])
-            last = None
-            for factor in factors:
-                if factor is not last:
-                    last = factor
-                    for (k, j), x in zip(_ENTRY_AT, factor):
-                        for buf, part in zip((rr, ri), _parts(x)):
-                            buf[:, k, j] = part[start:stop] if on_axis(part) else part
-                np.multiply(lr, rr, out=pr)
-                np.multiply(li, ri, out=pi)
-                np.subtract(pr, pi, out=pr)
-                np.multiply(lr, ri, out=pi)
-                np.multiply(li, rr, out=lr)  # the last read of L's real part was above
-                np.add(pi, lr, out=pi)
-                np.add(prod[:, :, 0], prod[:, :, 1], out=product)
-                np.copyto(left, product[:, :, :, None])
     return tuple(Split(out[0, i, j], out[1, i, j]) for i, j in _ENTRY_AT)
 
 

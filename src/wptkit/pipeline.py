@@ -54,11 +54,9 @@ def si(value: float, unit: str) -> str:
         return f"{value} {unit}"
     if value == 0.0:
         return f"0 {unit}"
-    mag = abs(value)
-    for scale, prefix in _PREFIXES:
-        if mag >= scale:
-            return f"{value / scale:.4g} {prefix}{unit}"
-    scale, prefix = _PREFIXES[-1]
+    for scale, prefix in _PREFIXES:  # the last one when none is reached
+        if abs(value) >= scale:
+            break
     return f"{value / scale:.4g} {prefix}{unit}"
 
 
@@ -796,35 +794,35 @@ def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
     return csv_text(SWEEP_HEADER, table)
 
 
+@netcore.quiet
 def csv_text(header: Sequence[str], table: np.ndarray) -> str:
     """A header line, then each row of the 2-D float64 ``table`` with each
     field as '%.12g' formats it ('.' decimals, no locale, nan and inf as
     Python spells them), lines ending in "\r\n" as csv.writer ends them."""
     out = [",".join(header) + "\r\n"]
-    with np.errstate(all="ignore"):
-        for start in range(0, len(table), _CSV_BLOCK):
-            v = table[start:start + _CSV_BLOCK]
-            mag = np.abs(v)
-            x = np.fmax(np.fmin(np.floor(np.log10(mag)), 11.0), -4.0)
-            y = mag * _POW10.take((11.0 - x).astype(np.intp))
-            m = np.rint(y)
-            fallback = ~((y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.5))
-            m[fallback] = 1e11
-            hi, mid = np.floor(m / 1e8), np.floor(m / 1e4)
-            groups = np.array([hi, mid - 1e4 * hi, m - 1e4 * mid]).astype(np.intp)
-            zeros = _GROUP_ZEROS.take(groups)
-            zeros = zeros[2] + (groups[2] == 0) * (zeros[1] + (groups[1] == 0) * zeros[0])
-            key = (x.astype(np.intp) * 12 - zeros) * 4 + (v < 0) * 2 + 236
-            key[fallback] = 768
-            key[:, -1] += 1
-            text = np.empty(v.shape, "V33")
-            text[...] = _TEMPLATE
-            parts = np.ndarray(v.shape, _FIELD, text)  # not .view, which runs Python code
-            parts["a"] = parts["b"] = \
-                _GROUP_DIGITS.take(groups.transpose(1, 2, 0)).view("V12")[..., 0]
-            parts["head"][fallback] = np.frombuffer(
-                "".join(map("%-20.12g".__mod__, v[fallback].tolist())).encode(), "V20")
-            text = text.view(np.uint8)
-            text &= _KEEP.take(key).view(np.uint8)
-            out.append(text.tobytes().translate(None, b"\0 ").decode("ascii"))
+    for start in range(0, len(table), _CSV_BLOCK):
+        v = table[start:start + _CSV_BLOCK]
+        mag = np.abs(v)
+        x = np.fmax(np.fmin(np.floor(np.log10(mag)), 11.0), -4.0)
+        y = mag * _POW10.take((11.0 - x).astype(np.intp))
+        m = np.rint(y)
+        fallback = ~((y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.5))
+        m[fallback] = 1e11
+        hi, mid = np.floor(m / 1e8), np.floor(m / 1e4)
+        groups = np.array([hi, mid - 1e4 * hi, m - 1e4 * mid]).astype(np.intp)
+        zeros = _GROUP_ZEROS.take(groups)
+        zeros = zeros[2] + (groups[2] == 0) * (zeros[1] + (groups[1] == 0) * zeros[0])
+        key = (x.astype(np.intp) * 12 - zeros) * 4 + (v < 0) * 2 + 236
+        key[fallback] = 768
+        key[:, -1] += 1
+        text = np.empty(v.shape, "V33")
+        text[...] = _TEMPLATE
+        parts = np.ndarray(v.shape, _FIELD, text)  # not .view, which runs Python code
+        parts["a"] = parts["b"] = \
+            _GROUP_DIGITS.take(groups.transpose(1, 2, 0)).view("V12")[..., 0]
+        parts["head"][fallback] = np.frombuffer(
+            "".join(map("%-20.12g".__mod__, v[fallback].tolist())).encode(), "V20")
+        text = text.view(np.uint8)
+        text &= _KEEP.take(key).view(np.uint8)
+        out.append(text.tobytes().translate(None, b"\0 ").decode("ascii"))
     return "".join(out)

@@ -5,11 +5,11 @@ implant area cap using the current-sheet approximation
 
     L = (C1 mu0 n^2 d_avg / 2) [ln(C2/phi) + C3 phi + C4 phi^2]
 
-with the fill ratio phi = sqrt(A)/d_avg - 1, the average diameter
-d_avg = (2r + n dr) cos(pi/seg) and the footprint
-A = [w + 2 (r + n dr) cos(pi/seg)]^2.  Also estimates AC trace
-resistance (skin effect) and the coupling coefficient between two
-coaxial spirals (per-turn filament loops, Neumann integral).
+with the fill ratio phi = d_out/d_avg - 1, the average diameter
+d_avg = (2r + n dr) cos(pi/seg), the outer diameter (footprint edge)
+d_out = w + 2 (r + n dr) cos(pi/seg) and the footprint A = d_out^2.
+Also estimates AC trace resistance (skin effect) and the coupling
+coefficient of two coaxial spirals (Neumann integral, per-turn loops).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netcore import BuiltOnRead, check_frequency
+from .netcore import BuiltOnRead, check_frequency, quiet
 
 MU_0 = 4e-7 * math.pi          # H/m
 COPPER_RESISTIVITY = 1.68e-8   # ohm*m
@@ -127,13 +127,17 @@ class SpiralGeometry:
         return _d_avg(self.r, self.n * self.dr, self.shape.cos_factor)
 
     @property
+    def d_out(self) -> float:
+        return _edge(self.r, self.n * self.dr, self.w, self.shape.cos_factor)
+
+    @property
     def area(self) -> float:
-        edge = _edge(self.r, self.n * self.dr, self.w, self.shape.cos_factor)
-        return edge * edge
+        d_out = self.d_out
+        return d_out * d_out
 
     @property
     def fill_ratio(self) -> float:
-        return math.sqrt(self.area) / self.avg_diameter - 1.0
+        return self.d_out / self.avg_diameter - 1.0
 
 
 # Closed forms of one SpiralGeometry (floats) or synthesis points (arrays).
@@ -171,12 +175,11 @@ def inductance(g: SpiralGeometry) -> float:
 def modified_wheeler(g: SpiralGeometry) -> float:
     """Modified-Wheeler inductance estimate for the same layout.
 
-    Uses the classic outer/inner diameters d_out = sqrt(A) and
+    Uses the classic outer/inner diameters d_out and
     d_in = 2 d_avg - d_out; serves as the independent cross-check the
     synthesizer gates its candidates on.
     """
-    l_mw, d_in = _modified_wheeler(g.shape.k1 * MU_0, g.shape.k2, g.n, g.avg_diameter,
-                                   math.sqrt(g.area))
+    l_mw, d_in = _modified_wheeler(g.shape.k1 * MU_0, g.shape.k2, g.n, g.avg_diameter, g.d_out)
     if d_in <= 0.0:
         raise ValueError("winding fills past the center; Wheeler estimate invalid")
     return l_mw
@@ -282,6 +285,7 @@ class _Rows(NamedTuple):
     counts: np.ndarray
 
 
+@quiet
 def _guess_edges(coefs: np.ndarray, rows: _Rows):
     """Newton's estimate, per window edge and row, of the first index of
     the row's r run at which the current-sheet L reaches that edge of its
@@ -299,13 +303,12 @@ def _guess_edges(coefs: np.ndarray, rows: _Rows):
     others take its result.
     """
     goal = np.multiply.outer((1.0 - L_TOL, 1.0 + L_TOL), coefs[4]) / rows.coef
-    with np.errstate(all="ignore"):
-        x = rows.x_first + (goal - rows.form_first) * rows.slope
-        c2_k, c3_k, c4_kk = rows.c2_k, rows.c3_k, rows.c4_kk
-        for _ in range(NEWTON_STEPS):
-            ln = np.log(c2_k * x)
-            x = x - (x * ln + c3_k + c4_kk / x - goal) / (ln + 1.0 - c4_kk / (x * x))
-        guess = np.ceil((x / coefs[0] - rows.ndr) / (2.0 * R_STEP)) - 1.0
+    x = rows.x_first + (goal - rows.form_first) * rows.slope
+    c2_k, c3_k, c4_kk = rows.c2_k, rows.c3_k, rows.c4_kk
+    for _ in range(NEWTON_STEPS):
+        ln = np.log(c2_k * x)
+        x = x - (x * ln + c3_k + c4_kk / x - goal) / (ln + 1.0 - c4_kk / (x * x))
+    guess = np.ceil((x / coefs[0] - rows.ndr) / (2.0 * R_STEP)) - 1.0
     bracketed = (rows.form_first < goal) & (rows.form_top >= goal)
     return np.where(rows.form_first >= goal, 0.0, np.where(bracketed, guess, rows.counts))
 
@@ -325,6 +328,7 @@ class _Grid(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1)
+@quiet
 def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
     """The grids of synthesize for the distinct (fab, shape) ``keys``, built
     in one pass over all their rows.  A design asks for its two coil
@@ -345,15 +349,14 @@ def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
     n = np.arange(1, N_MAX + 1, dtype=float)
     # Huge fabrication minima overflow to inf here; such rows get r_hi =
     # -inf and are empty.
-    with np.errstate(over="ignore"):
-        w_step = (np.array([fab.min_trace_width for fab in fabs])[:, None]
-                  + np.arange(W_STEPS) * TRACE_STEP)
-        dr = (w_step[:, :, None] + np.array([fab.min_spacing for fab in fabs])[:, None, None]
-              + np.arange(DR_STEPS) * TRACE_STEP).reshape(len(keys), wd_size)
-        w = w_step.repeat(DR_STEPS, axis=1)
-        ndr = (n[:, None] * dr[:, None]).ravel()
-        r_hi = (((edge_max[:, None] - w) / (2.0 * cosf)[:, None])[:, None]
-                - ndr.reshape(len(keys), N_MAX, wd_size)).ravel()
+    w_step = (np.array([fab.min_trace_width for fab in fabs])[:, None]
+              + np.arange(W_STEPS) * TRACE_STEP)
+    dr = (w_step[:, :, None] + np.array([fab.min_spacing for fab in fabs])[:, None, None]
+          + np.arange(DR_STEPS) * TRACE_STEP).reshape(len(keys), wd_size)
+    w = w_step.repeat(DR_STEPS, axis=1)
+    ndr = (n[:, None] * dr[:, None]).ravel()
+    r_hi = (((edge_max[:, None] - w) / (2.0 * cosf)[:, None])[:, None]
+            - ndr.reshape(len(keys), N_MAX, wd_size)).ravel()
     # From here on the arrays hold the non-empty rows only; wd indexes the
     # row's (w, dr) in w and dr.  Each row's r run is np.arange(R_STEP,
     # r_hi + R_STEP/2, R_STEP), and np.arange computes element i as
@@ -402,9 +405,8 @@ def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
     c2, c3, c4 = shape_coefs[1:4].repeat(sizes, axis=1)
     c2_k, c3_k, c4_kk = c2 / row_k, c3 * row_k, c4 * row_k * row_k
     x_first, x_top = (_d_avg(R_STEP * m, row_ndr, row_cosf) for m in (1, counts))
-    with np.errstate(all="ignore"):
-        form_first, form_top = (x * np.log(c2_k * x) + c3_k + c4_kk / x for x in (x_first, x_top))
-        slope = (x_top - x_first) / (form_top - form_first)
+    form_first, form_top = (x * np.log(c2_k * x) + c3_k + c4_kk / x for x in (x_first, x_top))
+    slope = (x_top - x_first) / (form_top - form_first)
     grid = _Grid(_Rows(row_n, row_w, row_dr, row_ndr, coef, c2_k, c3_k, c4_kk, x_first,
                        form_first, form_top, slope, counts), tuple(starts.tolist()), r_run,
                  coef * form_first, coef * form_top)
@@ -413,6 +415,7 @@ def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
     return grid
 
 
+@quiet
 def synthesize_all(requests: Sequence[tuple[float, FabConstraints, ShapeCoefficients]]
                    ) -> list[SynthesisResult]:
     """synthesize for each ``(l_target, fab, shape)`` request, in one pass.
@@ -493,6 +496,7 @@ def synthesize(l_target: float, fab: FabConstraints,
     return synthesize_all(((l_target, fab, shape),))[0]
 
 
+@quiet
 def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[SynthesisResult]:
     """Per request, the candidates among the rows of ``grid`` that its entry
     of ``picks`` indexes, or else their nearest miss, if any.
@@ -536,8 +540,7 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
         phi = edge / d_avg - 1.0
         # np.log in inductance would move a benchmark pool design's S11 from -268.9 to
         # -283.4 dB; math.log here costs ~460 us per design spec, np.log ~5 us.
-        with np.errstate(invalid="ignore"):
-            log = np.log(c2 / phi)
+        log = np.log(c2 / phi)
         return (_current_sheet(row_coef.take(row), d_avg, log, phi, c3, c4), edge, d_avg,
                 targets.take(row))
 
@@ -586,9 +589,9 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
 
     # Modified-Wheeler gate, as modified_wheeler evaluates it.
     hit = (usable & within).nonzero()[0]
-    edge_hit, row_hit = edge.take(hit), row.take(hit)
+    row_hit = row.take(hit)
     l_mw, d_in = _modified_wheeler(*coefs[5:].take(row_hit, axis=1), row_n.take(row_hit),
-                                   d_avg.take(hit), np.sqrt(edge_hit * edge_hit))
+                                   d_avg.take(hit), edge.take(hit))
     l_cs = l_val.take(hit)
     hit = hit[(d_in > 0.0) & ~(np.abs(l_cs - l_mw) / l_cs > WHEELER_TOL)]
 
@@ -638,13 +641,15 @@ def ac_resistance(g: SpiralGeometry, f: float) -> float:
     R = rho l / (w t_eff), t_eff = delta (1 - exp(-t/delta)) with
     t = TRACE_THICKNESS; f = 0 is DC.
     Below t/delta = 1e-3, where 1 - exp rounds away, t_eff = -delta expm1(-t/delta)."""
-    length = trace_length(g)
-    if f == 0.0:
-        return COPPER_RESISTIVITY * length / (g.w * TRACE_THICKNESS)
-    delta = skin_depth(f)
-    x = TRACE_THICKNESS / delta
-    t_eff = delta * (1.0 - math.exp(-x)) if x >= 1e-3 else -delta * math.expm1(-x)
-    return COPPER_RESISTIVITY * length / (g.w * t_eff)
+    t_eff = TRACE_THICKNESS
+    if f != 0.0:
+        delta = skin_depth(f)
+        x = TRACE_THICKNESS / delta
+        t_eff = delta * (1.0 - math.exp(-x)) if x >= 1e-3 else -delta * math.expm1(-x)
+    section = g.w * t_eff
+    if section == 0.0:
+        raise ValueError(f"trace cross-section w t_eff underflows to 0 at width w = {g.w!r} m")
+    return COPPER_RESISTIVITY * trace_length(g) / section
 
 
 def _equivalent_loop_radius(shape: ShapeCoefficients, circumradius: float) -> float:
@@ -688,6 +693,7 @@ def _pair_terms(a: np.ndarray, b: np.ndarray, d: float, npts: int) -> np.ndarray
     return 0.5 * MU_0 * a * b * np.mean(block, axis=1) * 2.0 * math.pi
 
 
+@quiet
 def mutual_inductance(tx: SpiralGeometry, rx: SpiralGeometry, distance: float) -> float:
     """Mutual inductance of two coaxially aligned spirals by per-turn
     filament summation.

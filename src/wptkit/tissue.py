@@ -137,6 +137,7 @@ def default_implant_stack(face_area: float = (18e-3) ** 2,
     return TissueStack((skin_dry(), fat(), muscle()), sections_per_layer, face_area)
 
 
+@netcore.quiet
 def complex_permittivity(layer: ColeColeLayer, f):
     """Relative complex permittivity of the layer at frequency f, or a
     complex array of it along an array of frequencies."""

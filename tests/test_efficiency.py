@@ -9,7 +9,9 @@ the SAR budget reproduces the published milliwatt figures.
 import cmath
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from wptkit import netcore
@@ -121,6 +123,14 @@ class TestGammaFactor:
     def test_pte_link_uses_gamma(self):
         assert pte_link(0.3, P50) == pytest.approx(0.09)
         assert pte_link(0.3, PortPair(25, 100)) == pytest.approx(0.36)
+
+    def test_pte_link_overflow_is_a_value(self):
+        # |S21|^2 overflows to inf along an axis as at one point, without a
+        # numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pte_link(np.array([1e200 + 0j]), PortPair())
+        assert got.tolist() == [pte_link(1e200 + 0j, PortPair())] == [math.inf]
 
 
 class TestSarBudget:

@@ -819,3 +819,12 @@ class TestDesignWork:
         report = run_design(spec_from_dict({"f0_hz": 20e6, "k": "estimate", "distance_m": 15e-3}))
         assert len(calls) == 1
         assert calls[0] == report.link.coil_abcd_at(20e6)
+
+    def test_numpy_error_state_is_the_callers_again(self):
+        # Each numpy stage enters its own floating-point context; numpy 1.x
+        # would leave "ignore" behind if one were entered again while open.
+        before = np.geterr()
+        report = run_design(spec_from_dict({"f0_hz": 2e7, "k": "estimate", "distance_m": 5e-3,
+                                            "harvester": {"v_rx_v": 0.5, "target_v_out_v": 1.0}}))
+        sweep_csv_text(sweep_link(report.link, frequency_grid(1e7, 4e7, 11)))
+        assert np.geterr() == before

@@ -20,7 +20,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wptkit import cli, netcore, pipeline
@@ -146,6 +146,11 @@ def test_design_command_ends_in_an_exit_code(workdir):
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(maybe(spec_documents(paths)))
+    # Coils estimated to sit a tiny distance apart: filaments of equal radius
+    # meet, and their Neumann integrand divides by 0.
+    @example({"f0_hz": 2e7, "k": "estimate", "distance_m": 1e-12})
+    @example({"f0_hz": 2e7, "k": "estimate", "distance_m": 1e-300})
+    @example({"f0_hz": 2e7, "k": "estimate", "distance_m": 5e-324})
     def check(document):
         path = workdir / "spec.json"
         path.write_text(json.dumps(document))

@@ -9,6 +9,7 @@ against a per-turn-pair loop.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -89,6 +90,18 @@ class TestGeometryRelations:
         with pytest.raises(ValueError):
             SpiralGeometry(SQUARE, 5, 3e-3, 0.2e-3, 0.4e-3)
 
+    @pytest.mark.parametrize("r", [1e150, 1e200])
+    def test_fill_ratio_from_the_edge_where_the_area_overflows(self, r):
+        # At r = 1e200 the area overflows, yet the edge and d_avg do not: the
+        # fill ratio rounds to 0, as at r = 1e150, and the Wheeler estimate
+        # (d_out the edge) is finite.
+        g = SpiralGeometry(SQUARE, 1, r, 2e-4, 1e-4)
+        assert g.fill_ratio == 0.0
+        with pytest.raises(ValueError, match=r"^fill ratio must be > 0, got 0\.0$"):
+            inductance(g)
+        assert modified_wheeler(g) == wheeler_oracle(g)
+        assert math.isfinite(modified_wheeler(g))
+
 
 class TestInductance:
     def test_turn_count_scaling(self):
@@ -164,12 +177,20 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("minimum", [1e300, 1.7e308])
     def test_huge_fabrication_minima_leave_no_grid_point(self, minimum, monkeypatch):
-        # The row table overflows and ends empty, with an empty r run; no
-        # numpy warning escapes and the result has neither candidates nor a
-        # finite near miss, whatever the window-edge guesses.
+        # The row table overflows and ends empty, with an empty r run, and no
+        # numpy warning escapes, whatever the window-edge guesses.  The near
+        # miss is then the smallest one-turn coil: at 1e300 a valid layout
+        # whose area overflows but whose L is finite; at 1.7e308 its radius
+        # increment overflows too, and there is none.
+        g = SpiralGeometry(SQUARE, 1, spiral.R_STEP, minimum + minimum, minimum)
+        nearest = None
+        if math.isfinite(g.dr):
+            l_min = inductance(g)
+            assert g.area == math.inf and math.isfinite(l_min)
+            nearest = NearMiss(g, l_min, abs(l_min - 80e-9) / 80e-9)
         for _ in wrong_guesses(monkeypatch):
             result = synthesize(80e-9, FabConstraints(minimum, minimum, 1e-4), SQUARE)
-            assert result == SynthesisResult((), None)
+            assert result == SynthesisResult((), nearest)
 
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -660,6 +681,13 @@ class TestAcResistance:
         assert skin_depth(20e6) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(14.7e-6, rel=0.02)
 
+    @pytest.mark.parametrize("f", [0.0, 1e6])
+    def test_cross_section_that_underflows_rejected(self, f):
+        # w t_eff rounds to 0 for the smallest subnormal width.
+        g = SpiralGeometry(SQUARE, 1, 1e-3, 2e-4, 5e-324)
+        with pytest.raises(ValueError, match=r"width w = 5e-324 m$"):
+            ac_resistance(g, f)
+
     def test_trace_length_square(self):
         g = SpiralGeometry(SQUARE, 2, 1e-3, 0.5e-3, 0.3e-3)
         # Two turns with circumradii 1.0 and 1.5 mm; square perimeter is
@@ -688,6 +716,16 @@ class TestCoupling:
         ks = [estimate_k(g, g, d) for d in (5e-3, 10e-3, 20e-3, 50e-3, 200e-3)]
         assert all(b < a for a, b in zip(ks, ks[1:]))
         assert ks[-1] < 1e-3
+
+    def test_coincident_filaments_give_no_warning(self):
+        # At a distance of 1e-12 m equal-radius filaments meet: the Neumann
+        # integrand divides by 0, M is inf and k is clamped, without a
+        # numpy warning.
+        g = SpiralGeometry(SQUARE, 3, 1e-3, 2e-4, 1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mutual_inductance(g, g, 1e-12) == math.inf
+            assert estimate_k(g, g, 1e-12) == 1.0 - 1e-12
 
     def test_k_in_unit_interval(self):
         g = SpiralGeometry(SQUARE, 6, 6e-3, 0.7e-3, 0.4e-3)

@@ -7,7 +7,10 @@ import path must reproduce and interpolate tabulated network data.
 """
 
 import math
+import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from wptkit import netcore
@@ -70,6 +73,16 @@ class TestColeCole:
         # The GHz-range relaxation obeys w*tau < 0.05 up to 500 MHz.
         tau_fast = min(tau for _, tau, _ in muscle().dispersions)
         assert 2 * math.pi * 500e6 * tau_fast < 0.05
+
+    def test_smallest_frequency_gives_no_warning(self):
+        # At the smallest normal frequency sigma / (w eps0) overflows to
+        # -inf j along an axis as at one point, without a numpy warning.
+        freqs = [sys.float_info.min, 1e6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = complex_permittivity(muscle(), np.array(freqs))
+        assert eps.tolist() == [complex_permittivity(muscle(), f) for f in freqs]
+        assert eps[0].imag == -math.inf
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -515,7 +515,11 @@ def run_design(spec: DesignSpec) -> DesignReport:
             l1_target = l2_target = l_opt_val
         tx_stage, rx_stage = _coil_stages(spec, l1_target, l2_target)
         if spec.k is None:
-            k_value = spiral.estimate_k(tx_stage.geometry, rx_stage.geometry, spec.distance)
+            try:
+                k_value = spiral.estimate_k(tx_stage.geometry, rx_stage.geometry, spec.distance)
+            except ValueError as exc:
+                raise InfeasibleDesignError("k estimate",
+                                            f"distance_m = {spec.distance!r}: {exc}") from exc
 
     coils = CoilPair(tx_stage.inductance, rx_stage.inductance,
                      tx_stage.r_ac, rx_stage.r_ac, k_value)
@@ -726,7 +730,11 @@ def _sweep_rows(frequencies: np.ndarray, s: TwoPortMatrix, ports: PortPair) -> S
 
 
 def _db_column(mag: np.ndarray) -> np.ndarray:
-    """``imn._db`` at each point: libm ``log10`` through ``math.log10``."""
+    """``imn._db`` at each point: libm ``log10`` through ``math.log10``,
+    called per point from C by ``map``.  ``np.log10`` is no substitute: its
+    float64 loop may dispatch to a SIMD kernel, which over 500,000
+    magnitudes uniform on [0, 1) differs from ``math.log10`` at 101,014
+    points (numpy 2.4, x86-64)."""
     return 20.0 * np.fromiter(map(math.log10, np.maximum(mag, 1e-300).tolist()), float, mag.size)
 
 

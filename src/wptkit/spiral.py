@@ -724,8 +724,11 @@ def mutual_inductance(tx: SpiralGeometry, rx: SpiralGeometry, distance: float) -
 
 
 def estimate_k(tx: SpiralGeometry, rx: SpiralGeometry, distance: float) -> float:
-    """Coupling coefficient k = M / sqrt(L_tx L_rx), clamped to [0, 1)."""
+    """Coupling coefficient k = M / sqrt(L_tx L_rx), clamped to [0, 1).
+    ValueError when M is not finite: filaments of the two coils meet."""
     m = mutual_inductance(tx, rx, distance)
+    if not math.isfinite(m):
+        raise ValueError(f"mutual inductance is {m!r}: filaments of the two coils meet")
     k = m / math.sqrt(inductance(tx) * inductance(rx))
     return min(max(k, 0.0), 1.0 - 1e-12)
 

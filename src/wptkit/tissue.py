@@ -143,7 +143,7 @@ def complex_permittivity(layer: ColeColeLayer, f):
     complex array of it along an array of frequencies."""
     w = 2.0 * math.pi * netcore.check_frequency(f)
     _check_dispersions((layer,), f, w)
-    eps = _permittivity_at(layer, w)
+    eps = _permittivity_at(layer, w, 1j * netcore.promote(w) * EPS_0)
     if netcore.on_axis(w):  # a Split, or one complex for a layer without loss terms
         return netcore.join(np.broadcast_to(eps.real, w.shape), eps.imag)
     return eps
@@ -162,10 +162,11 @@ def _check_dispersions(layers, f, w) -> None:
                          f"f = {float(netcore.point(f, i))!r} Hz")
 
 
-def _permittivity_at(layer: ColeColeLayer, w):
+def _permittivity_at(layer: ColeColeLayer, w, jw_eps0):
     """complex_permittivity at the angular frequency w = 2 pi f of a
-    checked frequency f, or along an axis of them (a Split).  A term with
-    d_eps == +-0.0 is skipped, keeping every bit: over a divisor of real
+    checked frequency f, or along an axis of them (a Split), given
+    ``jw_eps0 = 1j * promote(w) * EPS_0``, which the ladder shares.  A term
+    with d_eps == +-0.0 is skipped, keeping every bit: over a divisor of real
     part >= 1 and imaginary part >= 0 ``_Py_c_quot`` gives it (+0.0, +0.0),
     which alters only a -0.0, and eps holds none (its real part is >= 1,
     and a sum from +0.0 is -0.0 only when both operands are)."""
@@ -174,7 +175,7 @@ def _permittivity_at(layer: ColeColeLayer, w):
         if d_eps != 0.0:
             eps += d_eps / (1.0 + netcore.jpow(w * tau, 1.0 - alpha))
     if layer.sigma_static > 0.0:
-        eps += layer.sigma_static / (1j * netcore.promote(w) * EPS_0)
+        eps += layer.sigma_static / jw_eps0
     return eps
 
 
@@ -211,9 +212,10 @@ def ladder_two_port(stack: TissueStack, f) -> TwoPortMatrix:
     mu0 = 4e-7 * math.pi
     coupling = mu0 * math.sqrt(stack.face_area)
     wc_sq = netcore.square(w * coupling)
+    jw_eps0 = 1j * netcore.promote(w) * EPS_0
     sections = []
     for layer in stack.layers:
-        sigma_eff = 1j * netcore.promote(w) * EPS_0 * _permittivity_at(layer, w)
+        sigma_eff = jw_eps0 * _permittivity_at(layer, w, jw_eps0)
         t_s = layer.thickness / stack.sections_per_layer
         z = wc_sq * sigma_eff * t_s
         y = sigma_eff * t_s

@@ -325,8 +325,8 @@ def test_ladder_permittivity_is_complex_permittivity(monkeypatch):
     want = [complex_permittivity(layer, f) for layer in stack.layers for f in AXIS.tolist()]
     core, got = tissue._permittivity_at, []
 
-    def recording(layer, w):
-        eps = core(layer, w)
+    def recording(layer, w, jw_eps0):
+        eps = core(layer, w, jw_eps0)
         got.extend(complex(re, im) for re, im in zip(eps.real.tolist(), eps.imag.tolist()))
         return eps
 
@@ -646,6 +646,16 @@ def test_jpow_property(bases, e):
     assert _jpow_reprs(np.array(bases), e) == [repr((1j * v) ** e) for v in bases]
 
 
+def test_jpow_along_an_axis_calls_no_python_pow(monkeypatch):
+    # The axis runs libm pow inside one ufunc call, never math.pow per point.
+    def forbidden(*args):
+        raise AssertionError("math.pow called along an axis")
+
+    monkeypatch.setattr(math, "pow", forbidden)
+    for e in sorted(LIBRARY_EXPONENTS):
+        assert _jpow_reprs(AXIS, e) == [repr((1j * v) ** e) for v in AXIS.tolist()]
+
+
 def _layer_with_zero_terms(data, sigma_static):
     """A random layer whose dispersions hold terms with d_eps = +0.0 or
     -0.0 at random places among ordinary ones."""
@@ -789,10 +799,11 @@ def test_stacked_chain_is_abcd_chain(size, data):
             assert not bad.any(), (k, part, int(bad.sum()))
 
 
-def test_ladder_axis_across_blocks_equals_single_points():
+@pytest.mark.parametrize("sections", [10, 20, 30])
+def test_ladder_axis_across_blocks_equals_single_points(sections):
     # An axis of several blocks with a partial last one; the per-point
     # ladder runs the product of Python complex numbers.
-    stack = default_implant_stack(sections_per_layer=10)
+    stack = default_implant_stack(sections_per_layer=sections)
     axis = np.geomspace(F0 / 10, F0 * 10, 3 * BLOCK + 7)
     got = ladder_two_port(stack, axis)
     picks = sorted({*range(0, axis.size, 97), *(b + d for b in range(0, axis.size, BLOCK)

@@ -785,6 +785,20 @@ class TestKEstimation:
         assert 0.0 < report.link.coils.k < 1.0
         assert report.imn_synthesis.solutions
 
+    @pytest.mark.parametrize("distance", [1e-12, 1e-300, 5e-324])
+    def test_coincident_coils_name_the_distance(self, tmp_path, capsys, distance):
+        # Filaments of the two coils meet, so M is inf: the k estimate, not
+        # the second synthesis pass at k ~ 1, is reported infeasible.
+        spec = {"f0_hz": 2e7, "k": "estimate", "distance_m": distance}
+        with pytest.raises(InfeasibleDesignError) as err:
+            run_design(spec_from_dict(spec))
+        assert err.value.stage == "k estimate"
+        assert f"distance_m = {distance!r}: mutual inductance is inf" in str(err.value)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["design", str(path)]) == 3
+        assert capsys.readouterr().err == f"infeasible: {err.value}\n"
+
 
 class TestDesignWork:
     """What one run_design builds: the f0 coil network converted to S once,

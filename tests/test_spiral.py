@@ -719,13 +719,14 @@ class TestCoupling:
 
     def test_coincident_filaments_give_no_warning(self):
         # At a distance of 1e-12 m equal-radius filaments meet: the Neumann
-        # integrand divides by 0, M is inf and k is clamped, without a
-        # numpy warning.
+        # integrand divides by 0 and M is inf, without a numpy warning, and
+        # the k estimate rejects it.
         g = SpiralGeometry(SQUARE, 3, 1e-3, 2e-4, 1e-4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert mutual_inductance(g, g, 1e-12) == math.inf
-            assert estimate_k(g, g, 1e-12) == 1.0 - 1e-12
+            with pytest.raises(ValueError, match="mutual inductance is inf: filaments"):
+                estimate_k(g, g, 1e-12)
 
     def test_k_in_unit_interval(self):
         g = SpiralGeometry(SQUARE, 6, 6e-3, 0.7e-3, 0.4e-3)

@@ -81,6 +81,12 @@ def _element_entries(elem: MatchingElement, f) -> Entries:
     return (1 + 0j, x, 0j, 1 + 0j) if elem.kind.is_series else (1 + 0j, 0j, x, 1 + 0j)
 
 
+# Each topology case's (TX series element at the port, RX series element at
+# the port), and the case of each such pair.
+_SERIES_AT_PORT = {1: (False, False), 2: (True, True), 3: (True, False), 4: (False, True)}
+_CASE_OF = {sides: case for case, sides in _SERIES_AT_PORT.items()}
+
+
 @dataclass(frozen=True)
 class LSectionIMN:
     """Solved matching network: one series + one shunt element per side.
@@ -101,7 +107,7 @@ class LSectionIMN:
     rx_shunt: MatchingElement
 
     def __post_init__(self):
-        if self.topology_case not in (1, 2, 3, 4):
+        if self.topology_case not in _SERIES_AT_PORT:
             raise ValueError(f"topology_case must be 1..4, got {self.topology_case}")
         if not self.tx_series.kind.is_series or not self.rx_series.kind.is_series:
             raise ValueError("series slots need series elements")
@@ -110,11 +116,11 @@ class LSectionIMN:
 
     @property
     def tx_series_at_port(self) -> bool:
-        return self.topology_case in (2, 3)
+        return _SERIES_AT_PORT[self.topology_case][0]
 
     @property
     def rx_series_at_port(self) -> bool:
-        return self.topology_case in (2, 4)
+        return _SERIES_AT_PORT[self.topology_case][1]
 
     @property
     def elements(self) -> tuple[MatchingElement, ...]:
@@ -207,10 +213,6 @@ class ImnSynthesis:
     def __bool__(self) -> bool:
         return bool(self.solutions)
 
-    def __getstate__(self) -> dict:
-        # Pickled with its solutions built, as the tuple they read as.
-        return {**self.__dict__, "solutions": tuple(self.solutions)}
-
 
 @dataclass(frozen=True)
 class _SideSolution:
@@ -280,16 +282,6 @@ def _solve_side(z0: float, z_target: complex, f: float) -> list[_SideSolution]:
                 if parts:
                     out.append(_SideSolution(True, parts[0], parts[1]))
     return out
-
-
-def _case_of(tx_series_at_port: bool, rx_series_at_port: bool) -> int:
-    if tx_series_at_port and rx_series_at_port:
-        return 2
-    if not tx_series_at_port and not rx_series_at_port:
-        return 1
-    if tx_series_at_port:
-        return 3
-    return 4
 
 
 def simultaneous_match_targets(s: TwoPortMatrix) -> tuple[complex, complex]:
@@ -387,7 +379,7 @@ def synthesize_imn(t_coil: TwoPortMatrix, ports: PortPair | TwoPortMatrix,
             if (_db(abs(s_link[0])) > RETURN_LOSS_FLOOR_DB
                     or _db(abs(s_link[3])) > RETURN_LOSS_FLOOR_DB):
                 continue
-            case = _case_of(tx.series_at_port, rx.series_at_port)
+            case = _CASE_OF[tx.series_at_port, rx.series_at_port]
             # |S21| quantized so numerically identical optima actually tie
             # and fall through to the total reactance at f0, summed from 0
             # in the order of LSectionIMN.elements.

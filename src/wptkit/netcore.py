@@ -609,7 +609,8 @@ class BuiltOnRead(Sequence):
     """A read-only sequence whose items ``build(*fields)`` makes from the
     i-th value of each of ``fields`` only when an index or slice reads
     item i; slices give tuples.  Two such sequences are equal when their
-    items are, and hash as the tuple of their items."""
+    items are, and hash as the tuple of their items; pickled, one is the
+    tuple it reads as."""
 
     def __init__(self, build, *fields):
         self._build = build
@@ -635,3 +636,6 @@ class BuiltOnRead(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)

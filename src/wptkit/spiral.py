@@ -724,13 +724,16 @@ def mutual_inductance(tx: SpiralGeometry, rx: SpiralGeometry, distance: float) -
 
 
 def estimate_k(tx: SpiralGeometry, rx: SpiralGeometry, distance: float) -> float:
-    """Coupling coefficient k = M / sqrt(L_tx L_rx), clamped to [0, 1).
-    ValueError when M is not finite: filaments of the two coils meet."""
+    """Coupling coefficient k = M / sqrt(L_tx L_rx).  ValueError when M is
+    not finite (filaments of the two coils meet) or k is outside (0, 1)
+    (the filament model does not hold at that distance)."""
     m = mutual_inductance(tx, rx, distance)
     if not math.isfinite(m):
         raise ValueError(f"mutual inductance is {m!r}: filaments of the two coils meet")
     k = m / math.sqrt(inductance(tx) * inductance(rx))
-    return min(max(k, 0.0), 1.0 - 1e-12)
+    if not 0.0 < k < 1.0:
+        raise ValueError(f"estimated k = {k!r} is outside (0, 1)")
+    return k
 
 
 def candidate_record(g: SpiralGeometry, f0: float) -> dict:

@@ -98,11 +98,12 @@ TISSUE = argv(("tissue", "table"), {"--f": reals(1e5, 1e9)}, ("--f",))
 
 # Argument lists the draws above have missed: a tiny --f0 with a feasible
 # synthesis (the skin depth dwarfs the trace), a stage impedance whose
-# square overflows, a stage admittance that underflows to 0, zero drive
-# with a V_T at which 2 n V_T overflows, a tissue impedance whose magnitude
-# overflows, a match residual |Z - Z_tissue*| that overflows at n = 2, a
-# target L at the largest float, whose L_TOL window overflows, and the
-# smallest subnormal trace width, whose cross-section w t_eff underflows.
+# square overflows, an n r_stage that overflows at n = 2, zero drive with
+# a V_T at which 2 n V_T overflows, a tissue impedance whose magnitude
+# overflows, a |Z_in| + |tissue_z| that overflows, drive past the point
+# where exp(v_rx / V_T) overflows, a target L at the largest float, whose
+# L_TOL window overflows, and the smallest subnormal trace width, whose
+# cross-section w t_eff underflows.
 EXAMPLES = {
     "harvester": [["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
                    "--r-stage", "1e300", "--c-stage", "1e-300"],
@@ -112,9 +113,10 @@ EXAMPLES = {
                    "--n-max", "2"],
                   ["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
                    "--tissue-r", "1.5e308", "--tissue-x", "1.5e308"],
-                  ["harvester", "explore", "--v-rx", "0.05", "--target-v", "1",
+                  ["harvester", "explore", "--v-rx", "0.05", "--target-v", "1", "--n-max", "4",
                    "--r-stage", "1e307", "--c-stage", "5e-324", "--f0", "1e8",
-                   "--tissue-r=-1.2e308", "--tissue-x", "1.2e308"]],
+                   "--tissue-r=-1.2e308", "--tissue-x", "1.2e308"],
+                  ["harvester", "explore", "--v-rx", "25", "--target-v", "1"]],
     "coil": [["coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6", "--f0", "1e-30"],
              ["coil", "synth", "--target-l", "1.7976931348623157e308", "--max-area", "25e-6"],
              ["coil", "synth", "--target-l", "80e-9", "--max-area", "25e-6",

@@ -83,7 +83,7 @@ def _reference_synthesize_imn(t_coil, ports, f0):
     kept = []
     for tx in tx_options:
         for rx in rx_options:
-            imn = LSectionIMN(imn_module._case_of(tx.series_at_port, rx.series_at_port),
+            imn = LSectionIMN(imn_module._CASE_OF[tx.series_at_port, rx.series_at_port],
                               tx.series, tx.shunt, rx.series, rx.shunt)
             sol = ImnSolution(imn, netcore.abcd_to_s(assemble_link(imn, t_coil, f0),
                                                      ports.zp1, ports.zp2))
@@ -98,12 +98,13 @@ def _reference_synthesize_imn(t_coil, ports, f0):
 
 
 def outcome(fn, *args):
-    """The pickled result of fn(*args), or the type and message of what it
-    raised."""
+    """The pickled result of fn(*args), its solutions as the tuple they read
+    as, or the type and message of what it raised."""
     try:
-        return pickle.dumps(fn(*args))
+        result = fn(*args)
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
+    return pickle.dumps(replace(result, solutions=tuple(result.solutions)))
 
 
 def log_uniform(lo, hi):

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptkit import cli, harvester, imn, netcore, pipeline, tissue
+from wptkit import cli, harvester, imn, netcore, pipeline, spiral, tissue
 from wptkit.coil import PortPair
 from wptkit.errors import InfeasibleDesignError
 from wptkit.pipeline import (
@@ -798,6 +799,34 @@ class TestKEstimation:
         path.write_text(json.dumps(spec))
         assert cli.main(["design", str(path)]) == 3
         assert capsys.readouterr().err == f"infeasible: {err.value}\n"
+
+    @pytest.mark.parametrize("distance, k", [(1e-6, "1.42"), (1e-9, "37.7")])
+    def test_unphysical_coupling_names_the_distance(self, tmp_path, distance, k):
+        # M is finite but exceeds sqrt(L_tx L_rx): k >= 1 is rejected by the
+        # k estimate, not clamped below 1 and blamed on coil synthesis.
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"f0_hz": 2e7, "k": "estimate", "distance_m": distance}))
+        proc = run_cli("design", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"infeasible: k estimate: distance_m = {distance!r}: "
+                                      f"estimated k = {k}")
+        assert len(proc.stderr.splitlines()) == 1
+
+
+def test_every_built_on_read_sequence_pickles_as_its_tuple():
+    # Ranked spiral candidates, IMN solutions, the harvester table and sweep rows.
+    spec = dict(SYMMETRIC, harvester={"v_rx_v": 0.05, "target_v_out_v": 1.0})
+    report = run_design(spec_from_dict(spec))
+    sequences = [
+        spiral.synthesize(80e-9, spiral.FabConstraints(max_area=25e-6), spiral.SQUARE).candidates,
+        report.imn_synthesis.solutions,
+        report.harvest_result.table,
+        sweep_link(report.link, frequency_grid(1e7, 4e7, 11)),
+    ]
+    for seq in sequences:
+        assert isinstance(seq, netcore.BuiltOnRead) and len(seq) > 1
+        back = pickle.loads(pickle.dumps(seq))
+        assert type(back) is tuple and back == tuple(seq)
 
 
 class TestDesignWork:

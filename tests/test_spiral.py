@@ -729,9 +729,12 @@ class TestCoupling:
                 estimate_k(g, g, 1e-12)
 
     def test_k_in_unit_interval(self):
+        # The filament M exceeds sqrt(L L) when the coils nearly touch: such
+        # a k is rejected, not clamped below 1.
         g = SpiralGeometry(SQUARE, 6, 6e-3, 0.7e-3, 0.4e-3)
-        k = estimate_k(g, g, 1e-6)
-        assert 0.0 <= k < 1.0
+        assert 0.0 < estimate_k(g, g, 1e-3) < 1.0
+        with pytest.raises(ValueError, match=r"^estimated k = 1\.\d+ is outside \(0, 1\)$"):
+            estimate_k(g, g, 1e-6)
 
     def test_cached_cosine_grid_keeps_the_integral(self):
         # The grid is built once per point count and shared read-only; the

@@ -49,13 +49,14 @@ _PREFIXES = (
 
 def si(value: float, unit: str) -> str:
     """Format a value to 4 significant digits with an SI prefix and unit,
-    deterministically."""
+    deterministically; the prefix is that of the rounded value."""
     if not math.isfinite(value):  # nan, inf or -inf, without a prefix
         return f"{value} {unit}"
     if value == 0.0:
         return f"0 {unit}"
+    rounded = abs(float(f"{value:.4g}"))
     for scale, prefix in _PREFIXES:  # the last one when none is reached
-        if abs(value) >= scale:
+        if rounded >= scale:
             break
     return f"{value / scale:.4g} {prefix}{unit}"
 

@@ -217,12 +217,6 @@ class RankedCandidates(BuiltOnRead):
         super().__init__(functools.partial(_geometry, shape), n, r, dr, w)
         self._shape = shape
 
-    def __eq__(self, other):
-        if not isinstance(other, RankedCandidates):
-            return NotImplemented
-        return self._shape == other._shape and all(
-            np.array_equal(a, b) for a, b in zip(self._fields, other._fields))
-
     def __repr__(self) -> str:
         return f"RankedCandidates({self._shape.name}, {len(self)} candidates)"
 
@@ -315,10 +309,11 @@ def _guess_edges(coefs: np.ndarray, rows: _Rows):
 
 class _Grid(NamedTuple):
     """The part of synthesis that depends only on (fab, shape), for one or
-    more such keys, in read-only arrays: each key's rows whose r run holds
-    a point inside its area cap, in grid order, laid end to end (key j's
-    rows are rows[starts[j]:starts[j + 1]]), the longest r run, of which
-    each row's run is a prefix, and each row's closed-form L at its ends."""
+    more such keys, in read-only arrays: each key's rows whose r run is not
+    empty, in grid order, laid end to end (key j's rows are
+    rows[starts[j]:starts[j + 1]]), the longest r run, of which each row's
+    run is a prefix, and each row's closed-form L at its ends.  A run's
+    last point may lie outside the area cap; _search drops it there."""
 
     rows: _Rows
     starts: tuple[int, ...]
@@ -340,7 +335,6 @@ def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
                              shape.cos_factor) for _, shape in keys]).T
     cosf = shape_coefs[4]
     edge_max = np.array([math.sqrt(fab.max_area) for fab in fabs])
-    area_cap = np.array([fab.max_area * (1.0 + 1e-12) for fab in fabs])
 
     # (key, n, w, dr) rows in key-major, then n, then w, then dr order:
     # row i = (j N_MAX + n - 1) WD + c, for WD = W_STEPS DR_STEPS, has key
@@ -361,7 +355,9 @@ def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
     # row's (w, dr) in w and dr.  Each row's r run is np.arange(R_STEP,
     # r_hi + R_STEP/2, R_STEP), and np.arange computes element i as
     # R_STEP + i R_STEP whatever its length, so all runs are prefixes of
-    # the longest one.
+    # the longest one.  The points up to r_hi fit the area cap (its 1e-12
+    # slack exceeds the rounding of r_hi and of the edge), so only a run's
+    # last point can lie outside it.
     rows = (r_hi >= R_STEP).nonzero()[0]
     r_hi = r_hi.take(rows)
     counts = np.ceil((r_hi + 0.5 * R_STEP - R_STEP) / R_STEP).astype(np.intp)
@@ -370,36 +366,9 @@ def _grid(keys: tuple[tuple[FabConstraints, ShapeCoefficients], ...]) -> _Grid:
     sizes = starts[1:] - starts[:-1]
     q = rows // wd_size  # j N_MAX + n - 1
     wd = rows - (q - np.arange(len(keys)).repeat(sizes)) * wd_size
-    row_ndr, row_w = ndr.take(rows), w.ravel().take(wd)
-    row_cosf, row_cap = cosf.repeat(sizes), area_cap.repeat(sizes)
-
-    def fits(row, k):
-        edge = _edge(r_run.take(k), row_ndr[row], row_w[row], row_cosf[row])
-        return edge * edge <= row_cap[row]
-
-    # The area test holds on a prefix of each run, which the count above
-    # overshoots by at most its last point, unless rounding at extreme
-    # sizes is coarser than R_STEP (such rows are bisected): trim each
-    # count to that prefix.
-    overshot = ~fits(slice(None), counts - 1)
-    counts -= overshot
-    odd = (overshot & (counts > 0)).nonzero()[0]
-    odd = odd[~fits(odd, counts.take(odd) - 1)]
-    if odd.size:
-        counts[odd] = _first_false(lambda lane, k: fits(odd[lane], k), counts[odd])
-    live = counts.nonzero()[0]
-    if live.size < counts.size:
-        q, wd, counts, row_ndr, row_w, row_cosf = (
-            a.take(live) for a in (q, wd, counts, row_ndr, row_w, row_cosf))
-        starts = live.searchsorted(starts)
-        sizes = starts[1:] - starts[:-1]
-    # The work below holds every key's rows at once: free what only the
-    # trim needed first, which keeps the peak memory of a design's call
-    # near that of two one-key calls.
-    del ndr, r_hi, rows, row_cap, overshot, odd, live
-    row_n = np.concatenate([n] * len(keys)).take(q)
-    row_dr = dr.ravel().take(wd)
-    del q, wd
+    row_n, row_ndr = n.take(q % N_MAX), ndr.take(rows)
+    row_w, row_dr = w.ravel().take(wd), dr.ravel().take(wd)
+    row_cosf = cosf.repeat(sizes)
     coef = shape_coefs[0].repeat(sizes) * row_n * row_n
     row_k = row_w + row_ndr * row_cosf
     c2, c3, c4 = shape_coefs[1:4].repeat(sizes, axis=1)
@@ -486,12 +455,14 @@ def synthesize(l_target: float, fab: FabConstraints,
     (n, w, dr, r) order, with the smallest relative error outside L_TOL.
 
     This is synthesize_all with one request, on the cached (fab, shape)
-    grid of rows trimmed to the cap (_grid).  Along every row L rises
-    strictly with r (ShapeCoefficients keeps dL/dd_avg > 0 wherever
-    dr > w), so its closed-form values at the row's ends bound it: the
-    search runs on the rows whose bounds, widened by PRUNE_MARGIN, reach
-    the L_TOL window, and on every row, for the nearest miss, only when
-    none of them holds a candidate.
+    grid (_grid).  Along every row L rises strictly with r
+    (ShapeCoefficients keeps dL/dd_avg > 0 wherever dr > w), so its
+    closed-form values at the row's ends bound it: the search (_search)
+    runs on the rows whose bounds, widened by PRUNE_MARGIN, reach the
+    L_TOL window, and on every row, for the nearest miss, only when none
+    of them holds a candidate.  It drops a run's last point where that
+    lies outside the cap, and each test decides with the bits of
+    ``inductance`` and ``modified_wheeler``.
     """
     return synthesize_all(((l_target, fab, shape),))[0]
 
@@ -503,7 +474,9 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
 
     The requests' rows are laid end to end, request j's from starts[j],
     and each row carries its request's cos factor, c2, c3, c4, target,
-    k1 mu0 and k2 in coefs, a (7, rows) array.
+    spread (see evaluate), k1 mu0, k2 and area cap in coefs, a (9, rows)
+    array.  A row's run ends at its last point inside the cap: where
+    _grid's run ends one point past it, that point is dropped first.
 
     Along each row the run is a stretch of points below the L_TOL window,
     the window itself, then points above it.  Newton's method on the
@@ -513,41 +486,59 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
     where the exact window tests hold at the edges: true just before each
     edge, false at it; rows that fail are bisected and evaluated again.
     So the result equals a full scan of the rows whatever the guesses are.
-    The closed forms are those of SpiralGeometry, ``inductance`` and
-    ``modified_wheeler``, but the L_TOL window takes numpy's log where
-    ``inductance`` takes libm's: they differ on 351 of the 545,794 points
-    the benchmark pool's 128 design specs evaluate.  The candidates are
-    ranked in numpy and built on access.
+    Every test, and the choice of the nearest miss, decides with the bits
+    of SpiralGeometry, ``inductance`` and ``modified_wheeler`` (see
+    evaluate).  The candidates are ranked in numpy and built on access.
     """
     sizes = [pick.size for pick in picks]
     starts = np.cumsum([0, *sizes])
     coefs = np.array([(shape.cos_factor, shape.c2, shape.c3, shape.c4, l_target,
-                       shape.k1 * MU_0, shape.k2) for l_target, _, shape in requests]
+                       3.0 * abs(shape.c3) + 9.0 * abs(shape.c4), shape.k1 * MU_0, shape.k2,
+                       fab.max_area * (1.0 + 1e-12)) for l_target, fab, shape in requests]
                      ).T.repeat(sizes, axis=1)
     picked = np.concatenate(picks)
     rows, r_run = _Rows(*(a.take(picked) for a in grid.rows)), grid.r_run
     row_n, row_w, row_dr, row_ndr, row_coef = rows[:5]
-    counts = rows.counts
-    shape_coefs, targets = coefs[:4], coefs[4]
+    last = _edge(r_run.take(rows.counts - 1), row_ndr, row_w, coefs[0])
+    counts = rows.counts - ~(last * last <= coefs[8])
+    rows = rows._replace(counts=counts)
 
-    def evaluate(row, r):
-        """Current-sheet L, edge and d_avg at the points, as SpiralGeometry
-        and inductance evaluate them, and each point's target."""
+    def evaluate(row, r, libm=False):
+        """Current-sheet L, its relative error, edge and d_avg at the
+        points, as SpiralGeometry and inductance evaluate them, each point's
+        target, and doubt, a bound on how far numpy's log can move L from
+        inductance's.  L takes numpy's log, and libm's, as inductance does,
+        where a test of L is in doubt, or everywhere with ``libm``."""
         ndr = row_ndr.take(row)
-        cosf, c2, c3, c4 = shape_coefs.take(row, axis=1)
+        cosf, c2, c3, c4, target, spread = coefs[:6].take(row, axis=1)
         d_avg = _d_avg(r, ndr, cosf)
         edge = _edge(r, ndr, row_w.take(row), cosf)
         phi = edge / d_avg - 1.0
-        # np.log in inductance would move a benchmark pool design's S11 from -268.9 to
-        # -283.4 dB; math.log here costs ~460 us per design spec, np.log ~5 us.
-        log = np.log(c2 / phi)
-        return (_current_sheet(row_coef.take(row), d_avg, log, phi, c3, c4), edge, d_avg,
-                targets.take(row))
+        coef, ratio = row_coef.take(row), c2 / phi
+        log = np.log(ratio)
+        l_val = _current_sheet(coef, d_avg, log, phi, c3, c4)
+        # numpy's log and libm's are each within an ulp of the true value,
+        # so they differ by two ulps at most, which moves L by under 2e-15
+        # coef d_avg (|log| + |c3 phi| + |c4 phi^2|); spread bounds the
+        # last two terms (phi <= 1 + 1/cos_factor <= 3), and doubt is 500
+        # times that.  Where L's sign or its L_TOL window test lies within
+        # doubt of deciding the other way, L takes libm's log.
+        doubt = 1e-12 * coef * d_avg * (np.abs(log) + spread)
+        rel = np.abs(l_val - target) / target
+        near = ((np.abs(l_val) < doubt) | libm
+                | (np.abs(rel - L_TOL) < doubt / target)).nonzero()[0]
+        if near.size:
+            log = np.array([math.log(x) for x in ratio.take(near).tolist()])
+            l_val[near] = l_near = _current_sheet(coef.take(near), d_avg.take(near), log,
+                                                  phi.take(near), c3.take(near), c4.take(near))
+            target_near = target.take(near)
+            rel[near] = np.abs(l_near - target_near) / target_near
+        return l_val, rel, edge, d_avg, target, doubt
 
-    def window_tests(l_val, target):
+    def window_tests(l_val, rel, target):
         """Per point: below the window; not above it.  Along a row each
         holds on a prefix of the run."""
-        outside = np.abs(l_val - target) / target > L_TOL
+        outside = rel > L_TOL
         return outside & (l_val < target), ~(outside & (l_val > target))
 
     def window(first_not_below, first_above):
@@ -565,9 +556,9 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
         proven, np.minimum(np.maximum(guess, 0.0), counts), 0).astype(np.intp)
     first_not_below = np.minimum(first_not_below, first_above)
     row, base, r = window(first_not_below, first_above)
-    l_val, edge, d_avg, target = evaluate(row, r)
+    l_val, rel, edge, d_avg, target, doubt = evaluate(row, r)
     # An edge is proven where its test holds just before it and fails at it.
-    for first, test in zip((first_not_below, first_above), window_tests(l_val, target)):
+    for first, test in zip((first_not_below, first_above), window_tests(l_val, rel, target)):
         proven &= (first == 0) | test.take(base + first - 1, mode="clip")
         proven &= (first == counts) | ~test.take(base + first, mode="clip")
     wrong = (~proven).nonzero()[0]
@@ -575,32 +566,40 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
         lanes = np.concatenate((wrong, wrong))
 
         def in_run(lane, k):
-            l_lane, _, _, target_lane = evaluate(lanes[lane], r_run[k])
-            below, not_above = window_tests(l_lane, target_lane)
+            l_lane, rel_lane, _, _, target_lane, _ = evaluate(lanes[lane], r_run[k])
+            below, not_above = window_tests(l_lane, rel_lane, target_lane)
             return np.where(lane < wrong.size, below, not_above)
 
         first_not_below[wrong], first_above[wrong] = _first_false(
             in_run, counts.take(lanes)).reshape(2, wrong.size)
         row, base, r = window(first_not_below, first_above)
-        l_val, edge, d_avg, target = evaluate(row, r)
+        l_val, rel, edge, d_avg, target, doubt = evaluate(row, r)
     usable = l_val > 0.0
-    rel = np.abs(l_val - target) / target
     within = rel <= L_TOL
 
-    # Modified-Wheeler gate, as modified_wheeler evaluates it.
+    # Modified-Wheeler gate, as modified_wheeler evaluates it, on L by
+    # libm's log where the gate is in doubt.
     hit = (usable & within).nonzero()[0]
     row_hit = row.take(hit)
-    l_mw, d_in = _modified_wheeler(*coefs[5:].take(row_hit, axis=1), row_n.take(row_hit),
+    l_mw, d_in = _modified_wheeler(*coefs[6:8].take(row_hit, axis=1), row_n.take(row_hit),
                                    d_avg.take(hit), edge.take(hit))
     l_cs = l_val.take(hit)
+    near = (np.abs(np.abs(l_cs - l_mw) - WHEELER_TOL * l_cs) < doubt.take(hit)).nonzero()[0]
+    if near.size:
+        l_cs[near] = evaluate(row_hit.take(near), r.take(hit.take(near)), libm=True)[0]
     hit = hit[(d_in > 0.0) & ~(np.abs(l_cs - l_mw) / l_cs > WHEELER_TOL)]
+    miss = (usable & ~within).nonzero()[0]
+
+    def near_miss(l_target, shape, i):
+        g = _geometry(shape, row_n[row[i]], r[i], row_dr[row[i]], row_w[row[i]])
+        l_g = inductance(g)
+        return NearMiss(g, l_g, abs(l_g - l_target) / l_target)
 
     # Each request's points are one stretch, from its first row's on.
     ends = row.searchsorted(starts)
-    miss = (usable & ~within).nonzero()[0]
     hit_ends, miss_ends = hit.searchsorted(ends).tolist(), miss.searchsorted(ends).tolist()
     results = []
-    for j, (_, _, shape) in enumerate(requests):
+    for j, (l_target, _, shape) in enumerate(requests):
         hits = hit[hit_ends[j]:hit_ends[j + 1]]
         misses = miss[miss_ends[j]:miss_ends[j + 1]]
         if hits.size:
@@ -612,9 +611,14 @@ def _search(requests: list, grid: _Grid, picks: list[np.ndarray]) -> list[Synthe
             results.append(SynthesisResult(RankedCandidates(
                 shape, row_n.take(kept), r.take(hits), row_dr.take(kept), row_w.take(kept)), None))
         elif misses.size:
-            i = misses[rel.take(misses).argmin()]
-            g = _geometry(shape, row_n[row[i]], r[i], row_dr[row[i]], row_w[row[i]])
-            results.append(SynthesisResult((), NearMiss(g, float(l_val[i]), float(rel[i]))))
+            # The first of the misses whose error by inductance is the least:
+            # only those whose error, give or take doubt and its rounding,
+            # may be the least can be.
+            rel_miss = rel.take(misses)
+            slack = doubt.take(misses) / l_target + 1e-15 * rel_miss
+            close = misses[rel_miss - slack <= (rel_miss + slack).min()]
+            results.append(SynthesisResult((), min(
+                (near_miss(l_target, shape, i) for i in close), key=lambda m: m.rel_error)))
         else:
             results.append(SynthesisResult((), None))
     return results
@@ -667,15 +671,6 @@ def _quadrature_size(a: float, b: float, d: float) -> int:
     return int(min(max(256, 64 * math.ceil(closeness) * 8), 65536))
 
 
-@functools.lru_cache(maxsize=16)
-def _cos_grid(npts: int) -> np.ndarray:
-    """cos(psi) on the ``npts``-point periodic trapezoid grid over [0, 2 pi),
-    read-only: it depends on nothing else."""
-    cos_psi = np.cos(np.linspace(0.0, 2.0 * math.pi, npts, endpoint=False))
-    cos_psi.flags.writeable = False
-    return cos_psi
-
-
 def _pair_terms(a: np.ndarray, b: np.ndarray, d: float, npts: int) -> np.ndarray:
     """Neumann integral between coaxial circular filaments of radii a, b
     separated axially by d, per pair of the arrays a, b:
@@ -685,7 +680,7 @@ def _pair_terms(a: np.ndarray, b: np.ndarray, d: float, npts: int) -> np.ndarray
     evaluated by the ``npts``-point periodic trapezoid rule (spectrally
     accurate for the smooth separations this tool sees), one row of a
     (pairs, npts) block per pair."""
-    cos_psi = _cos_grid(npts)
+    cos_psi = np.cos(np.linspace(0.0, 2.0 * math.pi, npts, endpoint=False))
     # One (pairs, npts) buffer, updated in place.
     block = np.multiply((2.0 * a * b)[:, None], cos_psi)
     np.subtract((a * a + b * b + d * d)[:, None], block, out=block)

@@ -300,6 +300,17 @@ class TestReport:
         assert si(math.inf, "s") == "inf s"
         assert si(-math.inf, "V") == "-inf V"
         assert si(math.nan, "V") == "nan V"
+        # The prefix is that of the value rounded to 4 significant digits.
+        assert si(999.96, "ohm") == "1 kohm"
+        assert si(-999.96, "ohm") == "-1 kohm"
+        assert si(999.94, "ohm") == "999.9 ohm"
+        assert si(0.99996, "V") == "1 V"
+        assert si(999.96e-15, "F") == "1 pF"
+        assert si(999.96e-18, "F") == "1 fF"
+        assert si(0.5e-18, "F") == "0.0005 fF"
+        # G stays the largest prefix.
+        assert si(999.96e6, "Hz") == "1 GHz"
+        assert si(999.96e9, "Hz") == "1000 GHz"
 
 
 class TestSweep:

@@ -8,8 +8,10 @@ closed-form coaxial-loop elliptic-integral solution and, bit for bit,
 against a per-turn-pair loop.
 """
 
+import gc
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -192,6 +194,19 @@ class TestSynthesize:
             result = synthesize(80e-9, FabConstraints(minimum, minimum, 1e-4), SQUARE)
             assert result == SynthesisResult((), nearest)
 
+    def test_leaves_no_reference_cycle(self):
+        # Every array a synthesis makes is freed when its last reference
+        # goes, not at the next cyclic collection, so they do not pile up
+        # in peak memory between collections.
+        gc.collect()
+        gc.disable()
+        try:
+            for target, fab, shape in OUTCOME_REQUESTS.values():
+                synthesize(target, fab, shape)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(ValueError):
             synthesize(math.inf, FabConstraints(), SQUARE)
@@ -221,7 +236,8 @@ def _grid_rows(fab, shape):
 
 def _row_inductance(shape, n, w, dr, r):
     """Current-sheet L and footprint edge along one row's r run, in the
-    array form: np.log and phi * phi over the whole run."""
+    array form: np.log and phi * phi over the whole run.  Its L may differ
+    from inductance's, which takes libm's log, in the last bits."""
     cosf = shape.cos_factor
     d_avg = (2.0 * r + n * dr) * cosf
     edge = w + 2.0 * (r + n * dr) * cosf
@@ -231,35 +247,44 @@ def _row_inductance(shape, n, w, dr, r):
     return 0.5 * shape.c1 * spiral.MU_0 * n * n * d_avg * bracket, edge
 
 
+# The array form's relative error lies within a few ulps of inductance's,
+# so a point whose array-form error exceeds a bound by this share cannot
+# reach the bound by inductance.
+SCREEN = 1e-9
+
+
 def _reference_synthesize(l_target, fab, shape):
     """Point-by-point grid search: every point of every (n, w, dr) row,
-    one SpiralGeometry per point inside L_TOL, ranked by a Python sort.
-    The oracle for the bracket search and numpy ranking in
+    ranked by a Python sort.  Each point that may be kept or be the
+    nearest miss is one SpiralGeometry, and inductance and
+    modified_wheeler decide on it; the array form only skips the points
+    whose error exceeds both L_TOL and the best miss so far by more than
+    SCREEN.  The oracle for the bracket search and numpy ranking in
     spiral.synthesize; its candidates are a tuple."""
     candidates = []
     nearest = None
 
     for n, w, dr, r in _grid_rows(fab, shape):
-        l_val, edge = _row_inductance(shape, n, w, dr, r)
-        ok_area = edge * edge <= fab.max_area * (1.0 + 1e-12)
-        ok_model = l_val > 0.0
-        rel = np.abs(l_val - l_target) / l_target
-        usable = ok_area & ok_model
-        for i in np.nonzero(usable)[0]:
-            err = float(rel[i])
+        l_np, edge = _row_inductance(shape, n, w, dr, r)
+        best = math.inf if nearest is None else nearest.rel_error
+        screen = (edge * edge <= fab.max_area * (1.0 + 1e-12)) \
+            & (np.abs(l_np - l_target) / l_target <= max(spiral.L_TOL, best) * (1.0 + SCREEN))
+        for i in np.flatnonzero(screen):
+            g = SpiralGeometry(shape, n, float(r[i]), dr, w)
+            l_val = inductance(g)
+            if not l_val > 0.0:
+                continue
+            err = abs(l_val - l_target) / l_target
             if err <= spiral.L_TOL:
-                g = SpiralGeometry(shape, n, float(r[i]), dr, w)
                 try:
                     l_mw = modified_wheeler(g)
                 except ValueError:
                     continue
-                l_cs = float(l_val[i])
-                if abs(l_cs - l_mw) / l_cs > spiral.WHEELER_TOL:
+                if abs(l_val - l_mw) / l_val > spiral.WHEELER_TOL:
                     continue
                 candidates.append((-g.area, n, w, dr, float(r[i]), g))
             elif nearest is None or err < nearest.rel_error:
-                g = SpiralGeometry(shape, n, float(r[i]), dr, w)
-                nearest = NearMiss(g, float(l_val[i]), err)
+                nearest = NearMiss(g, l_val, err)
 
     candidates.sort(key=lambda item: item[:5])
     ranked = tuple(item[5] for item in candidates)
@@ -328,28 +353,30 @@ SHAPE_LIST = (SQUARE, HEXAGONAL, OCTAGONAL, CIRCULAR)
 def _edge_targets(shape, fab, per_side=2, r_min=0.0):
     """(target, geometry) pairs at which the geometry, a grid point with
     r >= r_min that passes the Wheeler gate, has a relative error of
-    exactly L_TOL: the first ``per_side`` such points, in grid order, at
-    the window's top edge (L above the target) and at its bottom edge."""
+    exactly L_TOL by inductance: the first ``per_side`` such points, in
+    grid order, at the window's top edge (L above the target) and at its
+    bottom edge.  The array form proposes the points, inductance decides."""
     found = {1.0: [], -1.0: []}
     for n, w, dr, r in _grid_rows(fab, shape):
-        l_val, edge = _row_inductance(shape, n, w, dr, r)
+        l_np, edge = _row_inductance(shape, n, w, dr, r)
         fits = (edge * edge <= fab.max_area * (1.0 + 1e-12)) & (r >= r_min)
         for sign, hits in found.items():
             # One ulp of the target moves the error by many ulps of L_TOL,
             # so scan a few targets around L / (1 + sign L_TOL).
-            t = np.nextafter(l_val / (1.0 + sign * spiral.L_TOL), 0.0)
+            t = np.nextafter(l_np / (1.0 + sign * spiral.L_TOL), 0.0)
             for _ in range(8):
                 t = np.nextafter(t, np.inf)
-                exact = fits & (np.abs(l_val - t) / t == spiral.L_TOL)
+                exact = fits & (np.abs(l_np - t) / t == spiral.L_TOL)
                 for i in np.flatnonzero(exact):
                     g = SpiralGeometry(shape, n, float(r[i]), dr, w)
+                    l_val, target = inductance(g), float(t[i])
                     try:
                         l_mw = modified_wheeler(g)
                     except ValueError:
                         continue
-                    l_cs = float(l_val[i])
-                    if len(hits) < per_side and abs(l_cs - l_mw) / l_cs <= spiral.WHEELER_TOL:
-                        hits.append((float(t[i]), g))
+                    if len(hits) < per_side and abs(l_val - target) / target == spiral.L_TOL \
+                            and abs(l_val - l_mw) / l_val <= spiral.WHEELER_TOL:
+                        hits.append((target, g))
         if all(len(hits) == per_side for hits in found.values()):
             break
     return found[1.0] + found[-1.0]
@@ -359,6 +386,45 @@ def _kept_at_edge(target, g, check):
     """Whether g is kept one ulp below, at and one ulp above target."""
     return [g in check(t).candidates
             for t in (math.nextafter(target, 0.0), target, math.nextafter(target, math.inf))]
+
+
+def _log_forks(fab, shape):
+    """(geometry, array-form L) of the grid points inside the cap whose L by
+    the array form, with numpy's log, differs from inductance's, in grid
+    order."""
+    forks = []
+    for n, w, dr, r in _grid_rows(fab, shape):
+        l_np, edge = _row_inductance(shape, n, w, dr, r)
+        for i in np.flatnonzero(edge * edge <= fab.max_area * (1.0 + 1e-12)):
+            g = SpiralGeometry(shape, n, float(r[i]), dr, w)
+            if inductance(g) != l_np[i]:
+                forks.append((g, float(l_np[i])))
+    return forks
+
+
+def _around(x, steps=4):
+    """x and its ``steps`` float neighbours on either side, ascending."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class _LogOffByAnUlp:
+    """numpy as spiral uses it, but each log result is moved one ulp up or
+    down at random (seeded): a log that parts from libm's, as another
+    numpy build's may."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x):
+        y = np.log(x)
+        return np.nextafter(y, np.where(self._rng.random(np.shape(y)) < 0.5, -np.inf, np.inf))
 
 
 def assert_batch_matches_reference(requests, monkeypatch):
@@ -416,6 +482,118 @@ class TestSynthesizeEquivalence:
                 target, g, lambda t: assert_matches_reference(t, fab, shape, monkeypatch))
             # Kept at the edge; exactly one neighbour moves it outside.
             assert kept[1] and kept.count(False) == 1
+
+    def test_points_on_the_edges_kept_as_inductance_says(self):
+        # At the grid points whose L by numpy's log differs from
+        # inductance's (libm's log), put the target on either L_TOL edge
+        # (L / (1 -+ L_TOL) and its float neighbours), or, with the target
+        # at L, put modified_wheeler on either WHEELER_TOL edge (shapes whose
+        # K1 makes it L (1 -+ WHEELER_TOL), and their float neighbours): the
+        # point is kept exactly when inductance and modified_wheeler say so.
+        fab = FabConstraints(max_area=(5e-3) ** 2)
+        cases = []  # (edge, target, geometry, array-form L)
+        for shape in SHAPE_LIST:
+            for g, l_np in _log_forks(fab, shape):
+                try:
+                    l_val, l_mw = inductance(g), modified_wheeler(g)
+                except ValueError:  # the winding fills past the center
+                    continue
+                for sign in (1.0, -1.0):
+                    cases += [("L_TOL", t, g, l_np)
+                              for t in _around(l_val / (1.0 + sign * spiral.L_TOL))]
+                    k1 = shape.k1 * (l_val * (1.0 + sign * spiral.WHEELER_TOL) / l_mw)
+                    cases += [("WHEELER_TOL", l_val, replace(g, shape=replace(shape, k1=k)), l_np)
+                              for k in _around(k1)]
+        parted = set()
+        for edge, target, g, l_np in cases:
+            l_val, l_mw = inductance(g), modified_wheeler(g)
+
+            def keeps(l_cs):
+                return abs(l_cs - target) / target <= spiral.L_TOL \
+                    and abs(l_cs - l_mw) / l_cs <= spiral.WHEELER_TOL
+
+            result = synthesize(target, fab, g.shape)
+            assert (g in result.candidates) == keeps(l_val), (edge, target, g)
+            assert all(abs(inductance(c) - target) / target <= spiral.L_TOL
+                       for c in result.candidates)
+            if keeps(l_np) != keeps(l_val):
+                parted.add(edge)
+        # Where the two logs part, the array form's L decides some cases of
+        # each edge the other way.
+        assert parted == {"L_TOL", "WHEELER_TOL"} or not cases
+
+    def test_results_do_not_depend_on_numpys_log(self, monkeypatch):
+        # With a numpy log one ulp off, synthesis still equals the oracle at
+        # targets on the L_TOL edges.
+        fab = FabConstraints(max_area=(5e-3) ** 2)
+        edges = {shape: _edge_targets(shape, fab) for shape in SHAPE_LIST}
+        for seed in range(2):
+            monkeypatch.setattr(spiral, "np", _LogOffByAnUlp(seed))
+            spiral._grid.cache_clear()
+            for shape, pairs in edges.items():
+                for target, g in pairs:
+                    _kept_at_edge(target, g, lambda t: assert_matches_reference(t, fab, shape))
+        monkeypatch.setattr(spiral, "np", np)
+        spiral._grid.cache_clear()
+
+    def test_nearest_miss_among_equal_errors_is_the_first(self, monkeypatch):
+        # Two circular 4-turn grid points with one L: the second's trace is
+        # 200 um wider, its pitch 50 um less and its radius 100 um more.
+        # Each tops its row, and both miss the target by as much: with a
+        # numpy log one ulp off, the nearest miss is still the first of
+        # them, in grid order, as inductance ranks them.
+        rows = spiral._grid(((FabConstraints(50e-6, 50e-6, 1e-4), CIRCULAR),)).rows
+        n4 = int(np.flatnonzero(rows.n == 4)[0])
+        pair = [SpiralGeometry(CIRCULAR, 4, spiral.R_STEP * (1 + k), float(rows.dr[i]),
+                               float(rows.w[i]))
+                for k, i in enumerate((n4 + 3 * spiral.DR_STEPS + 11,
+                                       n4 + 7 * spiral.DR_STEPS + 6))]
+        l_val = inductance(pair[0])
+        assert inductance(pair[1]) == l_val and pair[1].area >= pair[0].area
+        fab = FabConstraints(50e-6, 50e-6, pair[1].area)
+        grid = spiral._grid(((fab, CIRCULAR),))
+        picks = np.concatenate([np.flatnonzero(
+            (grid.rows.n == 4) & (grid.rows.w == g.w) & (grid.rows.dr == g.dr)) for g in pair])
+        assert picks.size == 2
+        target = 2.0 * l_val
+        want = NearMiss(pair[0], l_val, abs(l_val - target) / target)
+        for seed in range(16):
+            monkeypatch.setattr(spiral, "np", _LogOffByAnUlp(seed))
+            assert spiral._search([(target, fab, CIRCULAR)], grid, [picks])[0].nearest == want
+
+    @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
+    def test_caps_at_a_grid_points_footprint_match_reference(self, shape, monkeypatch):
+        # A cap equal to a grid point's footprint makes the point the last
+        # of its row's run.  Just below it the area test's 1e-12 slack
+        # decides whether that point fits; further below, the run still
+        # ends one point past the cap.  Caps at a row's first point
+        # (r = R_STEP) leave that row's run one point or empty it.
+        def gated(g):  # passes the Wheeler gate
+            try:
+                return abs(inductance(g) - modified_wheeler(g)) / inductance(g) \
+                    <= spiral.WHEELER_TOL
+            except ValueError:
+                return False
+
+        rows = list(_grid_rows(FabConstraints(max_area=(5e-3) ** 2), shape))
+        last = next(g for n, w, dr, r in sorted(rows, key=lambda row: -row[3].size)
+                    for g in (SpiralGeometry(shape, n, float(x), dr, w) for x in r[r.size // 2:])
+                    if gated(g))
+        n, w, dr, _ = rows[-1]
+        first = SpiralGeometry(shape, n, spiral.R_STEP, dr, w)
+        for g in (last, first):
+            area = g.area
+            caps = (area, math.nextafter(area, 0.0), *_around(area / (1.0 + 1e-12), 2),
+                    area * (1.0 - 1e-11))
+            kept = []
+            for cap in caps:
+                fab = FabConstraints(max_area=cap)
+                assert_matches_reference(1e-3, fab, shape, monkeypatch)
+                want = assert_matches_reference(inductance(g), fab, shape, monkeypatch)
+                kept.append(g in want.candidates)
+            if g is last:
+                assert kept[:2] == [True, True] and not kept[-1]
+                assert False in kept[2:-1] and True in kept[2:-1]
 
     @pytest.mark.parametrize("shape", SHAPE_LIST, ids=lambda shape: shape.name)
     def test_wide_window_edges_kept(self, shape):
@@ -498,9 +676,7 @@ class TestSynthesizeEquivalence:
     @pytest.mark.parametrize("error", GUESS_ERRORS)
     def test_wrong_guesses_are_bisected(self, monkeypatch, error):
         # Newton's guesses need no bisection at the reference targets; each
-        # wrong guess is caught on some rows, which are bisected.  The area
-        # trim's bisection runs when a (fab, shape) grid is built, which a
-        # cached grid skips, so no "newton" lanes may mean no call at all.
+        # wrong guess is caught on some rows, which are bisected.
         lanes = {}
         first_false = spiral._first_false
 
@@ -658,6 +834,16 @@ class TestRankedCandidates:
             cands[len(cands)]
         assert isinstance(cands[0].n, int) and isinstance(cands[0].r, float)
 
+    def test_equal_and_hashed_item_wise(self):
+        # Candidates compare and hash as the tuple of their geometries, as
+        # every built-on-read sequence does, so a result holding them hashes.
+        fab = FabConstraints(max_area=(5e-3) ** 2)
+        a, b = synthesize(80e-9, fab, SQUARE), synthesize(80e-9, fab, SQUARE)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a.candidates) == hash(tuple(a.candidates))
+        other = synthesize(81e-9, fab, SQUARE)
+        assert other.candidates != a.candidates and len({a, b, other}) == 2
+
 
 class TestAcResistance:
     GEOM = SpiralGeometry(SQUARE, 6, 2e-3, 0.5e-3, 0.3e-3)
@@ -736,18 +922,13 @@ class TestCoupling:
         with pytest.raises(ValueError, match=r"^estimated k = 1\.\d+ is outside \(0, 1\)$"):
             estimate_k(g, g, 1e-6)
 
-    def test_cached_cosine_grid_keeps_the_integral(self):
-        # The grid is built once per point count and shared read-only; the
-        # integral equals, bit for bit, the one that builds its own grid.
+    def test_cosine_grid_keeps_the_integral(self):
+        # Each block's cosine grid gives, bit for bit, the integral of one
+        # loop pair on its own grid, and a repeated call the same bits.
         cases = [(10e-3, 10e-3, d) for d in (1e-6, 2e-3, 40e-3)] + [(12e-3, 3e-3, 8e-3)]
         for _ in range(2):
             assert [repr(mutual_inductance(_loop(a), _loop(b), d)) for a, b, d in cases] == \
                 [repr(_reference_loop_mutual(*c)) for c in cases]
-        grid = spiral._cos_grid(512)
-        assert grid is spiral._cos_grid(512)
-        assert not grid.flags.writeable
-        with pytest.raises(ValueError):
-            grid[0] = 0.0
 
 
 def _loop(radius):
